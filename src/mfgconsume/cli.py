@@ -38,9 +38,9 @@ from .closedform import (
     solve_equilibrium,
     tagged_policy_at0,
 )
-from .errors import SingularAggregateError, StructuralError
+from .errors import ExponentRangeError, SingularAggregateError, StructuralError
 from .grid import GridCurve, TimeGrid
-from .population import AgentType, Population, validate
+from .population import AgentType, Population, type_violations, validate
 
 
 class ConfigError(Exception):
@@ -415,20 +415,6 @@ def _cmd_deviate(cfg: ScenarioConfig, out: Path, manifest: RunManifest, probe_ty
     manifest.check("large_deviations_detected", large_margin, 0.0, large_margin > 0.0)
 
 
-def _agent_assumption_ok(agent: AgentType, gamma_lb: float, sigma_lb: float) -> bool:
-    vol = agent.sigma.values + agent.sigma0.values
-    return (
-        agent.gamma != 0.0
-        and agent.gamma < 1.0
-        and abs(agent.gamma) >= gamma_lb
-        and 0.0 <= agent.theta <= 1.0
-        and agent.alpha > 0.0
-        and float(vol.min()) >= sigma_lb
-        and float(agent.sigma.values.min()) >= 0.0
-        and float(agent.sigma0.values.min()) >= 0.0
-    )
-
-
 def _set_param(agent: AgentType, parameter: str, value: float) -> AgentType:
     grid = agent.grid
     if parameter in ("h", "sigma", "sigma0"):
@@ -450,7 +436,8 @@ def sweep_sensitivity(
     aggregates stay fixed; ``population`` sets the parameter for every type
     and re-solves the aggregates, the tagged probe keeping her original
     parameters. Rows whose perturbed inputs leave the validated region are
-    flagged rather than dropped.
+    flagged rather than dropped, with NaN rates where the closed form does
+    not evaluate there.
     """
     if parameter not in SWEEPABLE:
         raise ConfigError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
@@ -468,7 +455,7 @@ def sweep_sensitivity(
         try:
             if mode == "individual":
                 agent = _set_param(probe, parameter, v)
-                flagged = not _agent_assumption_ok(agent, pop.gamma_lb, pop.sigma_lb)
+                flagged = bool(type_violations(probe_type, agent, pop.gamma_lb, pop.sigma_lb))
                 pi0, c0 = tagged_policy_at0(base_agg, agent)
             else:
                 shifted = Population(
@@ -478,7 +465,11 @@ def sweep_sensitivity(
                 )
                 flagged = not validate(shifted).ok
                 pi0, c0 = tagged_policy_at0(population_aggregates(shifted), probe)
-        except (ValueError, SingularAggregateError, ZeroDivisionError):
+        except (ValueError, SingularAggregateError, ExponentRangeError, ZeroDivisionError):
+            # outside the validated region the closed form may not evaluate;
+            # inside it, that is an error of its own and is not masked
+            if not flagged:
+                raise
             rows.append((float(v), math.nan, math.nan, True))
             continue
         rows.append((float(v), pi0, c0, flagged))

@@ -40,12 +40,20 @@ The log-certainty-equivalent curve of the equilibrium is
 with Ytilde(T) = 0. All population expectations are exact finite sums; the
 only numerical error sources are the trapezoid quadrature for I and G and
 the RK4 cross-check of the Riccati equation.
+
+Each of phi, psi, pi*, z0, A, B and D is written once, in the kernel
+:func:`_coefficients`. The solve evaluates it on every knot, the tagged
+agent with the aggregates held fixed, and the scalar API on the (K, 1)
+column of parameters interpolated at t, so scalar calls agree with the
+solve at the knots and cost O(K). ``optimal_consumption`` and ``tilde_Y``
+interpolate the solved curves, as c* and Ytilde integrate over [t, T].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -64,7 +72,7 @@ _EXP_CAP = 700.0
 
 
 # ---------------------------------------------------------------------------
-# population aggregates and per-type coefficient curves
+# population aggregates and the coefficient kernel
 # ---------------------------------------------------------------------------
 
 
@@ -87,72 +95,76 @@ class Aggregates:
     e_logalpha: float     # E[log alpha / (1 - gamma)]
 
 
-def _den(pop: Population) -> NDArray:
-    return (1.0 - pop.gammas)[:, None] * (pop.sigma_mat**2 + pop.sigma0_mat**2)
-
-
-def _phi_psi_arrays(pop: Population) -> tuple[NDArray, NDArray]:
-    den = _den(pop)
-    tg = pop.thetas * pop.gammas
-    phi = pop.mean(pop.h_mat * pop.sigma0_mat / den)
-    psi = pop.mean(tg[:, None] * pop.sigma0_mat**2 / den)
-    return phi, psi
-
-
 def _check_one_plus(x: NDArray | float, what: str) -> None:
     if np.min(np.abs(1.0 + np.asarray(x))) <= _SINGULAR_TOL or np.min(1.0 + np.asarray(x)) <= 0.0:
         raise SingularAggregateError(f"1 + {what} vanishes; closed form undefined")
 
 
-def _coefficient_arrays(pop: Population):
-    """Vectorised pi*, per-type z0, A, B, D over all knots.
+class _Coefficients(NamedTuple):
+    pi: NDArray                # (K, m) investment rate pi*
+    z0: NDArray                # (K, m) own common-noise exposure
+    a: NDArray                 # (K, m)
+    b: NDArray                 # (K, m)
+    d: NDArray                 # (K,)
+    agg: Aggregates
+    z0_common: NDArray | None  # (m,) aggregate exposure; None for held aggregates
 
-    Returns (pi, z0, A, B, D, aggregates).
+
+def _coefficients(
+    pop: Population, h: NDArray, sig: NDArray, sig0: NDArray, agg: Aggregates | None = None
+) -> _Coefficients:
+    """The one closed-form kernel: pi*, z0, A, B and D of the types of
+    ``pop`` from their parameter rows ``h``, ``sig``, ``sig0`` of shape
+    (K, m), plus the aggregates.
+
+    Without ``agg`` the aggregates are the weighted means over these same
+    rows. A measure-zero tagged agent passes the population's ``agg``
+    instead; they are then held fixed and ``z0_common`` is None.
     """
-    den = _den(pop)
+    own = agg is None
+    den = (1.0 - pop.gammas)[:, None] * (sig**2 + sig0**2)
     tg = (pop.thetas * pop.gammas)[:, None]
-    phi, psi = _phi_psi_arrays(pop)
+    phi = pop.mean(h * sig0 / den) if own else agg.phi
+    psi = pop.mean(tg * sig0**2 / den) if own else agg.psi
     _check_one_plus(psi, "psi")
     s = phi / (1.0 + psi)
 
-    pi = pop.h_mat / den - tg * pop.sigma0_mat * s / den
+    pi = h / den - tg * sig0 * s / den
     z0 = -tg * np.broadcast_to(s, den.shape)
 
-    sig_tot2 = pop.sigma_mat**2 + pop.sigma0_mat**2
-    e_pi_h = pop.mean(pi * pop.h_mat)
-    e_pi2_sig = pop.mean(pi**2 * sig_tot2)
+    sig_tot2 = sig**2 + sig0**2
+    e_pi_h = pop.mean(pi * h) if own else agg.e_pi_h
+    e_pi2_sig = pop.mean(pi**2 * sig_tot2) if own else agg.e_pi2_sig
     a = (
-        -pop.gammas[:, None] * (pop.h_mat + pop.sigma0_mat * z0) ** 2 / (2.0 * den)
+        -pop.gammas[:, None] * (h + sig0 * z0) ** 2 / (2.0 * den)
         - z0**2 / 2.0
         + tg * e_pi_h
         - tg / 2.0 * e_pi2_sig
     )
 
     omg = 1.0 - pop.gammas
-    e_theta = float(np.dot(pop.weights, pop.thetas * pop.gammas / omg))
+    e_theta = float(np.dot(pop.weights, pop.thetas * pop.gammas / omg)) if own else agg.e_theta
     _check_one_plus(e_theta, "E[theta*gamma/(1-gamma)]")
-    e_a = pop.mean(a / omg[:, None])
+    e_a = pop.mean(a / omg[:, None]) if own else agg.e_a_scaled
     b = (pop.thetas * pop.gammas / omg)[:, None] * e_a / (1.0 + e_theta) - a / omg[:, None]
 
-    e_logalpha = float(np.dot(pop.weights, np.log(pop.alphas) / omg))
+    e_logalpha = float(np.dot(pop.weights, np.log(pop.alphas) / omg)) if own else agg.e_logalpha
     d = np.exp(np.log(pop.alphas) / omg - pop.thetas * pop.gammas * e_logalpha / (omg * (1.0 + e_theta)))
 
-    agg = Aggregates(
-        grid=pop.grid,
-        phi=phi,
-        psi=psi,
-        e_pi_h=e_pi_h,
-        e_pi2_sig=e_pi2_sig,
-        e_a_scaled=e_a,
-        e_theta=e_theta,
-        e_logalpha=e_logalpha,
-    )
-    return pi, z0, a, b, d, agg
+    if not own:
+        return _Coefficients(pi, z0, a, b, d, agg, None)
+    agg = Aggregates(pop.grid, phi, psi, e_pi_h, e_pi2_sig, e_a, e_theta, e_logalpha)
+    z0_common = -pop.mean(tg * h * sig0 / den) / (1.0 + psi)
+    return _Coefficients(pi, z0, a, b, d, agg, z0_common)
+
+
+def _at_knots(pop: Population, agg: Aggregates | None = None) -> _Coefficients:
+    return _coefficients(pop, pop.h_mat, pop.sigma_mat, pop.sigma0_mat, agg)
 
 
 def population_aggregates(pop: Population) -> Aggregates:
     """Aggregate curves/scalars of the population, for tagged-agent analyses."""
-    return _coefficient_arrays(pop)[5]
+    return _at_knots(pop).agg
 
 
 def _consumption_from_b(b: NDArray, d: NDArray, dt: float):
@@ -208,14 +220,14 @@ class EquilibriumSolution:
 
 def solve_equilibrium(pop: Population) -> EquilibriumSolution:
     """Compute the full closed-form equilibrium for a validated population."""
-    pi, z0, a, b, d, agg = _coefficient_arrays(pop)
-    c, ib, g = _consumption_from_b(b, d, pop.grid.dt)
+    co = _at_knots(pop)
+    c, ib, g = _consumption_from_b(co.b, co.d, pop.grid.dt)
 
     omg = 1.0 - pop.gammas
     tg = pop.thetas * pop.gammas
-    log_d = np.log(d)
+    log_d = np.log(co.d)
     e_logd = float(np.dot(pop.weights, log_d))
-    log_q = ib + np.log1p(d[:, None] * g)
+    log_q = ib + np.log1p(co.d[:, None] * g)
     e_logq = pop.mean(log_q)
     y_tilde = (
         -tg[:, None] * e_logd
@@ -225,20 +237,17 @@ def solve_equilibrium(pop: Population) -> EquilibriumSolution:
         + np.log(pop.alphas)[:, None]
     )
 
-    den = _den(pop)
-    z0_common = -pop.mean(tg[:, None] * pop.h_mat * pop.sigma0_mat / den) / (1.0 + agg.psi)
-
     return EquilibriumSolution(
         grid=pop.grid,
-        pi_star=pi,
+        pi_star=co.pi,
         c_star=c,
         y_tilde=y_tilde,
-        a_coeff=a,
-        b_coeff=b,
-        d_coeff=d,
-        phi=agg.phi,
-        psi=agg.psi,
-        z0_common=z0_common,
+        a_coeff=co.a,
+        b_coeff=co.b,
+        d_coeff=co.d,
+        phi=co.agg.phi,
+        psi=co.agg.psi,
+        z0_common=co.z0_common,
     )
 
 
@@ -248,94 +257,53 @@ def solve_equilibrium(pop: Population) -> EquilibriumSolution:
 
 
 def _params_at(pop: Population, t: float):
-    """Interpolated per-type parameter values at one time."""
-    pop.grid.check_time(t)
-    h = np.array([tp.h(t) for tp in pop.types])
-    sig = np.array([tp.sigma(t) for tp in pop.types])
-    sig0 = np.array([tp.sigma0(t) for tp in pop.types])
-    return h, sig, sig0
+    """Interpolated per-type parameter values (K,) at one time."""
+    return tuple(pop.grid.interp_rows(m, t) for m in (pop.h_mat, pop.sigma_mat, pop.sigma0_mat))
+
+
+def _at(pop: Population, t: float) -> _Coefficients:
+    """The kernel on the (K, 1) column of parameters at time ``t``."""
+    return _coefficients(pop, *(v[:, None] for v in _params_at(pop, t)))
 
 
 def phi_psi(pop: Population, t: float) -> tuple[float, float]:
     """The aggregates phi(t) and psi(t) as exact finite-mixture expectations."""
-    h, sig, sig0 = _params_at(pop, t)
-    den = (1.0 - pop.gammas) * (sig**2 + sig0**2)
-    phi = float(np.dot(pop.weights, h * sig0 / den))
-    psi = float(np.dot(pop.weights, pop.thetas * pop.gammas * sig0**2 / den))
-    _check_one_plus(psi, "psi")
-    return phi, psi
-
-
-def _scalar_locals(pop: Population, t: float):
-    h, sig, sig0 = _params_at(pop, t)
-    den = (1.0 - pop.gammas) * (sig**2 + sig0**2)
-    tg = pop.thetas * pop.gammas
-    phi = float(np.dot(pop.weights, h * sig0 / den))
-    psi = float(np.dot(pop.weights, tg * sig0**2 / den))
-    _check_one_plus(psi, "psi")
-    s = phi / (1.0 + psi)
-    pi = h / den - tg * sig0 * s / den
-    z0 = -tg * s
-    return h, sig, sig0, den, tg, phi, psi, s, pi, z0
+    agg = _at(pop, t).agg
+    return float(agg.phi[0]), float(agg.psi[0])
 
 
 def optimal_investment(pop: Population, k: int, t: float) -> float:
     """Equilibrium investment rate of type ``k`` at time ``t``:
     ``h/den - theta*gamma*sigma0*phi / (den*(1+psi))``."""
-    *_, pi, _ = _scalar_locals(pop, t)
-    return float(pi[k])
+    return float(_at(pop, t).pi[k, 0])
 
 
 def coeff_A(pop: Population, k: int, t: float) -> float:
     """Drift coefficient A of type ``k`` at time ``t`` (four-term expression)."""
-    h, sig, sig0, den, tg, phi, psi, s, pi, z0 = _scalar_locals(pop, t)
-    sig_tot2 = sig**2 + sig0**2
-    e_pi_h = float(np.dot(pop.weights, pi * h))
-    e_pi2 = float(np.dot(pop.weights, pi**2 * sig_tot2))
-    g = pop.gammas[k]
-    return float(
-        -g * (h[k] + sig0[k] * z0[k]) ** 2 / (2.0 * den[k])
-        - z0[k] ** 2 / 2.0
-        + tg[k] * e_pi_h
-        - tg[k] / 2.0 * e_pi2
-    )
+    return float(_at(pop, t).a[k, 0])
 
 
 def coeff_B(pop: Population, k: int, t: float) -> float:
     """Riccati linear coefficient B of type ``k`` at time ``t``."""
-    a = np.array([coeff_A(pop, j, t) for j in range(pop.n_types)])
-    omg = 1.0 - pop.gammas
-    e_theta = float(np.dot(pop.weights, pop.thetas * pop.gammas / omg))
-    _check_one_plus(e_theta, "E[theta*gamma/(1-gamma)]")
-    e_a = float(np.dot(pop.weights, a / omg))
-    tg = pop.thetas[k] * pop.gammas[k]
-    return float(tg / omg[k] * e_a / (1.0 + e_theta) - a[k] / omg[k])
+    return float(_at(pop, t).b[k, 0])
 
 
 def coeff_D(pop: Population, k: int) -> float:
     """Terminal consumption level D of type ``k`` (time independent)."""
-    omg = 1.0 - pop.gammas
-    e_theta = float(np.dot(pop.weights, pop.thetas * pop.gammas / omg))
-    _check_one_plus(e_theta, "E[theta*gamma/(1-gamma)]")
-    e_logalpha = float(np.dot(pop.weights, np.log(pop.alphas) / omg))
-    tg = pop.thetas[k] * pop.gammas[k]
-    return float(math.exp(math.log(pop.alphas[k]) / omg[k] - tg * e_logalpha / (omg[k] * (1.0 + e_theta))))
+    return float(_at(pop, 0.0).d[k])
 
 
 def optimal_consumption(pop: Population, k: int, t: float) -> float:
     """Equilibrium consumption rate of type ``k`` at time ``t`` via the
     quadrature form ``D e^{-I(t)} / (1 + D G(t))``; strictly positive, and
     exactly D at t = T."""
-    _, _, _, b, d, _ = _coefficient_arrays(pop)
-    c, _, _ = _consumption_from_b(b, d, pop.grid.dt)
-    return float(GridCurve(pop.grid, c[k])(t))
+    return float(solve_equilibrium(pop).curve("c_star", k)(t))
 
 
 def tilde_Y(pop: Population, k: int, t: float) -> float:
     """Log-certainty-equivalent curve of type ``k`` at time ``t``;
     terminal value 0."""
-    sol = solve_equilibrium(pop)
-    return float(GridCurve(pop.grid, sol.y_tilde[k])(t))
+    return float(solve_equilibrium(pop).curve("y_tilde", k)(t))
 
 
 def common_noise_z0(pop: Population, t: float, k: int | None = None) -> float:
@@ -347,15 +315,8 @@ def common_noise_z0(pop: Population, t: float, k: int | None = None) -> float:
     ``-E[theta*gamma*h*sigma0/den] / (1+psi)``; the two coincide whenever
     ``theta*gamma`` is constant across types.
     """
-    h, sig, sig0 = _params_at(pop, t)
-    den = (1.0 - pop.gammas) * (sig**2 + sig0**2)
-    tg = pop.thetas * pop.gammas
-    psi = float(np.dot(pop.weights, tg * sig0**2 / den))
-    _check_one_plus(psi, "psi")
-    if k is None:
-        return float(-np.dot(pop.weights, tg * h * sig0 / den) / (1.0 + psi))
-    phi = float(np.dot(pop.weights, h * sig0 / den))
-    return float(-tg[k] * phi / (1.0 + psi))
+    co = _at(pop, t)
+    return float(co.z0_common[0] if k is None else co.z0[k, 0])
 
 
 def constant_consumption(b: float, d: float, horizon: float, t: float) -> float:
@@ -408,21 +369,21 @@ def solve_riccati_numeric(pop: Population, k: int | None = None):
     for one type, or the (K, n+1) matrix when ``k`` is None (all types are
     swept jointly either way).
     """
-    _, _, _, b, d, _ = _coefficient_arrays(pop)
+    co = _at_knots(pop)
     grid = pop.grid
     n = grid.n_steps
     # RK4 only evaluates the rhs at knots and midpoints; pre-sampling B on
     # the half grid keeps the sweep exact for piecewise-linear B and cheap
     b_half = np.empty((pop.n_types, 2 * n + 1))
-    b_half[:, 0::2] = b
-    b_half[:, 1::2] = (b[:, :-1] + b[:, 1:]) / 2.0
+    b_half[:, 0::2] = co.b
+    b_half[:, 1::2] = (co.b[:, :-1] + co.b[:, 1:]) / 2.0
     half_dt = grid.dt / 2.0
 
     def rhs(t, y):
         i = int(round(t / half_dt))
         return b_half[:, i] * y + y * y
 
-    values = rk4_integrate(rhs, d, "backward", grid)
+    values = rk4_integrate(rhs, co.d, "backward", grid)
     if k is None:
         return values
     return GridCurve(grid, values[k])
@@ -456,8 +417,9 @@ def sigma0_thresholds(pop: Population, k: int, t: float) -> Thresholds:
     evaluated at s = sigma0; the roots are
     ``a +/- sqrt(a^2 + sigma^2)`` with ``a = h (1+psi) / (theta*gamma*phi)``.
     """
-    h, sig, sig0, den, tg, phi, psi, *_ = _scalar_locals(pop, t)
-    lead = float(tg[k] * phi)
+    phi, psi = phi_psi(pop, t)
+    h, sig, _ = _params_at(pop, t)
+    lead = float(pop.thetas[k] * pop.gammas[k] * phi)
     if lead == 0.0:
         return Thresholds(math.nan, math.nan, False)
     a = float(h[k]) * (1.0 + psi) / lead
@@ -481,26 +443,8 @@ def tagged_policy_at0(agg: Aggregates, agent: AgentType) -> tuple[float, float]:
     """
     if abs(agent.gamma) < 1e-15 or agent.gamma >= 1.0:
         raise ValueError(f"gamma must lie in (-inf, 1) excluding 0, got {agent.gamma}")
-    _check_one_plus(agg.psi, "psi")
-    _check_one_plus(agg.e_theta, "E[theta*gamma/(1-gamma)]")
-
-    h = agent.h.values
-    sig = agent.sigma.values
-    sig0 = agent.sigma0.values
-    omg = 1.0 - agent.gamma
-    tg = agent.theta * agent.gamma
-    den = omg * (sig**2 + sig0**2)
-    s = agg.phi / (1.0 + agg.psi)
-
-    pi = h / den - tg * sig0 * s / den
-    z0 = -tg * s
-    a = (
-        -agent.gamma * (h + sig0 * z0) ** 2 / (2.0 * den)
-        - z0**2 / 2.0
-        + tg * agg.e_pi_h
-        - tg / 2.0 * agg.e_pi2_sig
-    )
-    b = tg / omg * agg.e_a_scaled / (1.0 + agg.e_theta) - a / omg
-    d = math.exp(math.log(agent.alpha) / omg - tg * agg.e_logalpha / (omg * (1.0 + agg.e_theta)))
-    c, _, _ = _consumption_from_b(b[None, :], np.array([d]), agg.grid.dt)
-    return float(pi[0]), float(c[0, 0])
+    if agent.alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {agent.alpha}")
+    co = _at_knots(Population((agent,)), agg)
+    c, _, _ = _consumption_from_b(co.b, co.d, agg.grid.dt)
+    return float(co.pi[0, 0]), float(c[0, 0])

@@ -48,6 +48,22 @@ class TimeGrid:
         if np.any(t < -slack) or np.any(t > self.T + slack):
             raise ValueError(f"time {t!r} outside [0, {self.T}]")
 
+    def clip_time(self, t):
+        """``t`` after :meth:`check_time`, clipped onto [0, T]."""
+        self.check_time(t)
+        return np.clip(np.asarray(t, dtype=float), 0.0, self.T)
+
+    def interp_rows(self, rows: NDArray, t: float) -> NDArray:
+        """Rows of knot values (K, n+1) at one time ``t``, bit-identical to
+        ``GridCurve(grid, row)(t)`` per row, whose ``np.interp`` formula this repeats."""
+        t = float(self.clip_time(t))
+        x = self.times
+        j = int(np.searchsorted(x, t, side="right")) - 1
+        if x[j] == t:
+            return rows[:, j].copy()
+        slope = (rows[:, j + 1] - rows[:, j]) / (x[j + 1] - x[j])
+        return slope * (t - x[j]) + rows[:, j]
+
 
 @dataclass(frozen=True)
 class GridCurve:
@@ -80,9 +96,7 @@ class GridCurve:
 
     def __call__(self, t):
         """Evaluate at time(s) ``t`` by linear interpolation between knots."""
-        self.grid.check_time(t)
-        t = np.clip(np.asarray(t, dtype=float), 0.0, self.grid.T)
-        return np.interp(t, self.grid.times, self.values)[()]
+        return np.interp(self.grid.clip_time(t), self.grid.times, self.values)[()]
 
 
 # a market-parameter curve is structurally just a grid curve

@@ -153,6 +153,35 @@ class NoiseBundle:
 # ---------------------------------------------------------------------------
 
 
+def _log_drift(h, sigma, sigma0, pi, c):
+    """Drift of log-wealth at every knot: pi h - c - pi^2 (sigma^2 + sigma0^2) / 2."""
+    return pi * h - c - 0.5 * pi**2 * (sigma**2 + sigma0**2)
+
+
+def _euler_rows(h, sigma, sigma0, pi, c, dt: float) -> tuple[NDArray, NDArray, NDArray]:
+    """Left-endpoint Euler coefficients of the log-wealth step over the last
+    axis: drift * dt, pi * sigma and pi * sigma0, each one knot shorter."""
+    drift = _log_drift(h, sigma, sigma0, pi, c)[..., :-1] * dt
+    return drift, (pi * sigma)[..., :-1], (pi * sigma0)[..., :-1]
+
+
+def _build_paths(
+    log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0, rows=slice(None)
+) -> NDArray:
+    """Log-wealth paths from Euler coefficient rows and increments; (m, n+1).
+
+    ``rows`` picks each path's coefficient row. It is applied inside the one
+    increment expression, so each gathered (m, n) copy is freed once used
+    instead of all three being held at once.
+    """
+    incr = drift[rows] + vol_w[rows] * dw + vol_w0[rows] * dw0
+    out = np.empty((incr.shape[0], incr.shape[1] + 1))
+    out[:, 0] = log_x0
+    np.cumsum(incr, axis=1, out=out[:, 1:])
+    out[:, 1:] += out[:, :1]
+    return out
+
+
 def _logwealth_paths(
     x0: float,
     h: NDArray,
@@ -165,14 +194,7 @@ def _logwealth_paths(
     dt: float,
 ) -> NDArray:
     """Euler log-wealth paths, left-endpoint coefficients; shape (m, n+1)."""
-    drift = (pi * h - c - 0.5 * pi**2 * (sigma**2 + sigma0**2))[:-1] * dt
-    incr = drift + (pi * sigma)[:-1] * dw + (pi * sigma0)[:-1] * dw0
-    m = incr.shape[0]
-    out = np.empty((m, incr.shape[1] + 1))
-    out[:, 0] = np.log(x0)
-    np.cumsum(incr, axis=1, out=out[:, 1:])
-    out[:, 1:] += out[:, :1]
-    return out
+    return _build_paths(np.log(x0), *_euler_rows(h, sigma, sigma0, pi, c, dt), dw, dw0)
 
 
 def simulate_wealth(
@@ -220,8 +242,7 @@ class FlowModel:
     def __init__(self, pop: Population, sol: EquilibriumSolution):
         self.grid = pop.grid
         pi, c = sol.pi_star, sol.c_star
-        sig_tot2 = pop.sigma_mat**2 + pop.sigma0_mat**2
-        gbar = pop.mean(pi * pop.h_mat - c - 0.5 * pi**2 * sig_tot2)
+        gbar = pop.mean(_log_drift(pop.h_mat, pop.sigma_mat, pop.sigma0_mat, pi, c))
         self.e_logx = float(np.dot(pop.weights, np.log(pop.x0s)))
         self.mu_det = self.e_logx + cumtrapz_left(gbar, self.grid.dt)
         self.e_pis0 = pop.mean(pi * pop.sigma0_mat)
@@ -319,6 +340,16 @@ def _payoff_batch(
     return terminal + np.trapezoid(integrand, dx=dt, axis=1)
 
 
+def _utility_draws(grid: TimeGrid, seed: int, i: int, chunk: tuple[int, int]) -> tuple[NDArray, NDArray]:
+    """Increments (dw, dw0) of utility chunk ``i``, each (chunk size, n_steps);
+    the utility estimate and the paired deviation test draw the same ones."""
+    shape = (chunk[1] - chunk[0], grid.n_steps)
+    sd = np.sqrt(grid.dt)
+    dw0 = philox_stream(seed, _sid(_DOM_UTIL_W0, i)).normal(0.0, sd, shape)
+    dw = philox_stream(seed, _sid(_DOM_UTIL_W, i)).normal(0.0, sd, shape)
+    return dw, dw0
+
+
 def estimate_utility(
     agent: AgentType, strategy: Strategy, flow: FlowModel, n: int, seed: int
 ) -> UtilityEstimate:
@@ -330,16 +361,10 @@ def estimate_utility(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    sd = np.sqrt(agent.grid.dt)
-    nst = agent.grid.n_steps
     ranges = _chunks(n)
 
     def one(i: int) -> NDArray:
-        lo, hi = ranges[i]
-        m = hi - lo
-        dw0 = philox_stream(seed, _sid(_DOM_UTIL_W0, i)).normal(0.0, sd, (m, nst))
-        dw = philox_stream(seed, _sid(_DOM_UTIL_W, i)).normal(0.0, sd, (m, nst))
-        return _payoff_batch(agent, strategy, flow, dw, dw0)
+        return _payoff_batch(agent, strategy, flow, *_utility_draws(agent.grid, seed, i, ranges[i]))
 
     acc = _Welford()
     for payoff in _map_ordered(one, len(ranges)):
@@ -443,15 +468,10 @@ def deviation_test(
     agent = pop.types[k]
     flow = FlowModel(pop, sol)
     eq = equilibrium_strategy(sol, k, pi_cap, c_min, c_max)
-    sd = np.sqrt(pop.grid.dt)
-    nst = pop.grid.n_steps
     ranges = _chunks(n)
 
     def one(i: int) -> list[NDArray]:
-        lo, hi = ranges[i]
-        m = hi - lo
-        dw0 = philox_stream(seed, _sid(_DOM_UTIL_W0, i)).normal(0.0, sd, (m, nst))
-        dw = philox_stream(seed, _sid(_DOM_UTIL_W, i)).normal(0.0, sd, (m, nst))
+        dw, dw0 = _utility_draws(pop.grid, seed, i, ranges[i])
         j_eq = _payoff_batch(agent, eq, flow, dw, dw0)
         return [j_eq - _payoff_batch(agent, p.strategy, flow, dw, dw0) for p in perturbations]
 
@@ -530,10 +550,9 @@ def consistency_test(
         grid.check_time(t)
 
     flow = FlowModel(pop, sol)
-    sig_tot2 = pop.sigma_mat**2 + pop.sigma0_mat**2
-    drift = (sol.pi_star * pop.h_mat - sol.c_star - 0.5 * sol.pi_star**2 * sig_tot2)[:, :-1] * grid.dt
-    vol_w = (sol.pi_star * pop.sigma_mat)[:, :-1]
-    vol_w0 = (sol.pi_star * pop.sigma0_mat)[:, :-1]
+    drift, vol_w, vol_w0 = _euler_rows(
+        pop.h_mat, pop.sigma_mat, pop.sigma0_mat, sol.pi_star, sol.c_star, grid.dt
+    )
     log_x0 = np.log(pop.x0s)
 
     rows: list[ConsistencyRow] = []
@@ -555,11 +574,7 @@ def consistency_test(
             ti = types[lo:hi]
             m = hi - lo
             dw = philox_stream(seed, _sid(_DOM_CONS_W, p, i)).normal(0.0, sd, (m, nst))
-            incr = drift[ti] + vol_w[ti] * dw + vol_w0[ti] * w0[None, :]
-            x = np.empty((m, nst + 1))
-            x[:, 0] = log_x0[ti]
-            np.cumsum(incr, axis=1, out=x[:, 1:])
-            x[:, 1:] += x[:, :1]
+            x = _build_paths(log_x0[ti], drift, vol_w, vol_w0, dw, w0[None, :], ti)
             probes = x[:, probe_idx]
             return probes.sum(axis=0), (probes * probes).sum(axis=0)
 

@@ -183,6 +183,26 @@ def constant_type(
     )
 
 
+def type_violations(i: int, tp: AgentType, gamma_lb: float, sigma_lb: float) -> list[Violation]:
+    """The standing per-type rules that type ``i`` with parameters ``tp``
+    breaks; :func:`validate` applies it to every type of a population."""
+    sig, sig0 = tp.sigma.values, tp.sigma0.values
+    vol, sig_min, sig0_min = float((sig + sig0).min()), float(sig.min()), float(sig0.min())
+    rules = (
+        ("weight_in_unit_interval", not (0.0 < tp.weight <= 1.0), tp.weight),
+        ("x0_positive", tp.x0 <= 0.0, tp.x0),
+        ("alpha_positive", tp.alpha <= 0.0, tp.alpha),
+        ("theta_in_unit_interval", not (0.0 <= tp.theta <= 1.0), tp.theta),
+        ("gamma_nonzero", tp.gamma == 0.0, tp.gamma),
+        ("gamma_below_one", tp.gamma >= 1.0, tp.gamma),
+        ("gamma_lower_bound", abs(tp.gamma) < gamma_lb, tp.gamma),
+        ("volatility_lower_bound", vol < sigma_lb, vol),
+        ("sigma_nonnegative", sig_min < 0.0, sig_min),
+        ("sigma0_nonnegative", sig0_min < 0.0, sig0_min),
+    )
+    return [Violation(i, rule, value) for rule, broken, value in rules if broken]
+
+
 def validate(pop: Population) -> ValidationReport:
     """Check every standing assumption; report all violations, mutate nothing.
 
@@ -208,27 +228,7 @@ def validate(pop: Population) -> ValidationReport:
     if abs(wsum - 1.0) > 1e-12:
         out.append(Violation(None, "weights_sum_to_one", wsum))
     for i, tp in enumerate(pop.types):
-        if not (0.0 < tp.weight <= 1.0):
-            out.append(Violation(i, "weight_in_unit_interval", tp.weight))
-        if tp.x0 <= 0.0:
-            out.append(Violation(i, "x0_positive", tp.x0))
-        if tp.alpha <= 0.0:
-            out.append(Violation(i, "alpha_positive", tp.alpha))
-        if not (0.0 <= tp.theta <= 1.0):
-            out.append(Violation(i, "theta_in_unit_interval", tp.theta))
-        if tp.gamma == 0.0:
-            out.append(Violation(i, "gamma_nonzero", tp.gamma))
-        if tp.gamma >= 1.0:
-            out.append(Violation(i, "gamma_below_one", tp.gamma))
-        if abs(tp.gamma) < pop.gamma_lb:
-            out.append(Violation(i, "gamma_lower_bound", tp.gamma))
-        vol_sum = pop.sigma_mat[i] + pop.sigma0_mat[i]
-        if float(vol_sum.min()) < pop.sigma_lb:
-            out.append(Violation(i, "volatility_lower_bound", float(vol_sum.min())))
-        if float(pop.sigma_mat[i].min()) < 0.0:
-            out.append(Violation(i, "sigma_nonnegative", float(pop.sigma_mat[i].min())))
-        if float(pop.sigma0_mat[i].min()) < 0.0:
-            out.append(Violation(i, "sigma0_nonnegative", float(pop.sigma0_mat[i].min())))
+        out.extend(type_violations(i, tp, pop.gamma_lb, pop.sigma_lb))
     return ValidationReport(tuple(out))
 
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .closedform import EquilibriumSolution, _check_one_plus, _den, _params_at
+from .closedform import EquilibriumSolution, _check_one_plus, _params_at
 from .errors import ExponentRangeError
 from .grid import GridCurve
 from .population import Population
@@ -76,7 +76,7 @@ def eval_J(pop: Population, k: int, t: float, z_tilde: float, z0_tilde: float) -
 
 def _j_at_zero(pop: Population) -> NDArray:
     """Vectorised eval_J(., 0, 0) over all types and knots, shape (K, n+1)."""
-    den = _den(pop)
+    den = (1.0 - pop.gammas)[:, None] * (pop.sigma_mat**2 + pop.sigma0_mat**2)
     g = pop.gammas[:, None]
     tg = (pop.thetas * pop.gammas)[:, None]
     h, sig, sig0 = pop.h_mat, pop.sigma_mat, pop.sigma0_mat
@@ -337,7 +337,7 @@ def relation_check(
     """
     from .montecarlo import FlowModel, philox_stream
 
-    den = _den(pop)
+    den = (1.0 - pop.gammas)[:, None] * (pop.sigma_mat**2 + pop.sigma0_mat**2)
     tg = (pop.thetas * pop.gammas)[:, None]
     h, sig0 = pop.h_mat, pop.sigma0_mat
 

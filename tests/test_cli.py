@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mfgconsume.cli import ConfigError, load_config, main, run, sweep_sensitivity
+from mfgconsume.cli import SWEEPABLE, ConfigError, load_config, main, run, sweep_sensitivity
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -229,6 +229,50 @@ class TestSweep:
         flagged = [r for r in rows if r[3]]
         assert flagged  # gamma = 0 sits in the range
         assert any(math.isnan(r[1]) for r in flagged)
+
+    def test_individual_flags_are_the_standing_assumptions(self, tmp_path):
+        # every value range crosses the bounds of its parameter: 0 < |gamma|
+        # < gamma_lb, theta > 1, sigma0 < 0, sigma + sigma0 < sigma_lb with
+        # both volatilities nonnegative (type 1 has sigma0 = 0), alpha <= 0
+        from dataclasses import replace
+
+        from mfgconsume import GridCurve, Population, validate
+
+        path = write_config(tmp_path, population=[
+            {"weight": 0.5, "gamma": 0.5, "theta": 0.5, "h": 0.1, "sigma": 0.2, "sigma0": 0.1},
+            {"weight": 0.5, "gamma": -1.0, "theta": 0.8, "alpha": 1.2, "h": 0.08, "sigma": 0.3,
+             "sigma0": 0.0},
+        ])
+        cfg = load_config(path)
+        pop = cfg.population
+        values = {
+            "h": [-0.1, 0.0, 0.1, 0.4],
+            "sigma": [-0.2, -0.05, 0.0, 0.0005, 0.002, 0.3],
+            "sigma0": [-0.1995, -0.1, 0.0, 0.05, 2.0],
+            "theta": [-0.1, 0.0, 0.5, 1.0, 1.2],
+            "gamma": [-2.0, -0.5, -0.0005, 0.0, 0.0005, 0.5, 0.9, 1.0, 1.5],
+            "alpha": [-1.0, 0.0, 0.5, 2.0],
+        }
+        assert set(values) == set(SWEEPABLE)
+        seen = set()
+        for parameter, vals in values.items():
+            for k in range(pop.n_types):
+                with np.errstate(divide="ignore", invalid="ignore"):  # sigma = sigma0 = 0 row
+                    rows = sweep_sensitivity(cfg, parameter, vals, "individual", probe_type=k)
+                for v, (_, _, _, flagged) in zip(vals, rows):
+                    tp = pop.types[k]
+                    if parameter in ("h", "sigma", "sigma0"):
+                        probe = replace(tp, **{parameter: GridCurve.constant(pop.grid, v)})
+                    else:
+                        probe = replace(tp, **{parameter: v})
+                    types = pop.types[:k] + (probe,) + pop.types[k + 1:]
+                    report = validate(Population(types, pop.gamma_lb, pop.sigma_lb))
+                    assert flagged == (not report.ok), (parameter, k, v, report.describe())
+                    seen.update(vi.rule for vi in report.violations)
+        assert seen == {
+            "alpha_positive", "theta_in_unit_interval", "gamma_nonzero", "gamma_below_one",
+            "gamma_lower_bound", "volatility_lower_bound", "sigma_nonnegative", "sigma0_nonnegative",
+        }
 
     def test_threshold_marker_in_manifest(self, tmp_path):
         # scenario whose slope sign change sits inside the sweep range

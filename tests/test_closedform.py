@@ -370,3 +370,52 @@ class TestGuards:
         for seed in range(8):
             sol = solve_equilibrium(make_random_population(seed, grid))
             assert (1.0 + sol.psi).min() > 0.0
+
+
+class TestOneKernel:
+    """The scalar API, the tagged agent and the solve share one coefficient
+    kernel, so they agree wherever they evaluate the same inputs."""
+
+    def test_tagged_agent_reproduces_the_solve_exactly(self, grid):
+        for seed in range(10):
+            pop = make_random_population(seed, grid, n_types=4)
+            sol = solve_equilibrium(pop)
+            agg = population_aggregates(pop)
+            for k in range(pop.n_types):
+                assert tagged_policy_at0(agg, pop.types[k]) == (sol.pi_star[k, 0], sol.c_star[k, 0])
+
+    @pytest.mark.parametrize("n_types", [1, 4, 32])
+    def test_scalar_api_matches_solve_at_knots(self, grid, n_types):
+        # one type: bit-identical. Several types: BLAS sums the weighted
+        # means of one column in another order than those of all knots at
+        # once, which moves the aggregates by a few ulps
+        def same(got, want):
+            if n_types == 1:
+                return got == want
+            return abs(got - want) <= 1e-13 * abs(want) + 1e-16
+
+        pop = make_random_population(3, grid, n_types=n_types)
+        sol = solve_equilibrium(pop)
+        n = grid.n_steps
+        for i in (0, n // 2, n):
+            t = grid.times[i]
+            s = sol.phi[i] / (1.0 + sol.psi[i])
+            for k in range(n_types):
+                tg = pop.thetas[k] * pop.gammas[k]
+                assert same(coeff_A(pop, k, t), sol.a_coeff[k, i])
+                assert same(coeff_B(pop, k, t), sol.b_coeff[k, i])
+                assert same(optimal_investment(pop, k, t), sol.pi_star[k, i])
+                assert same(common_noise_z0(pop, t, k), -tg * s)
+                assert coeff_D(pop, k) == sol.d_coeff[k]
+                assert optimal_consumption(pop, k, t) == sol.c_star[k, i]
+                assert tilde_Y(pop, k, t) == sol.y_tilde[k, i]
+            assert same(common_noise_z0(pop, t), sol.z0_common[i])
+
+    def test_scalar_coeff_b_is_linear_in_types(self):
+        # one kernel call on the interpolated column: O(K), not O(K^2)
+        import time
+
+        pop = make_random_population(5, TimeGrid(1.0, 2000), n_types=500)
+        start = time.perf_counter()
+        coeff_B(pop, 499, 0.3)
+        assert time.perf_counter() - start < 1.0

@@ -42,6 +42,17 @@ class TestCurves:
         with pytest.raises(ValueError):
             c(1.01)
 
+    def test_interp_rows_is_the_per_row_curve_bit_for_bit(self):
+        grid = TimeGrid(2.5, 37)
+        rows = np.random.default_rng(4).normal(size=(6, 38))
+        slack = 1e-13
+        ts = [*grid.times, -slack, grid.T + slack, *np.random.default_rng(5).uniform(0.0, grid.T, 200)]
+        for t in ts:
+            want = [GridCurve(grid, r)(t) for r in rows]
+            assert np.array_equal(grid.interp_rows(rows, t), want)
+        with pytest.raises(ValueError):
+            grid.interp_rows(rows, grid.T + 0.01)
+
     def test_nan_rejected(self):
         grid = TimeGrid(1.0, 3)
         with pytest.raises(StructuralError):
