@@ -367,11 +367,7 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path, manifest: RunManifest) -> None:
 def _cmd_simulate(cfg: ScenarioConfig, out: Path, manifest: RunManifest) -> None:
     pop = cfg.population
     sol = solve_equilibrium(pop)
-    flow_model = montecarlo.FlowModel(pop, sol)
-    w0 = montecarlo.philox_stream(cfg.mc.seed, montecarlo._sid(montecarlo._DOM_CONS_W0, 0)).normal(
-        0.0, np.sqrt(pop.grid.dt), pop.grid.n_steps
-    )
-    flow = flow_model.along(w0)
+    flow = montecarlo.mean_field_flow(pop, sol, montecarlo.consistency_w0(pop.grid, cfg.mc.seed, 0))
     _write_csv(
         out / "flow.csv",
         ["t", "mu_hat", "nu_hat"],

@@ -77,6 +77,31 @@ def _chunks(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
 
 
+def _chunk_moments(
+    n: int, rows: Callable[[int, tuple[int, int]], NDArray]
+) -> tuple[NDArray, NDArray]:
+    """Sample mean and standard error of each row over ``n`` samples.
+
+    ``rows(i, chunk)`` returns chunk ``i``'s samples, shape (rows, chunk
+    size). Each chunk is reduced to per-row sums where it is drawn, and the
+    sums are added in chunk order, so the result does not depend on the
+    thread count. A row whose min equals its max has a stderr of exactly 0.
+    """
+    ranges = _chunks(n)
+
+    def one(i: int) -> tuple[NDArray, ...]:
+        x = rows(i, ranges[i])
+        return x.sum(axis=1), (x * x).sum(axis=1), x.min(axis=1), x.max(axis=1)
+
+    parts = _map_ordered(one, len(ranges))
+    s = sum(p[0] for p in parts)
+    s2 = sum(p[1] for p in parts)
+    flat = np.min([p[2] for p in parts], axis=0) == np.max([p[3] for p in parts], axis=0)
+    mean = s / n
+    var = np.maximum(0.0, (s2 - n * mean * mean) / max(1, n - 1))
+    return mean, np.where(flat, 0.0, np.sqrt(var / n))
+
+
 # ---------------------------------------------------------------------------
 # strategies and noise
 # ---------------------------------------------------------------------------
@@ -292,52 +317,34 @@ class UtilityEstimate:
     n_samples: int
 
 
-class _Welford:
-    """Order-fixed accumulation of (sum, sumsq, min, max) over chunks."""
-
-    def __init__(self):
-        self.s = 0.0
-        self.s2 = 0.0
-        self.n = 0
-        self.lo = np.inf
-        self.hi = -np.inf
-
-    def add(self, x: NDArray) -> None:
-        self.s += float(x.sum())
-        self.s2 += float((x * x).sum())
-        self.n += x.size
-        self.lo = min(self.lo, float(x.min()))
-        self.hi = max(self.hi, float(x.max()))
-
-    def estimate(self) -> UtilityEstimate:
-        mean = self.s / self.n
-        if self.lo == self.hi:
-            return UtilityEstimate(mean, 0.0, self.n)
-        var = max(0.0, (self.s2 - self.n * mean * mean) / (self.n - 1))
-        return UtilityEstimate(mean, float(np.sqrt(var / self.n)), self.n)
-
-
-def _payoff_batch(
+def _payoffs(
     agent: AgentType,
-    strategy: Strategy,
+    strategies: Sequence[Strategy],
     flow: FlowModel,
     dw: NDArray,
     dw0: NDArray,
 ) -> NDArray:
-    """Per-sample utility under the strategy: terminal power utility of
-    wealth relative to the population index, plus the time integral of the
-    consumption utility (trapezoid in time)."""
+    """Per-sample utility of each strategy on the same draws, shape
+    (strategies, samples): terminal power utility of wealth relative to the
+    population index, plus the time integral of the consumption utility
+    (trapezoid in time). The population index is built once for all
+    strategies; each strategy's (m, n+1) paths are freed before the next."""
     g, th, al = agent.gamma, agent.theta, agent.alpha
     dt = agent.grid.dt
-    x = _logwealth_paths(
-        agent.x0, agent.h.values, agent.sigma.values, agent.sigma0.values,
-        strategy.pi, strategy.c, dw, dw0, dt,
-    )
     mu = flow.mu_batch(dw0)
-    nu = flow.e_logc + mu
-    terminal = (1.0 / g) * np.exp(g * (x[:, -1] - th * mu[:, -1]))
-    integrand = (al / g) * np.exp(g * (np.log(strategy.c) + x - th * nu))
-    return terminal + np.trapezoid(integrand, dx=dt, axis=1)
+    th_mu_T = th * mu[:, -1]
+    th_nu = th * (flow.e_logc + mu)
+    del mu
+    out = np.empty((len(strategies), dw.shape[0]))
+    for j, s in enumerate(strategies):
+        x = _logwealth_paths(
+            agent.x0, agent.h.values, agent.sigma.values, agent.sigma0.values,
+            s.pi, s.c, dw, dw0, dt,
+        )
+        terminal = (1.0 / g) * np.exp(g * (x[:, -1] - th_mu_T))
+        integrand = (al / g) * np.exp(g * (np.log(s.c) + x - th_nu))
+        out[j] = terminal + np.trapezoid(integrand, dx=dt, axis=1)
+    return out
 
 
 def _utility_draws(grid: TimeGrid, seed: int, i: int, chunk: tuple[int, int]) -> tuple[NDArray, NDArray]:
@@ -361,15 +368,10 @@ def estimate_utility(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    ranges = _chunks(n)
-
-    def one(i: int) -> NDArray:
-        return _payoff_batch(agent, strategy, flow, *_utility_draws(agent.grid, seed, i, ranges[i]))
-
-    acc = _Welford()
-    for payoff in _map_ordered(one, len(ranges)):
-        acc.add(payoff)
-    return acc.estimate()
+    mean, stderr = _chunk_moments(
+        n, lambda i, chunk: _payoffs(agent, [strategy], flow, *_utility_draws(agent.grid, seed, i, chunk))
+    )
+    return UtilityEstimate(float(mean[0]), float(stderr[0]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -467,31 +469,17 @@ def deviation_test(
         raise ValueError(f"need n >= 1, got {n}")
     agent = pop.types[k]
     flow = FlowModel(pop, sol)
-    eq = equilibrium_strategy(sol, k, pi_cap, c_min, c_max)
-    ranges = _chunks(n)
+    strategies = [equilibrium_strategy(sol, k, pi_cap, c_min, c_max), *(p.strategy for p in perturbations)]
 
-    def one(i: int) -> list[NDArray]:
-        dw, dw0 = _utility_draws(pop.grid, seed, i, ranges[i])
-        j_eq = _payoff_batch(agent, eq, flow, dw, dw0)
-        return [j_eq - _payoff_batch(agent, p.strategy, flow, dw, dw0) for p in perturbations]
+    def diffs(i: int, chunk: tuple[int, int]) -> NDArray:
+        pay = _payoffs(agent, strategies, flow, *_utility_draws(pop.grid, seed, i, chunk))
+        return pay[0] - pay[1:]
 
-    accs = [_Welford() for _ in perturbations]
-    for diffs in _map_ordered(one, len(ranges)):
-        for acc, d in zip(accs, diffs):
-            acc.add(d)
-
-    rows = []
-    for p, acc in zip(perturbations, accs):
-        est = acc.estimate()
-        rows.append(
-            DeviationRow(
-                name=p.name,
-                delta=est.mean,
-                stderr=est.stderr,
-                large=p.large,
-                flagged=est.mean < -2.0 * est.stderr,
-            )
-        )
+    delta, stderr = _chunk_moments(n, diffs)
+    rows = [
+        DeviationRow(p.name, float(d), float(e), p.large, bool(d < -2.0 * e))
+        for p, d, e in zip(perturbations, delta, stderr)
+    ]
     return DeviationReport(tuple(rows), n)
 
 
@@ -515,6 +503,11 @@ class ConsistencyReport:
     rows: tuple[ConsistencyRow, ...]
     max_deviation_units: float
     n_agents: int
+
+
+def consistency_w0(grid: TimeGrid, seed: int, path: int) -> NDArray:
+    """Common-noise increments of consistency-test path ``path``, (n_steps,)."""
+    return philox_stream(seed, _sid(_DOM_CONS_W0, path)).normal(0.0, np.sqrt(grid.dt), grid.n_steps)
 
 
 def consistency_test(
@@ -557,9 +550,7 @@ def consistency_test(
 
     rows: list[ConsistencyRow] = []
     for p in range(n_w0_paths):
-        w0 = philox_stream(seed if w0_seed is None else w0_seed, _sid(_DOM_CONS_W0, p)).normal(
-            0.0, sd, nst
-        )
+        w0 = consistency_w0(grid, seed if w0_seed is None else w0_seed, p)
         mu = flow.mu_values(w0)
         if stratified:
             counts = np.floor(pop.weights * n_agents).astype(int)
@@ -567,34 +558,24 @@ def consistency_test(
             types = np.repeat(np.arange(pop.n_types), counts)
         else:
             types = sample_agents(pop, n_agents, philox_stream(seed, _sid(_DOM_CONS_TYPES, p)))
-        ranges = _chunks(n_agents)
 
-        def one(i: int):
-            lo, hi = ranges[i]
+        def probes(i: int, chunk: tuple[int, int]) -> NDArray:
+            lo, hi = chunk
             ti = types[lo:hi]
-            m = hi - lo
-            dw = philox_stream(seed, _sid(_DOM_CONS_W, p, i)).normal(0.0, sd, (m, nst))
+            dw = philox_stream(seed, _sid(_DOM_CONS_W, p, i)).normal(0.0, sd, (hi - lo, nst))
             x = _build_paths(log_x0[ti], drift, vol_w, vol_w0, dw, w0[None, :], ti)
-            probes = x[:, probe_idx]
-            return probes.sum(axis=0), (probes * probes).sum(axis=0)
+            # the transposed view sums in the same order as x[:, probe_idx].sum(axis=0)
+            return x[:, probe_idx].T
 
-        s = np.zeros(len(probe_idx))
-        s2 = np.zeros(len(probe_idx))
-        for cs, cs2 in _map_ordered(one, len(ranges)):
-            s += cs
-            s2 += cs2
-
-        for j, idx in enumerate(probe_idx):
-            mean = s[j] / n_agents
-            var = max(0.0, (s2[j] - n_agents * mean * mean) / max(1, n_agents - 1))
-            stderr = float(np.sqrt(var / n_agents))
+        means, stderrs = _chunk_moments(n_agents, probes)
+        for idx, mean, stderr in zip(probe_idx, means, stderrs):
             diff = abs(mean - mu[idx])
             if stderr == 0.0:
                 units = 0.0 if diff < 1e-12 else np.inf
             else:
                 units = diff / stderr
             rows.append(
-                ConsistencyRow(p, float(times[idx]), float(mean), float(mu[idx]), stderr, float(units))
+                ConsistencyRow(p, float(times[idx]), float(mean), float(mu[idx]), float(stderr), float(units))
             )
 
     max_units = max(r.deviation_units for r in rows)
