@@ -335,7 +335,7 @@ def relation_check(
     ``E[log c*] + mu_hat``; (iii) the common-noise exposure rebuilt from the
     loading relation matches ``z0_common``.
     """
-    from .montecarlo import FlowModel, philox_stream
+    from .montecarlo import _DOM_RELATION, FlowModel, _sid, philox_stream
 
     den = (1.0 - pop.gammas)[:, None] * (pop.sigma_mat**2 + pop.sigma0_mat**2)
     tg = (pop.thetas * pop.gammas)[:, None]
@@ -354,7 +354,7 @@ def relation_check(
 
     # (ii): consumption index along one sampled common-noise path
     if w0_increments is None:
-        rng = philox_stream(seed, 0x52454C)  # dedicated stream for this check
+        rng = philox_stream(seed, _sid(_DOM_RELATION))
         w0_increments = rng.normal(0.0, np.sqrt(pop.grid.dt), pop.grid.n_steps)
     flow = FlowModel(pop, sol)
     mu = flow.mu_values(w0_increments)
