@@ -209,17 +209,23 @@ class TestEstimateUtility:
         with pytest.raises(ValueError):
             estimate_utility(pop.types[0], equilibrium_strategy(sol, 0), FlowModel(pop, sol), 0, 1)
 
-    def test_thread_count_does_not_change_output(self, grid, monkeypatch):
+    @pytest.mark.parametrize("estimator", ["estimate_utility", "deviation_test", "consistency_test"])
+    def test_thread_count_does_not_change_output(self, grid, monkeypatch, estimator):
         pop = single(grid)
         sol = solve_equilibrium(pop)
         flow = FlowModel(pop, sol)
         eq = equilibrium_strategy(sol, 0)
         n = 9000  # spans multiple chunks
+        run = {
+            "estimate_utility": lambda: estimate_utility(pop.types[0], eq, flow, n, seed=7),
+            "deviation_test": lambda: deviation_test(pop, 0, sol, default_perturbations(sol, 0), n, seed=7),
+            "consistency_test": lambda: consistency_test(pop, sol, n, 2, seed=7),
+        }[estimator]
         monkeypatch.setenv("MFG_CONSUME_THREADS", "1")
-        a = estimate_utility(pop.types[0], eq, flow, n, seed=7)
+        a = run()
         monkeypatch.setenv("MFG_CONSUME_THREADS", "4")
-        b = estimate_utility(pop.types[0], eq, flow, n, seed=7)
-        assert a.mean == b.mean and a.stderr == b.stderr
+        b = run()
+        assert a == b
 
 
 class TestDeviation:
