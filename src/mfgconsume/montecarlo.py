@@ -7,9 +7,11 @@ chunk). Samples are processed in fixed-size chunks and reduced in chunk
 order, so results are bit-identical for any thread count; the
 ``MFG_CONSUME_THREADS`` environment variable only caps the worker pool.
 
-Simulation is Euler in log-wealth coordinates with left-endpoint
-coefficients, matching the Ito integral; for constant market parameters the
-scheme is exact in distribution.
+Simulation is Euler in log-wealth coordinates. The volatility coefficients
+are taken at the left endpoint, matching the Ito integral; the drift is
+integrated by the trapezoid rule, as ``FlowModel`` integrates the mean, so
+the simulated crowd and the flow share one deterministic part. For constant
+market parameters and controls the scheme is exact in distribution.
 """
 
 from __future__ import annotations
@@ -184,10 +186,11 @@ def _log_drift(h, sigma, sigma0, pi, c):
 
 
 def _euler_rows(h, sigma, sigma0, pi, c, dt: float) -> tuple[NDArray, NDArray, NDArray]:
-    """Left-endpoint Euler coefficients of the log-wealth step over the last
-    axis: drift * dt, pi * sigma and pi * sigma0, each one knot shorter."""
-    drift = _log_drift(h, sigma, sigma0, pi, c)[..., :-1] * dt
-    return drift, (pi * sigma)[..., :-1], (pi * sigma0)[..., :-1]
+    """Euler coefficients of the log-wealth step over the last axis, each one
+    knot shorter: the drift integrated by the trapezoid rule over the step,
+    and pi * sigma and pi * sigma0 at its left endpoint."""
+    g = _log_drift(h, sigma, sigma0, pi, c)
+    return (g[..., :-1] + g[..., 1:]) * (dt / 2), (pi * sigma)[..., :-1], (pi * sigma0)[..., :-1]
 
 
 def _build_paths(
@@ -218,7 +221,7 @@ def _logwealth_paths(
     dw0: NDArray,
     dt: float,
 ) -> NDArray:
-    """Euler log-wealth paths, left-endpoint coefficients; shape (m, n+1)."""
+    """Euler log-wealth paths, shape (m, n+1); see ``_euler_rows``."""
     return _build_paths(np.log(x0), *_euler_rows(h, sigma, sigma0, pi, c, dt), dw, dw0)
 
 

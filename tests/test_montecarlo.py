@@ -310,3 +310,19 @@ class TestConsistency:
         sol = solve_equilibrium(pop)
         with pytest.raises(ValueError):
             consistency_test(pop, sol, 0, 1, seed=1)
+
+    def test_no_idiosyncratic_noise_reproduces_flow_exactly(self, grid):
+        # sigma = 0 (valid, as sigma + sigma0 >= sigma_lb): every agent's
+        # path is the flow's, so the simulated mean meets it up to rounding
+        pop = single(grid, sigma=0.0, sigma0=0.2)
+        sol = solve_equilibrium(pop)
+        rep = consistency_test(pop, sol, 5000, 1, seed=3)
+        assert rep.max_deviation_units == 0.0
+
+    def test_small_idiosyncratic_noise_within_three_units(self, grid):
+        # a tiny stderr exposes any gap between the simulated drift and the
+        # flow's trapezoid integral of it
+        pop = single(grid, sigma=1e-3, sigma0=0.2)
+        sol = solve_equilibrium(pop)
+        rep = consistency_test(pop, sol, 5000, 1, seed=3)
+        assert rep.max_deviation_units <= 3.0
