@@ -7,11 +7,10 @@ chunk). Samples are processed in fixed-size chunks and reduced in chunk
 order, so results are bit-identical for any thread count; the
 ``MFG_CONSUME_THREADS`` environment variable only caps the worker pool.
 
-Simulation is Euler in log-wealth coordinates. The volatility coefficients
-are taken at the left endpoint, matching the Ito integral; the drift is
-integrated by the trapezoid rule, as ``FlowModel`` integrates the mean, so
-the simulated crowd and the flow share one deterministic part. For constant
-market parameters and controls the scheme is exact in distribution.
+Simulation is Euler in log-wealth coordinates: volatilities at the left
+endpoint, matching the Ito integral, and the drift by the trapezoid rule, as
+``FlowModel`` integrates the mean. For constant coefficients the scheme is
+exact in distribution.
 """
 
 from __future__ import annotations
@@ -79,9 +78,7 @@ def _chunks(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
 
 
-def _chunk_moments(
-    n: int, rows: Callable[[int, tuple[int, int]], NDArray]
-) -> tuple[NDArray, NDArray]:
+def _chunk_moments(n: int, rows: Callable[[int, tuple[int, int]], NDArray]) -> tuple[NDArray, NDArray]:
     """Sample mean and standard error of each row over ``n`` samples.
 
     ``rows(i, chunk)`` returns chunk ``i``'s samples, shape (rows, chunk
@@ -95,13 +92,10 @@ def _chunk_moments(
         x = rows(i, ranges[i])
         return x.sum(axis=1), (x * x).sum(axis=1), x.min(axis=1), x.max(axis=1)
 
-    parts = _map_ordered(one, len(ranges))
-    s = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    flat = np.min([p[2] for p in parts], axis=0) == np.max([p[3] for p in parts], axis=0)
-    mean = s / n
-    var = np.maximum(0.0, (s2 - n * mean * mean) / max(1, n - 1))
-    return mean, np.where(flat, 0.0, np.sqrt(var / n))
+    s, s2, lo, hi = zip(*_map_ordered(one, len(ranges)))
+    mean = sum(s) / n
+    var = np.maximum(0.0, (sum(s2) - n * mean * mean) / max(1, n - 1))
+    return mean, np.where(np.min(lo, axis=0) == np.max(hi, axis=0), 0.0, np.sqrt(var / n))
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +324,18 @@ def _payoffs(
     """Per-sample utility of each strategy on the same draws, shape
     (strategies, samples): terminal power utility of wealth relative to the
     population index, plus the time integral of the consumption utility
-    (trapezoid in time). The population index is built once for all
-    strategies; each strategy's (m, n+1) paths are freed before the next."""
+    (trapezoid in time). The population index is built once; one
+    strategy's (m, n+1) paths are held at a time."""
     g, th, al = agent.gamma, agent.theta, agent.alpha
     dt = agent.grid.dt
+    market = (agent.h.values, agent.sigma.values, agent.sigma0.values)
     mu = flow.mu_batch(dw0)
     th_mu_T = th * mu[:, -1]
     th_nu = th * (flow.e_logc + mu)
     del mu
     out = np.empty((len(strategies), dw.shape[0]))
     for j, s in enumerate(strategies):
-        x = _logwealth_paths(
-            agent.x0, agent.h.values, agent.sigma.values, agent.sigma0.values,
-            s.pi, s.c, dw, dw0, dt,
-        )
+        x = _logwealth_paths(agent.x0, *market, s.pi, s.c, dw, dw0, dt)
         terminal = (1.0 / g) * np.exp(g * (x[:, -1] - th_mu_T))
         integrand = (al / g) * np.exp(g * (np.log(s.c) + x - th_nu))
         out[j] = terminal + np.trapezoid(integrand, dx=dt, axis=1)
@@ -563,9 +555,8 @@ def consistency_test(
             types = sample_agents(pop, n_agents, philox_stream(seed, _sid(_DOM_CONS_TYPES, p)))
 
         def probes(i: int, chunk: tuple[int, int]) -> NDArray:
-            lo, hi = chunk
-            ti = types[lo:hi]
-            dw = philox_stream(seed, _sid(_DOM_CONS_W, p, i)).normal(0.0, sd, (hi - lo, nst))
+            ti = types[slice(*chunk)]
+            dw = philox_stream(seed, _sid(_DOM_CONS_W, p, i)).normal(0.0, sd, (ti.size, nst))
             x = _build_paths(log_x0[ti], drift, vol_w, vol_w0, dw, w0[None, :], ti)
             # the transposed view sums in the same order as x[:, probe_idx].sum(axis=0)
             return x[:, probe_idx].T
