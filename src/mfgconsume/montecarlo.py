@@ -558,7 +558,7 @@ def consistency_test(
             ti = types[slice(*chunk)]
             dw = philox_stream(seed, _sid(_DOM_CONS_W, p, i)).normal(0.0, sd, (ti.size, nst))
             x = _build_paths(log_x0[ti], drift, vol_w, vol_w0, dw, w0[None, :], ti)
-            # the transposed view sums in the same order as x[:, probe_idx].sum(axis=0)
+            # keep the transposed view: a contiguous copy sums in another order
             return x[:, probe_idx].T
 
         means, stderrs = _chunk_moments(n_agents, probes)
