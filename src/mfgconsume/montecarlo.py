@@ -6,6 +6,9 @@ derives independent counter-based streams (Philox) from (seed, purpose,
 chunk). Samples are processed in fixed-size chunks and reduced in chunk
 order, so results are bit-identical for any thread count; the
 ``MFG_CONSUME_THREADS`` environment variable only caps the worker pool.
+Within a chunk, paths are built and reduced in row blocks sized to stay in
+L2 cache; every sample row is computed by the same operations in any block,
+so outputs depend on neither the block size nor the thread count.
 
 Simulation is Euler in log-wealth coordinates: volatilities at the left
 endpoint, matching the Ito integral, and the drift by the trapezoid rule, as
@@ -29,6 +32,7 @@ from .odequad import cumtrapz_left
 from .population import AgentType, Population, sample_agents
 
 CHUNK = 4096
+_BLOCK_BYTES = 1 << 19  # bytes of one (rows, n_steps + 1) float64 row block
 
 DEFAULT_PI_CAP = 10.0
 DEFAULT_C_MIN = 1e-3
@@ -76,6 +80,12 @@ def _map_ordered(fn: Callable[[int], object], count: int) -> list:
 
 def _chunks(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
+
+
+def _blocks(m: int, n_steps: int) -> list[slice]:
+    """Row slices of ``m`` samples, each block of paths about ``_BLOCK_BYTES``."""
+    size = max(1, _BLOCK_BYTES // (8 * (n_steps + 1)))
+    return [slice(lo, min(lo + size, m)) for lo in range(0, m, size)]
 
 
 def _chunk_moments(n: int, rows: Callable[[int, tuple[int, int]], NDArray]) -> tuple[NDArray, NDArray]:
@@ -187,19 +197,23 @@ def _euler_rows(h, sigma, sigma0, pi, c, dt: float) -> tuple[NDArray, NDArray, N
     return (g[..., :-1] + g[..., 1:]) * (dt / 2), (pi * sigma)[..., :-1], (pi * sigma0)[..., :-1]
 
 
-def _build_paths(
-    log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0, rows=slice(None)
+def _euler_cumsum(
+    buf: NDArray, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0, rows=slice(None)
 ) -> NDArray:
-    """Log-wealth paths from Euler coefficient rows and increments; (m, n+1).
+    """Cumulative Euler log-wealth increments written into ``buf``, shape
+    (m, n); ``buf`` may be ``dw`` itself. ``rows`` picks each path's
+    coefficient row."""
+    np.multiply(vol_w[rows], dw, out=buf)
+    buf += drift[rows]
+    buf += vol_w0[rows] * dw0
+    return np.cumsum(buf, axis=1, out=buf)
 
-    ``rows`` picks each path's coefficient row. It is applied inside the one
-    increment expression, so each gathered (m, n) copy is freed once used
-    instead of all three being held at once.
-    """
-    incr = drift[rows] + vol_w[rows] * dw + vol_w0[rows] * dw0
-    out = np.empty((incr.shape[0], incr.shape[1] + 1))
+
+def _build_paths(out: NDArray, log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0) -> NDArray:
+    """Log-wealth paths from one set of Euler coefficient rows and
+    increments, written into ``out`` of shape (m, n+1)."""
+    _euler_cumsum(out[:, 1:], drift, vol_w, vol_w0, dw, dw0)
     out[:, 0] = log_x0
-    np.cumsum(incr, axis=1, out=out[:, 1:])
     out[:, 1:] += out[:, :1]
     return out
 
@@ -216,7 +230,9 @@ def _logwealth_paths(
     dt: float,
 ) -> NDArray:
     """Euler log-wealth paths, shape (m, n+1); see ``_euler_rows``."""
-    return _build_paths(np.log(x0), *_euler_rows(h, sigma, sigma0, pi, c, dt), dw, dw0)
+    m, n = np.broadcast_shapes(np.shape(dw), np.shape(dw0))
+    out = np.empty((m, n + 1))
+    return _build_paths(out, np.log(x0), *_euler_rows(h, sigma, sigma0, pi, c, dt), dw, dw0)
 
 
 def simulate_wealth(
@@ -324,21 +340,34 @@ def _payoffs(
     """Per-sample utility of each strategy on the same draws, shape
     (strategies, samples): terminal power utility of wealth relative to the
     population index, plus the time integral of the consumption utility
-    (trapezoid in time). The population index is built once; one
-    strategy's (m, n+1) paths are held at a time."""
+    (trapezoid in time). Samples are taken in row blocks: each block builds
+    the population index once, then every strategy's paths in turn, in one
+    reused (block, n+1) buffer."""
     g, th, al = agent.gamma, agent.theta, agent.alpha
     dt = agent.grid.dt
     market = (agent.h.values, agent.sigma.values, agent.sigma0.values)
-    mu = flow.mu_batch(dw0)
-    th_mu_T = th * mu[:, -1]
-    th_nu = th * (flow.e_logc + mu)
-    del mu
-    out = np.empty((len(strategies), dw.shape[0]))
-    for j, s in enumerate(strategies):
-        x = _logwealth_paths(agent.x0, *market, s.pi, s.c, dw, dw0, dt)
-        terminal = (1.0 / g) * np.exp(g * (x[:, -1] - th_mu_T))
-        integrand = (al / g) * np.exp(g * (np.log(s.c) + x - th_nu))
-        out[j] = terminal + np.trapezoid(integrand, dx=dt, axis=1)
+    log_x0 = np.log(agent.x0)
+    coeffs = [_euler_rows(*market, s.pi, s.c, dt) for s in strategies]
+    log_c = [np.log(s.c) for s in strategies]
+    m, n = dw.shape
+    blocks = _blocks(m, n)
+    buf = np.empty((blocks[0].stop, n + 1))
+    out = np.empty((len(strategies), m))
+    for b in blocks:
+        mu = flow.mu_batch(dw0[b])
+        th_mu_T = th * mu[:, -1]
+        th_nu = th * (flow.e_logc + mu)
+        x = buf[: b.stop - b.start]
+        for j, (rows, lc) in enumerate(zip(coeffs, log_c)):
+            _build_paths(x, log_x0, *rows, dw[b], dw0[b])
+            terminal = (1.0 / g) * np.exp(g * (x[:, -1] - th_mu_T))
+            # integrand (al/g) exp(g (log c + x - th nu)), evaluated in place
+            x += lc
+            x -= th_nu
+            x *= g
+            np.exp(x, out=x)
+            x *= al / g
+            out[j, b] = terminal + np.trapezoid(x, dx=dt, axis=1)
     return out
 
 
@@ -556,10 +585,17 @@ def consistency_test(
 
         def probes(i: int, chunk: tuple[int, int]) -> NDArray:
             ti = types[slice(*chunk)]
-            dw = philox_stream(seed, _sid(_DOM_CONS_W, p, i)).normal(0.0, sd, (ti.size, nst))
-            x = _build_paths(log_x0[ti], drift, vol_w, vol_w0, dw, w0[None, :], ti)
-            # keep the transposed view: a contiguous copy sums in another order
-            return x[:, probe_idx].T
+            gen = philox_stream(seed, _sid(_DOM_CONS_W, p, i))
+            # (probes, agents) in C order, so each probe's sum runs over contiguous memory
+            out = np.empty((len(probe_idx), ti.size))
+            for b in _blocks(ti.size, nst):
+                r = ti[b]
+                # consecutive draws from one stream equal one draw of the whole chunk
+                cum = gen.normal(0.0, sd, (r.size, nst))
+                _euler_cumsum(cum, drift, vol_w, vol_w0, cum, w0[None, :], r)
+                for k, q in enumerate(probe_idx):
+                    out[k, b] = log_x0[r] if q == 0 else cum[:, q - 1] + log_x0[r]
+            return out
 
         means, stderrs = _chunk_moments(n_agents, probes)
         for idx, mean, stderr in zip(probe_idx, means, stderrs):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import make_random_population
 
 from mfgconsume import (
     FlowModel,
@@ -22,6 +24,7 @@ from mfgconsume import (
     solve_equilibrium,
     value_function,
 )
+from mfgconsume import montecarlo
 from mfgconsume.montecarlo import _logwealth_paths
 from mfgconsume.odequad import cumtrapz_left
 
@@ -326,3 +329,50 @@ class TestConsistency:
         sol = solve_equilibrium(pop)
         rep = consistency_test(pop, sol, 5000, 1, seed=3)
         assert rep.max_deviation_units <= 3.0
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("estimator", ["estimate_utility", "deviation_test", "consistency_test"])
+    def test_block_size_does_not_change_output(self, monkeypatch, estimator):
+        grid = TimeGrid(1.0, 64)
+        pop = make_random_population(1, grid, n_types=2)  # time-varying curves
+        sol = solve_equilibrium(pop)
+        flow = FlowModel(pop, sol)
+        eq = equilibrium_strategy(sol, 0)
+        n = 2 * montecarlo.CHUNK + 100  # three chunks, the last one short
+        run = {
+            "estimate_utility": lambda: estimate_utility(pop.types[0], eq, flow, n, seed=5),
+            "deviation_test": lambda: deviation_test(pop, 0, sol, default_perturbations(sol, 0)[::5], n, seed=5),
+            "consistency_test": lambda: consistency_test(pop, sol, n, 1, seed=5, probe_times=[0.0, 0.5, 1.0]),
+        }[estimator]
+        want = run()
+        row_bytes = 8 * (grid.n_steps + 1)
+        # one row per block, ragged 7-row blocks, one block per chunk
+        for block_bytes in (1, 7 * row_bytes, montecarlo.CHUNK * row_bytes):
+            monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_bytes)
+            assert run() == want
+
+
+class TestMemory:
+    # whole-chunk passes would hold several (CHUNK, n+1) float64 arrays:
+    # 64 MB each at 2000 steps, 8 MB each at 256 steps
+    @pytest.mark.parametrize("estimator, n_steps, limit_mb", [
+        ("consistency_test", 2000, 16),
+        ("deviation_test", 256, 32),
+    ])
+    def test_peak_traced_memory(self, monkeypatch, estimator, n_steps, limit_mb):
+        monkeypatch.setenv("MFG_CONSUME_THREADS", "1")
+        pop = single(TimeGrid(1.0, n_steps))
+        sol = solve_equilibrium(pop)
+        perts = default_perturbations(sol, 0)
+        run = {
+            "consistency_test": lambda: consistency_test(pop, sol, 8192, 1, seed=2),
+            "deviation_test": lambda: deviation_test(pop, 0, sol, perts, 8192, seed=2),
+        }[estimator]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2**20
