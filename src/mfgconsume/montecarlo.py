@@ -92,20 +92,33 @@ def _chunk_moments(n: int, rows: Callable[[int, tuple[int, int]], NDArray]) -> t
     """Sample mean and standard error of each row over ``n`` samples.
 
     ``rows(i, chunk)`` returns chunk ``i``'s samples, shape (rows, chunk
-    size). Each chunk is reduced to per-row sums where it is drawn, and the
-    sums are added in chunk order, so the result does not depend on the
-    thread count. A row whose min equals its max has a stderr of exactly 0.
+    size). Each chunk is reduced where it is drawn to its per-row mean and
+    sum of squared deviations from that mean (two passes), and the chunks
+    are merged in chunk order by Chan et al.'s update. The result does not
+    depend on the thread count, and the variance does not cancel when the
+    spread is small next to the mean. A row whose min equals its max has a
+    stderr of exactly 0.
     """
     ranges = _chunks(n)
 
     def one(i: int) -> tuple[NDArray, ...]:
         x = rows(i, ranges[i])
-        return x.sum(axis=1), (x * x).sum(axis=1), x.min(axis=1), x.max(axis=1)
+        mean = x.sum(axis=1) / x.shape[1]
+        d = x - mean[:, None]
+        return mean, (d * d).sum(axis=1), x.min(axis=1), x.max(axis=1)
 
-    s, s2, lo, hi = zip(*_map_ordered(one, len(ranges)))
-    mean = sum(s) / n
-    var = np.maximum(0.0, (sum(s2) - n * mean * mean) / max(1, n - 1))
-    return mean, np.where(np.min(lo, axis=0) == np.max(hi, axis=0), 0.0, np.sqrt(var / n))
+    parts = _map_ordered(one, len(ranges))
+    count, mean, m2 = 0, 0.0, 0.0
+    for (a, b), (mean_b, m2_b, _, _) in zip(ranges, parts):
+        n_b = b - a
+        total = count + n_b
+        delta = mean_b - mean
+        mean = mean + delta * (n_b / total)
+        m2 = m2 + m2_b + delta * delta * (count * n_b / total)
+        count = total
+    lo = np.min([p[2] for p in parts], axis=0)
+    hi = np.max([p[3] for p in parts], axis=0)
+    return mean, np.where(lo == hi, 0.0, np.sqrt(m2 / max(1, n - 1) / n))
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,18 @@ class TestConsistency:
         rep = consistency_test(pop, sol, 5000, 1, seed=3)
         assert rep.max_deviation_units <= 3.0
 
+    def test_stderr_does_not_cancel_at_large_log_x0(self, grid):
+        # log x0 only shifts every path; a spread of ~1e-9 around a mean of
+        # log(1e6) cancels in sum-of-squares minus n * mean^2
+        reps = []
+        for x0 in (1e6, 1.0):
+            pop = single(grid, sigma=1e-8, sigma0=0.2, x0=x0)
+            reps.append(consistency_test(pop, solve_equilibrium(pop), 5000, 1, seed=3))
+        assert reps[0].max_deviation_units <= 3.0
+        for big, unit in zip(*(r.rows for r in reps)):
+            assert big.stderr > 0.0
+            assert big.stderr == pytest.approx(unit.stderr, rel=1e-4)
+
 
 class TestRowBlocks:
     @pytest.mark.parametrize("estimator", ["estimate_utility", "deviation_test", "consistency_test"])
