@@ -12,7 +12,8 @@ with commands:
 
 Every run writes UTF-8 CSV artifacts plus one JSON manifest (config hash,
 seed, artifact list, per-check pass/fail) and prints a plain-text summary.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error,
+3 a numerical error, named in the manifest's ``error`` block (``"ok": false``).
 All randomness flows from the single config seed; ``MFG_CONSUME_THREADS``
 caps simulation parallelism without changing any output.
 """
@@ -38,7 +39,7 @@ from .closedform import (
     solve_equilibrium,
     tagged_policy_at0,
 )
-from .errors import ExponentRangeError, SingularAggregateError, StructuralError
+from .errors import ExponentRangeError, IntegrationBlowUpError, SingularAggregateError, StructuralError
 from .grid import GridCurve, TimeGrid
 from .population import AgentType, Population, type_violations, validate
 
@@ -249,14 +250,6 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
             w.writerow([_fmt(x) for x in row])
 
 
-@dataclass
-class Check:
-    name: str
-    value: float
-    tolerance: float
-    passed: bool
-
-
 class RunManifest:
     """Collects artifacts and checks; serialised once per run."""
 
@@ -285,7 +278,7 @@ class RunManifest:
 
     @property
     def ok(self) -> bool:
-        return all(c["passed"] for c in self.data["checks"])
+        return "error" not in self.data and all(c["passed"] for c in self.data["checks"])
 
     def write(self, out: Path) -> None:
         self.data["ok"] = self.ok
@@ -386,7 +379,7 @@ def _cmd_simulate(cfg: ScenarioConfig, out: Path, manifest: RunManifest) -> None
     manifest.check("consistency_max_units", rep.max_deviation_units, 3.0, rep.max_deviation_units <= 3.0)
 
 
-def _cmd_deviate(cfg: ScenarioConfig, out: Path, manifest: RunManifest, probe_type: int) -> None:
+def _cmd_deviate(cfg: ScenarioConfig, out: Path, manifest: RunManifest, probe_type: int = 0) -> None:
     pop = cfg.population
     b = cfg.bounds
     if not 0 <= probe_type < pop.n_types:
@@ -405,10 +398,8 @@ def _cmd_deviate(cfg: ScenarioConfig, out: Path, manifest: RunManifest, probe_ty
         ((r.name, r.delta, r.stderr, int(r.large), int(r.flagged)) for r in rep.rows),
     )
     manifest.artifact("deviations.csv")
-    margin = min(r.delta + 2.0 * r.stderr for r in rep.rows)
-    manifest.check("no_profitable_deviation", margin, 0.0, margin >= 0.0)
-    large_margin = min((r.delta - 2.0 * r.stderr for r in rep.rows if r.large), default=math.inf)
-    manifest.check("large_deviations_detected", large_margin, 0.0, large_margin > 0.0)
+    manifest.check("no_profitable_deviation", rep.margin, 0.0, rep.passed)
+    manifest.check("large_deviations_detected", rep.large_margin, 0.0, rep.large_detected)
 
 
 def _set_param(agent: AgentType, parameter: str, value: float) -> AgentType:
@@ -477,11 +468,15 @@ def _cmd_sweep(
     out: Path,
     manifest: RunManifest,
     parameter: str,
-    values: np.ndarray,
-    mode: str,
-    probe_type: int,
+    lo: float,
+    hi: float,
+    points: int = 50,
+    mode: str = "individual",
+    probe_type: int = 0,
 ) -> None:
-    rows = sweep_sensitivity(cfg, parameter, values, mode, probe_type)
+    if points < 2:
+        raise ConfigError("sweep needs at least 2 points")
+    rows = sweep_sensitivity(cfg, parameter, np.linspace(lo, hi, points), mode, probe_type)
     _write_csv(
         out / "sweep.csv",
         ["value", "pi_star", "c_star", "flagged"],
@@ -514,29 +509,26 @@ def _cmd_sweep(
 # ---------------------------------------------------------------------------
 
 
+_COMMANDS = {"solve": _cmd_solve, "verify": _cmd_verify, "simulate": _cmd_simulate,
+             "deviate": _cmd_deviate, "sweep": _cmd_sweep}
+_NUMERICAL_ERRORS = (ExponentRangeError, SingularAggregateError, IntegrationBlowUpError)
+
+
 def run(command: str, cfg: ScenarioConfig, **kwargs) -> int:
-    """Execute one command against a loaded config; returns the exit code."""
+    """Execute one command against a loaded config; returns the exit code.
+    ``kwargs`` default in the ``_cmd_*`` function; a numerical error is
+    recorded in the manifest and re-raised."""
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(command, cfg)
-    if command == "solve":
-        _cmd_solve(cfg, out, manifest)
-    elif command == "verify":
-        _cmd_verify(cfg, out, manifest)
-    elif command == "simulate":
-        _cmd_simulate(cfg, out, manifest)
-    elif command == "deviate":
-        _cmd_deviate(cfg, out, manifest, kwargs.get("probe_type", 0))
-    elif command == "sweep":
-        if kwargs.get("points", 50) < 2:
-            raise ConfigError("sweep needs at least 2 points")
-        values = np.linspace(kwargs["lo"], kwargs["hi"], kwargs.get("points", 50))
-        _cmd_sweep(
-            cfg, out, manifest, kwargs["parameter"], values,
-            kwargs.get("mode", "individual"), kwargs.get("probe_type", 0),
-        )
-    else:
-        raise ConfigError(f"unknown command {command!r}")
+    try:
+        _COMMANDS[command](cfg, out, manifest, **kwargs)
+    except _NUMERICAL_ERRORS as e:
+        manifest.extra("error", {"type": type(e).__name__, "message": str(e)})
+        manifest.write(out)
+        raise
     manifest.write(out)
     print(f"seed={cfg.mc.seed} out={out}")
     print(manifest.summary())
@@ -546,40 +538,40 @@ def run(command: str, cfg: ScenarioConfig, **kwargs) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mfgconsume", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("solve", "verify", "simulate", "deviate", "sweep"):
-        q = sub.add_parser(name)
+    for name in _COMMANDS:
+        q = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         q.add_argument("--config", required=True, help="scenario JSON file")
         q.add_argument("--out", default=None, help="output directory (overrides config)")
         q.add_argument("--seed", type=int, default=None, help="seed override")
         q.add_argument("--steps", type=int, default=None, help="grid steps override")
         q.add_argument("--samples", type=int, default=None, help="Monte-Carlo samples override")
+        # command options without a default here: the _cmd_* function has it
         if name in ("deviate", "sweep"):
-            q.add_argument("--probe-type", type=int, default=0)
+            q.add_argument("--probe-type", type=int)
         if name == "sweep":
             q.add_argument("--parameter", required=True, choices=SWEEPABLE)
             q.add_argument("--lo", type=float, required=True)
             q.add_argument("--hi", type=float, required=True)
-            q.add_argument("--points", type=int, default=50)
-            q.add_argument("--mode", choices=("individual", "population"), default="individual")
+            q.add_argument("--points", type=int)
+            q.add_argument("--mode", choices=("individual", "population"))
     return p
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
         cfg = load_config(
-            args.config, seed=args.seed, steps=args.steps, samples=args.samples, out_dir=args.out
+            args.pop("config"), seed=args.pop("seed"), steps=args.pop("steps"),
+            samples=args.pop("samples"), out_dir=args.pop("out"),
         )
-        kwargs = {}
-        if hasattr(args, "probe_type"):
-            kwargs["probe_type"] = args.probe_type
-        if args.command == "sweep":
-            kwargs.update(parameter=args.parameter, lo=args.lo, hi=args.hi,
-                          points=args.points, mode=args.mode)
-        return run(args.command, cfg, **kwargs)
+        return run(command, cfg, **args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except _NUMERICAL_ERRORS as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

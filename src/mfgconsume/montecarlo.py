@@ -442,12 +442,22 @@ class DeviationReport:
     n_samples: int
 
     @property
+    def margin(self) -> float:
+        """Smallest ``delta + 2 stderr``; negative exactly when a row is flagged."""
+        return min((r.delta + 2.0 * r.stderr for r in self.rows), default=np.inf)
+
+    @property
+    def large_margin(self) -> float:
+        """Smallest ``delta - 2 stderr`` over the large perturbations."""
+        return min((r.delta - 2.0 * r.stderr for r in self.rows if r.large), default=np.inf)
+
+    @property
     def passed(self) -> bool:
-        return not any(r.flagged for r in self.rows)
+        return self.margin >= 0.0
 
     @property
     def large_detected(self) -> bool:
-        return all(r.delta > 2.0 * r.stderr for r in self.rows if r.large)
+        return self.large_margin > 0.0
 
 
 def default_perturbations(

@@ -12,12 +12,16 @@ checks:
   Monte-Carlo module re-estimates from scratch;
 * the algebraic relations tying the investment rate, consumption index and
   common-noise exposure together across the two equivalent formulations.
+
+The driver is written once: ``_kernel`` gives every type's quadratic part J
+and induced investment rate P on (K, m) parameter rows, ``_driver`` adds the
+consumption terms. It calls nothing from ``closedform._coefficients``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -31,8 +35,42 @@ _EXP_CAP = 700.0
 
 
 # ---------------------------------------------------------------------------
-# driver: quadratic part
+# driver
 # ---------------------------------------------------------------------------
+
+
+class _Kernel(NamedTuple):
+    j: NDArray      # (K, m) quadratic part of the driver
+    p: NDArray      # (K, m) induced investment rate
+    den: NDArray    # (K, m) (1-gamma)(sigma^2+sigma0^2)
+    psi: NDArray    # (m,) E[theta*gamma*sigma0^2/den]
+
+
+def _kernel(pop: Population, h: NDArray, sig: NDArray, sig0: NDArray,
+            z: float = 0.0, z0: float = 0.0) -> _Kernel:
+    """The quadratic driver part J (see :func:`eval_J`) and the induced
+    investment rate P of every type on (K, m) parameter rows, at martingale
+    loadings ``(z, z0)`` shared by all types."""
+    g = pop.gammas[:, None]
+    tg = (pop.thetas * pop.gammas)[:, None]
+    sig_tot2 = sig**2 + sig0**2
+    den = (1.0 - g) * sig_tot2
+    psi = pop.mean(tg * sig0**2 / den)
+    _check_one_plus(psi, "psi")
+    s = pop.mean((sig0 * h + sig0 * sig * z + sig0**2 * z0) / den) / (1.0 + psi)
+    p = (h + sig * z + sig0 * z0 - tg * sig0 * s) / den
+
+    g1 = -tg * pop.mean((h**2 + sig * h * z + sig0 * h * z0) / den)
+    g2 = tg * pop.mean(tg * sig0 * h / den) * s
+    g3 = tg * pop.mean(sig_tot2 / 2.0 * p**2)
+    g4 = z**2 / 2.0 + (z0 - tg * s) ** 2 / 2.0
+    g5 = g * (1.0 - g) * sig_tot2 / 2.0 * p**2
+    return _Kernel(g1 + g2 + g3 + g4 + g5, p, den, psi)
+
+
+def _kernel_at(pop: Population, t: float, z: float = 0.0, z0: float = 0.0) -> _Kernel:
+    """The kernel on the (K, 1) column of parameters at time ``t``."""
+    return _kernel(pop, *(v[:, None] for v in _params_at(pop, t)), z, z0)
 
 
 def eval_J(pop: Population, k: int, t: float, z_tilde: float, z0_tilde: float) -> float:
@@ -53,50 +91,12 @@ def eval_J(pop: Population, k: int, t: float, z_tilde: float, z0_tilde: float) -
     where ``P = f(h) + f(sigma) z + f(sigma0) z0 - theta*gamma*f(sigma0)*S``
     is the induced investment rate. At z = z0 = 0 this reduces to ``-A``.
     """
-    h, sig, sig0 = _params_at(pop, t)
-    g = pop.gammas
-    tg = pop.thetas * g
-    den = (1.0 - g) * (sig**2 + sig0**2)
-    w = pop.weights
-
-    psi = float(np.dot(w, tg * sig0**2 / den))
-    _check_one_plus(psi, "psi")
-    s = float(np.dot(w, (sig0 * h + sig0 * sig * z_tilde + sig0**2 * z0_tilde) / den)) / (1.0 + psi)
-
-    p = (h + sig * z_tilde + sig0 * z0_tilde - tg * sig0 * s) / den
-    sig_tot2 = sig**2 + sig0**2
-
-    g1 = -tg[k] * float(np.dot(w, (h**2 + sig * h * z_tilde + sig0 * h * z0_tilde) / den))
-    g2 = tg[k] * float(np.dot(w, tg * sig0 * h / den)) * s
-    g3 = tg[k] * float(np.dot(w, sig_tot2 / 2.0 * p**2))
-    g4 = z_tilde**2 / 2.0 + (z0_tilde - tg[k] * s) ** 2 / 2.0
-    g5 = g[k] * (1.0 - g[k]) * sig_tot2[k] / 2.0 * p[k] ** 2
-    return float(g1 + g2 + g3 + g4 + g5)
+    return float(_kernel_at(pop, t, z_tilde, z0_tilde).j[k, 0])
 
 
 def _j_at_zero(pop: Population) -> NDArray:
-    """Vectorised eval_J(., 0, 0) over all types and knots, shape (K, n+1)."""
-    den = (1.0 - pop.gammas)[:, None] * (pop.sigma_mat**2 + pop.sigma0_mat**2)
-    g = pop.gammas[:, None]
-    tg = (pop.thetas * pop.gammas)[:, None]
-    h, sig, sig0 = pop.h_mat, pop.sigma_mat, pop.sigma0_mat
-    w = pop.weights
-    psi = pop.mean(tg * sig0**2 / den)
-    _check_one_plus(psi, "psi")
-    s = pop.mean(sig0 * h / den) / (1.0 + psi)
-    p = (h - tg * sig0 * s) / den
-    sig_tot2 = sig**2 + sig0**2
-    g1 = -tg * pop.mean(h**2 / den)
-    g2 = tg * pop.mean(tg * sig0 * h / den) * s
-    g3 = tg * pop.mean(sig_tot2 / 2.0 * p**2)
-    g4 = (tg * s) ** 2 / 2.0
-    g5 = g * (1.0 - g) * sig_tot2 / 2.0 * p**2
-    return g1 + g2 + g3 + g4 + g5
-
-
-# ---------------------------------------------------------------------------
-# driver: exponential consumption terms
-# ---------------------------------------------------------------------------
+    """eval_J(., 0, 0) over all types and knots, shape (K, n+1)."""
+    return _kernel(pop, pop.h_mat, pop.sigma_mat, pop.sigma0_mat).j
 
 
 @dataclass(frozen=True)
@@ -119,47 +119,51 @@ class DriverInput:
     c_population: Optional[NDArray] = None
 
 
+def _consumption_means(pop: Population) -> tuple[float, float]:
+    """The aggregates E[theta*gamma/(1-gamma)] and E[log(alpha)/(1-gamma)]."""
+    omg = 1.0 - pop.gammas
+    e_theta = float(np.dot(pop.weights, pop.thetas * pop.gammas / omg))
+    _check_one_plus(e_theta, "E[theta*gamma/(1-gamma)]")
+    return e_theta, float(np.dot(pop.weights, np.log(pop.alphas) / omg))
+
+
 def _exp_terms(pop: Population, y_tilde: NDArray) -> NDArray:
-    """Per-type consumption rate induced by candidate ``y_tilde`` values:
+    """Per-type consumption rate induced by candidate (K, m) ``y_tilde`` values:
     exp( log(alpha)/(1-gamma) - y/(1-gamma)
          + theta*gamma*(E[y/(1-gamma)] - E[log(alpha)/(1-gamma)])
            / ((1-gamma)*(1 + E[theta*gamma/(1-gamma)])) ).
-
-    ``y_tilde`` may be a (K,) vector for one time or a (K, n+1) matrix of
-    whole curves; the result has the same shape.
     """
     y = np.asarray(y_tilde, dtype=float)
-    col = (lambda a: a[:, None]) if y.ndim == 2 else (lambda a: a)
-    omg = col(1.0 - pop.gammas)
-    tg = col(pop.thetas * pop.gammas)
-    e_theta = float(np.dot(pop.weights, pop.thetas * pop.gammas / (1.0 - pop.gammas)))
-    _check_one_plus(e_theta, "E[theta*gamma/(1-gamma)]")
-    e_logalpha = float(np.dot(pop.weights, np.log(pop.alphas) / (1.0 - pop.gammas)))
+    omg = (1.0 - pop.gammas)[:, None]
+    tg = (pop.thetas * pop.gammas)[:, None]
+    e_theta, e_logalpha = _consumption_means(pop)
     e_y = pop.mean(y / omg)
-    expo = col(np.log(pop.alphas)) / omg - y / omg + tg * (e_y - e_logalpha) / (omg * (1.0 + e_theta))
+    expo = np.log(pop.alphas)[:, None] / omg - y / omg + tg * (e_y - e_logalpha) / (omg * (1.0 + e_theta))
     if np.max(np.abs(expo)) > _EXP_CAP:
         raise ExponentRangeError("driver exponent exceeds range")
     return np.exp(expo)
+
+
+def _driver(pop: Population, j: NDArray, y: NDArray, c_population: NDArray | None = None) -> NDArray:
+    """:func:`bsde_driver` on (K, m) with quadratic part ``j``; ``c_population``,
+    when given, replaces the exponential terms inside the population mean."""
+    terms = _exp_terms(pop, y)
+    pop_term = pop.mean(terms if c_population is None else c_population)
+    return j + (1.0 - pop.gammas)[:, None] * terms + (pop.thetas * pop.gammas)[:, None] * pop_term
 
 
 def bsde_driver(inp: DriverInput) -> float:
     """Full driver value: quadratic part plus
     ``(1-gamma) * exp_term_own + theta*gamma * E[exp_term]``."""
     pop = inp.population
-    k = inp.type_index
     y = np.asarray(inp.y_tilde, dtype=float)
     if y.shape != (pop.n_types,):
         raise ValueError(f"y_tilde must have one entry per type, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("y_tilde must be finite")
-    terms = _exp_terms(pop, y)
-    if inp.c_population is not None:
-        pop_term = float(np.dot(pop.weights, np.asarray(inp.c_population, dtype=float)))
-    else:
-        pop_term = float(np.dot(pop.weights, terms))
-    j = eval_J(pop, k, inp.t, inp.z_tilde, inp.z0_tilde)
-    tg = pop.thetas[k] * pop.gammas[k]
-    return float(j + (1.0 - pop.gammas[k]) * terms[k] + tg * pop_term)
+    c = None if inp.c_population is None else np.asarray(inp.c_population, dtype=float)[:, None]
+    j = _kernel_at(pop, inp.t, inp.z_tilde, inp.z0_tilde).j
+    return float(_driver(pop, j, y[:, None], c)[inp.type_index, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +197,7 @@ def bsde_residual(
     dt = pop.grid.dt
     n = pop.grid.n_steps
 
-    terms = _exp_terms(pop, y)
-    pop_term = pop.mean(terms)
-    tg = (pop.thetas * pop.gammas)[:, None]
-    driver = _j_at_zero(pop) + (1.0 - pop.gammas)[:, None] * terms + tg * pop_term
+    driver = _driver(pop, _j_at_zero(pop), y)
 
     dy = np.empty_like(y)
     dy[:, 1:-1] = (y[:, 2:] - y[:, :-2]) / (2.0 * dt)
@@ -337,19 +338,13 @@ def relation_check(
     """
     from .montecarlo import _DOM_RELATION, FlowModel, _sid, philox_stream
 
-    den = (1.0 - pop.gammas)[:, None] * (pop.sigma_mat**2 + pop.sigma0_mat**2)
-    tg = (pop.thetas * pop.gammas)[:, None]
-    h, sig0 = pop.h_mat, pop.sigma0_mat
-
-    # (i): with vanishing loadings the investment rate reads
-    # (h - theta*gamma*sigma0 * E[sigma0 h / den] / (1 + E[theta*gamma sigma0^2/den])) / den
-    denom_shared = 1.0 + pop.mean(tg * sig0**2 / den)
-    s = pop.mean(sig0 * h / den) / denom_shared
-    pi_alt = (h - tg * sig0 * s) / den
-    err_pi = float(np.abs(pi_alt - sol.pi_star).max())
+    ker = _kernel(pop, pop.h_mat, pop.sigma_mat, pop.sigma0_mat)
+    # (i): with vanishing loadings the investment rate is the kernel's P
+    err_pi = float(np.abs(ker.p - sol.pi_star).max())
 
     # (iii): exposure aggregate from the loading relation
-    z0_alt = -pop.mean(tg * h * sig0 / den) / denom_shared
+    tg = (pop.thetas * pop.gammas)[:, None]
+    z0_alt = -pop.mean(tg * pop.h_mat * pop.sigma0_mat / ker.den) / (1.0 + ker.psi)
     err_z0 = float(np.abs(z0_alt - sol.z0_common).max())
 
     # (ii): consumption index along one sampled common-noise path
@@ -358,11 +353,9 @@ def relation_check(
         w0_increments = rng.normal(0.0, np.sqrt(pop.grid.dt), pop.grid.n_steps)
     flow = FlowModel(pop, sol)
     mu = flow.mu_values(w0_increments)
-    omg = 1.0 - pop.gammas
-    e_theta = float(np.dot(pop.weights, pop.thetas * pop.gammas / omg))
-    e_logalpha = float(np.dot(pop.weights, np.log(pop.alphas) / omg))
+    e_theta, e_logalpha = _consumption_means(pop)
     # per-type backward component Y = Ytilde - theta*gamma*mu_hat
-    e_y_scaled = pop.mean(sol.y_tilde / omg[:, None]) - e_theta * mu
+    e_y_scaled = pop.mean(sol.y_tilde / (1.0 - pop.gammas)[:, None]) - e_theta * mu
     nu_alt = (mu + e_logalpha - e_y_scaled) / (1.0 + e_theta)
     nu_flow = flow.e_logc + mu
     err_nu = float(np.abs(nu_alt - nu_flow).max())

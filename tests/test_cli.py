@@ -1,11 +1,18 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfgconsume.cli import SWEEPABLE, ConfigError, load_config, main, run, sweep_sensitivity
+from mfgconsume.errors import ExponentRangeError
+
+REFERENCE = Path(__file__).resolve().parents[1] / "demos" / "configs" / "reference.json"
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -306,3 +313,64 @@ class TestMainEntry:
         main(["solve", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "7"])
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["seed"] == 7
+
+    def test_numerical_error_exit_three_with_manifest(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["sweep", "--config", str(REFERENCE), "--parameter", "gamma",
+                "--lo", "0.99", "--hi", "0.999", "--points", "2", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ExponentRangeError: ")
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["ok"] is False
+        assert man["error"]["type"] == "ExponentRangeError"
+        assert man["error"]["message"]
+        # the library entry keeps raising the typed error, after writing the manifest
+        (out / "manifest.json").unlink()
+        with pytest.raises(ExponentRangeError):
+            run("sweep", load_config(REFERENCE, out_dir=str(out)), parameter="gamma", lo=0.99, hi=0.999, points=2)
+        assert json.loads((out / "manifest.json").read_text())["error"]["type"] == "ExponentRangeError"
+
+
+_NUMERICAL = {"ExponentRangeError", "SingularAggregateError", "IntegrationBlowUpError"}
+
+
+@st.composite
+def extreme_scenarios(draw):
+    """Valid scenarios at the edges of the standing assumptions: gamma at
+    +-gamma_lb or large |gamma|, sigma0 >> sigma, sigma = 0, long horizons."""
+    gamma_lb = 1e-3
+    types = []
+    for _ in range(draw(st.integers(1, 3))):
+        sigma = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+        types.append({
+            "gamma": draw(st.one_of(st.sampled_from([gamma_lb, -gamma_lb]), st.floats(-1e3, -1.0),
+                                    st.floats(0.9, 0.999), st.floats(-1.0, 0.99).filter(lambda g: abs(g) >= gamma_lb))),
+            "theta": draw(st.floats(0.0, 1.0)),
+            "alpha": draw(st.floats(0.05, 20.0)),
+            "x0": draw(st.floats(0.01, 100.0)),
+            "h": draw(st.floats(-0.5, 1.0)),
+            "sigma": sigma,
+            # sigma0 >> sigma, and sigma + sigma0 >= sigma_lb when sigma = 0
+            "sigma0": draw(st.one_of(st.floats(max(0.0, 1e-3 - sigma), 0.5), st.floats(1.0, 20.0))),
+        })
+    horizon = draw(st.one_of(st.floats(0.01, 2000.0), st.just(2000.0)))
+    return {"horizon": horizon, "n_steps": 64, "population": types,
+            "bounds": {"gamma_lb": gamma_lb, "sigma_lb": 1e-3}}
+
+
+class TestFailureContract:
+    @settings(max_examples=20)
+    @given(extreme_scenarios())
+    def test_extreme_valid_scenarios_exit_with_manifest(self, raw):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "scenario.json"
+            path.write_text(json.dumps(raw))
+            for command in ("solve", "verify"):
+                out = Path(d) / command
+                code = main([command, "--config", str(path), "--out", str(out)])
+                assert code in (0, 1, 3)
+                man = json.loads((out / "manifest.json").read_text())
+                assert man["ok"] is (code == 0)
+                assert (code == 3) is ("error" in man)
+                if code == 3:
+                    assert man["error"]["type"] in _NUMERICAL

@@ -265,6 +265,19 @@ class TestDeviation:
         assert sum(p.large for p in perts) == 12
         assert len({p.name for p in perts}) == 20
 
+    def test_verdicts_follow_the_two_margins(self):
+        row = montecarlo.DeviationRow
+        edge = row("at -2 stderr", -2.0, 1.0, False, False)
+        large = row("large loss", 3.0, 1.0, True, False)
+        rep = montecarlo.DeviationReport((edge, large), 10)
+        assert (rep.margin, rep.passed) == (0.0, True)
+        assert (rep.large_margin, rep.large_detected) == (1.0, True)
+        undetected = montecarlo.DeviationReport((row("large, small", 1.0, 0.5, True, False),), 10)
+        assert (undetected.large_margin, undetected.large_detected) == (0.0, False)
+        profitable = montecarlo.DeviationReport((row("gain", -2.5, 1.0, False, True),), 10)
+        assert (profitable.margin, profitable.passed) == (-0.5, False)
+        assert profitable.large_margin == math.inf and profitable.large_detected
+
 
 class TestConsistency:
     def test_single_type_within_three_units(self, grid):
