@@ -304,13 +304,13 @@ def _cmd_solve(cfg: ScenarioConfig, out: Path, manifest: RunManifest) -> None:
     pop = cfg.population
     sol = solve_equilibrium(pop)
     times = pop.grid.times
-    rows = []
-    for i, t in enumerate(times):
-        for k in range(pop.n_types):
-            rows.append(
-                (t, k, sol.pi_star[k, i], sol.c_star[k, i], sol.y_tilde[k, i],
-                 sol.phi[i], sol.psi[i], sol.z0_common[i])
-            )
+    # rows are streamed to the writer: a list of them would hold ~1 MB of scalars at 2000 steps
+    rows = (
+        (t, k, sol.pi_star[k, i], sol.c_star[k, i], sol.y_tilde[k, i],
+         sol.phi[i], sol.psi[i], sol.z0_common[i])
+        for i, t in enumerate(times)
+        for k in range(pop.n_types)
+    )
     _write_csv(out / "equilibrium.csv",
                ["t", "type", "pi_star", "c_star", "y_tilde", "phi", "psi", "z0"], rows)
     manifest.artifact("equilibrium.csv")

@@ -149,7 +149,10 @@ def _coefficients(
     b = (pop.thetas * pop.gammas / omg)[:, None] * e_a / (1.0 + e_theta) - a / omg[:, None]
 
     e_logalpha = float(np.dot(pop.weights, np.log(pop.alphas) / omg)) if own else agg.e_logalpha
-    d = np.exp(np.log(pop.alphas) / omg - pop.thetas * pop.gammas * e_logalpha / (omg * (1.0 + e_theta)))
+    log_d = np.log(pop.alphas) / omg - pop.thetas * pop.gammas * e_logalpha / (omg * (1.0 + e_theta))
+    if np.max(np.abs(log_d)) > _EXP_CAP:
+        raise ExponentRangeError("log D exceeds exponent range")
+    d = np.exp(log_d)
 
     if not own:
         return _Coefficients(pi, z0, a, b, d, agg, None)

@@ -5,10 +5,10 @@ Determinism contract: every stochastic routine takes an integer seed and
 derives independent counter-based streams (Philox) from (seed, purpose,
 chunk). Samples are processed in fixed-size chunks and reduced in chunk
 order, so results are bit-identical for any thread count; the
-``MFG_CONSUME_THREADS`` environment variable only caps the worker pool.
-Within a chunk, paths are built and reduced in row blocks sized to stay in
-L2 cache; every sample row is computed by the same operations in any block,
-so outputs depend on neither the block size nor the thread count.
+``MFG_CONSUME_THREADS`` environment variable only sizes the worker pool.
+Within a chunk, payoff paths are built and reduced in row blocks sized to
+stay in L2 cache; every sample row is computed by the same operations in
+any block, so outputs depend on neither the block size nor the thread count.
 
 Simulation is Euler in log-wealth coordinates: volatilities at the left
 endpoint, matching the Ito integral, and the drift by the trapezoid rule, as
@@ -19,6 +19,7 @@ exact in distribution.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -69,13 +70,24 @@ def _n_threads() -> int:
         return 1
 
 
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
 def _map_ordered(fn: Callable[[int], object], count: int) -> list:
-    """Apply fn to 0..count-1, in order; thread count never changes results."""
+    """Apply fn to 0..count-1, in order; thread count never changes results.
+    Every call shares one worker pool, rebuilt only when the thread count changes."""
+    global _pool
     threads = _n_threads()
     if threads <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(count)))
+    with _pool_lock:
+        if _pool is None or _pool[0] != threads:
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = (threads, ThreadPoolExecutor(max_workers=threads))
+        pool = _pool[1]
+    return list(pool.map(fn, range(count)))
 
 
 def _chunks(n: int) -> list[tuple[int, int]]:
@@ -210,22 +222,14 @@ def _euler_rows(h, sigma, sigma0, pi, c, dt: float) -> tuple[NDArray, NDArray, N
     return (g[..., :-1] + g[..., 1:]) * (dt / 2), (pi * sigma)[..., :-1], (pi * sigma0)[..., :-1]
 
 
-def _euler_cumsum(
-    buf: NDArray, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0, rows=slice(None)
-) -> NDArray:
-    """Cumulative Euler log-wealth increments written into ``buf``, shape
-    (m, n); ``buf`` may be ``dw`` itself. ``rows`` picks each path's
-    coefficient row."""
-    np.multiply(vol_w[rows], dw, out=buf)
-    buf += drift[rows]
-    buf += vol_w0[rows] * dw0
-    return np.cumsum(buf, axis=1, out=buf)
-
-
 def _build_paths(out: NDArray, log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0) -> NDArray:
     """Log-wealth paths from one set of Euler coefficient rows and
     increments, written into ``out`` of shape (m, n+1)."""
-    _euler_cumsum(out[:, 1:], drift, vol_w, vol_w0, dw, dw0)
+    inc = out[:, 1:]
+    np.multiply(vol_w, dw, out=inc)
+    inc += drift
+    inc += vol_w0 * dw0
+    np.cumsum(inc, axis=1, out=inc)
     out[:, 0] = log_x0
     out[:, 1:] += out[:, :1]
     return out
@@ -572,6 +576,12 @@ def consistency_test(
     independent idiosyncratic noise, equilibrium controls) is compared with
     the semi-analytic flow, in units of the empirical standard error.
 
+    Agents are simulated at the probe knots only, exactly in distribution
+    for the Euler scheme: with deterministic controls and curves, log-wealth
+    at knot q is a per-type constant plus sum_{i<q} vol_w dW_i, and between
+    two probes that sum gains an independent N(0, sum vol_w^2 dt). So each
+    agent draws one normal per probe segment, in sorted probe order.
+
     Agent noise streams are keyed independently of the common-noise values,
     so with no common-noise exposure the report does not depend on the
     common-noise path. ``stratified=True`` allocates agents to types by
@@ -580,25 +590,30 @@ def consistency_test(
     if n_agents < 1 or n_w0_paths < 1:
         raise ValueError("need n_agents >= 1 and n_w0_paths >= 1")
     grid = pop.grid
-    nst = grid.n_steps
-    sd = np.sqrt(grid.dt)
     times = grid.times
     if probe_times is None:
         probe_times = np.linspace(0.2 * grid.T, grid.T, 5)
     probe_idx = [int(round(t / grid.dt)) for t in probe_times]
     for t in probe_times:
         grid.check_time(t)
+    knots = np.unique(probe_idx)
+    rank = np.searchsorted(knots, probe_idx)  # sorted row of each caller probe
 
     flow = FlowModel(pop, sol)
     drift, vol_w, vol_w0 = _euler_rows(
         pop.h_mat, pop.sigma_mat, pop.sigma0_mat, sol.pi_star, sol.c_star, grid.dt
     )
     log_x0 = np.log(pop.x0s)
+    var = np.zeros((pop.n_types, grid.n_steps + 1))
+    np.cumsum(vol_w**2 * grid.dt, axis=1, out=var[:, 1:])
+    seg_sd = np.sqrt(np.diff(var[:, knots].T, axis=0, prepend=0.0))  # (probes, K)
 
     rows: list[ConsistencyRow] = []
     for p in range(n_w0_paths):
         w0 = consistency_w0(grid, seed if w0_seed is None else w0_seed, p)
         mu = flow.mu_values(w0)
+        # the per-type part: Euler paths with the idiosyncratic increments set to 0
+        base = _build_paths(np.empty_like(var), log_x0, drift, vol_w, vol_w0, 0.0, w0)[:, knots].T
         if stratified:
             counts = np.floor(pop.weights * n_agents).astype(int)
             counts[0] += n_agents - counts.sum()
@@ -608,20 +623,14 @@ def consistency_test(
 
         def probes(i: int, chunk: tuple[int, int]) -> NDArray:
             ti = types[slice(*chunk)]
-            gen = philox_stream(seed, _sid(_DOM_CONS_W, p, i))
-            # (probes, agents) in C order, so each probe's sum runs over contiguous memory
-            out = np.empty((len(probe_idx), ti.size))
-            for b in _blocks(ti.size, nst):
-                r = ti[b]
-                # consecutive draws from one stream equal one draw of the whole chunk
-                cum = gen.normal(0.0, sd, (r.size, nst))
-                _euler_cumsum(cum, drift, vol_w, vol_w0, cum, w0[None, :], r)
-                for k, q in enumerate(probe_idx):
-                    out[k, b] = log_x0[r] if q == 0 else cum[:, q - 1] + log_x0[r]
-            return out
+            z = philox_stream(seed, _sid(_DOM_CONS_W, p, i)).standard_normal((len(knots), ti.size))
+            z *= seg_sd[:, ti]
+            np.cumsum(z, axis=0, out=z)
+            z += base[:, ti]
+            return z
 
         means, stderrs = _chunk_moments(n_agents, probes)
-        for idx, mean, stderr in zip(probe_idx, means, stderrs):
+        for idx, mean, stderr in zip(probe_idx, means[rank], stderrs[rank]):
             diff = abs(mean - mu[idx])
             if stderr == 0.0:
                 units = 0.0 if diff < 1e-12 else np.inf

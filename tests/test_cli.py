@@ -330,6 +330,19 @@ class TestMainEntry:
             run("sweep", load_config(REFERENCE, out_dir=str(out)), parameter="gamma", lo=0.99, hi=0.999, points=2)
         assert json.loads((out / "manifest.json").read_text())["error"]["type"] == "ExponentRangeError"
 
+    def test_terminal_consumption_overflow_exits_three(self, tmp_path, capsys):
+        # log D = log(alpha) / (1 - gamma) is about 3000 here: D must not
+        # overflow to inf and leave NaN c_star behind a failed check
+        one = {"weight": 1.0, "gamma": 0.999, "theta": 0.0, "alpha": 20.0, "h": 0.01, "sigma": 0.2, "sigma0": 0.1}
+        path = write_config(tmp_path, horizon=0.01, n_steps=64, population=[one])
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ExponentRangeError: ")
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["ok"] is False
+        assert man["error"]["type"] == "ExponentRangeError"
+        assert not (out / "equilibrium.csv").exists()
+
 
 _NUMERICAL = {"ExponentRangeError", "SingularAggregateError", "IntegrationBlowUpError"}
 

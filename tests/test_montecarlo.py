@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from mfgconsume import (
     value_function,
 )
 from mfgconsume import montecarlo
-from mfgconsume.montecarlo import _logwealth_paths
+from mfgconsume.montecarlo import _logwealth_paths, consistency_w0
 from mfgconsume.odequad import cumtrapz_left
 
 
@@ -231,6 +232,20 @@ class TestEstimateUtility:
         assert a == b
 
 
+class TestThreadPool:
+    def test_repeated_calls_reuse_one_pool(self, monkeypatch):
+        monkeypatch.setenv("MFG_CONSUME_THREADS", "2")
+        barrier = threading.Barrier(2, timeout=10)
+        montecarlo._map_ordered(lambda i: barrier.wait(), 2)  # both workers started
+        names, counts = set(), []
+        for _ in range(5):
+            got = montecarlo._map_ordered(lambda i: names.add(threading.current_thread().name) or i, 16)
+            assert got == list(range(16))
+            counts.append(threading.active_count())
+        assert len(set(counts)) == 1
+        assert len(names) <= 2
+
+
 class TestDeviation:
     def test_self_comparison_is_exactly_zero(self, grid):
         pop = single(grid)
@@ -354,6 +369,75 @@ class TestConsistency:
         for big, unit in zip(*(r.rows for r in reps)):
             assert big.stderr > 0.0
             assert big.stderr == pytest.approx(unit.stderr, rel=1e-4)
+
+    def test_segment_draw_matches_euler_paths_in_distribution(self):
+        # independent reference: whole Euler paths of the same agent mix,
+        # read at the probe knots; time-varying curves, K = 3, t = 0 included
+        grid = TimeGrid(1.0, 64)
+        pop = make_random_population(4, grid, n_types=3)
+        sol = solve_equilibrium(pop)
+        n, seed = 20_000, 11
+        probe_times = [0.75, 0.0, 0.25, 1.0, 0.5]
+        rep = consistency_test(pop, sol, n, 2, seed=seed, probe_times=probe_times, stratified=True)
+        counts = np.floor(pop.weights * n).astype(int)
+        counts[0] += n - counts.sum()
+        knots = [round(t / grid.dt) for t in probe_times]
+        rng = philox_stream(seed, 99)
+        for p in range(2):
+            w0 = consistency_w0(grid, seed, p)[None, :]
+            paths = np.vstack([
+                _logwealth_paths(tp.x0, tp.h.values, tp.sigma.values, tp.sigma0.values,
+                                 sol.pi_star[k], sol.c_star[k],
+                                 rng.normal(0.0, np.sqrt(grid.dt), (m, grid.n_steps)), w0, grid.dt)
+                for k, (tp, m) in enumerate(zip(pop.types, counts))
+            ])
+            for row, q in zip(rep.rows[p * len(knots):], knots):
+                x = paths[:, q]
+                se = x.std(ddof=1) / math.sqrt(n)
+                assert abs(row.empirical_mean - x.mean()) <= 4.0 * math.hypot(row.stderr, se)
+                assert abs(row.stderr / se - 1.0) <= 0.1
+
+    def test_permuted_probe_times_permute_rows(self, grid):
+        pop = make_random_population(2, grid, n_types=2)
+        sol = solve_equilibrium(pop)
+        times = [0.0, 0.25, 0.5, 1.0]
+        perm = [3, 0, 2, 1]
+        a = consistency_test(pop, sol, 9000, 2, seed=8, probe_times=times)
+        b = consistency_test(pop, sol, 9000, 2, seed=8, probe_times=[times[j] for j in perm])
+        for p in range(2):
+            rows_a = a.rows[4 * p: 4 * p + 4]
+            assert b.rows[4 * p: 4 * p + 4] == tuple(rows_a[j] for j in perm)
+        assert a.max_deviation_units == b.max_deviation_units
+
+    def test_one_idiosyncratic_normal_per_agent_and_probe(self, grid, monkeypatch):
+        # drawing whole Euler paths would take n_steps normals per agent
+        real = montecarlo.philox_stream
+        drawn: dict[int, int] = {}
+
+        class Counted:
+            def __init__(self, gen, path):
+                self.gen, self.path = gen, path
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    out = getattr(self.gen, name)(*args, **kwargs)
+                    drawn[self.path] = drawn.get(self.path, 0) + np.size(out)
+                    return out
+                return draw
+
+        def stream(seed, stream_id):
+            gen = real(seed, stream_id)
+            if stream_id >> 56 != montecarlo._DOM_CONS_W:
+                return gen
+            return Counted(gen, (stream_id >> 28) & ((1 << 28) - 1))
+
+        monkeypatch.setattr(montecarlo, "philox_stream", stream)
+        monkeypatch.setenv("MFG_CONSUME_THREADS", "1")  # the counter is not locked
+        pop = single(grid)
+        sol = solve_equilibrium(pop)
+        n, probe_times = 9000, [0.0, 0.3, 1.0]
+        consistency_test(pop, sol, n, 3, seed=2, probe_times=probe_times)
+        assert drawn == {p: len(probe_times) * n for p in range(3)}
 
 
 class TestRowBlocks:
