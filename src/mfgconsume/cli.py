@@ -12,7 +12,10 @@ with commands:
 
 Every run writes UTF-8 CSV artifacts plus one JSON manifest (config hash,
 seed, artifact list, per-check pass/fail) and prints a plain-text summary.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error,
+Each command hands its artifact to :meth:`RunManifest.write_csv` as named
+columns; floats are written in their shortest round-trip form.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error
+(a value of the wrong type or out of range, such as an MC size below 1),
 3 a numerical error, named in the manifest's ``error`` block (``"ok": false``).
 All randomness flows from the single config seed; ``MFG_CONSUME_THREADS``
 caps simulation parallelism without changing any output.
@@ -26,13 +29,14 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from . import closedform, montecarlo, verify
+from . import closedform, montecarlo, population, verify
 from .closedform import (
     population_aggregates,
     sigma0_thresholds,
@@ -56,7 +60,9 @@ SWEEPABLE = ("h", "sigma", "sigma0", "theta", "gamma", "alpha")
 
 _TOP_KEYS = {"horizon", "n_steps", "population", "bounds", "mc", "tolerances", "out_dir"}
 _TYPE_KEYS = {"weight", "x0", "gamma", "theta", "alpha", "h", "sigma", "sigma0"}
-_BOUND_DEFAULTS = {"gamma_lb": 1e-3, "sigma_lb": 1e-3, "c_min": 1e-3, "c_max": 10.0, "pi_cap": 10.0}
+_BOUND_DEFAULTS = {"gamma_lb": population.DEFAULT_GAMMA_LB, "sigma_lb": population.DEFAULT_SIGMA_LB,
+                   "c_min": montecarlo.DEFAULT_C_MIN, "c_max": montecarlo.DEFAULT_C_MAX,
+                   "pi_cap": montecarlo.DEFAULT_PI_CAP}
 _MC_DEFAULTS = {"n_samples": 20000, "n_agents": 20000, "n_w0_paths": 3, "seed": 12345,
                 "stratified": False}
 _TOL_DEFAULTS = {"riccati_tol": 1e-6, "residual_tol": 1e-4, "drift_tol": 1e-12}
@@ -109,6 +115,14 @@ def _section(raw: dict, key: str, defaults: dict) -> dict:
     return {**defaults, **got}
 
 
+def _number(kind: type, value, where: str):
+    """``kind(value)`` (``float`` or ``int``), a ConfigError naming ``where`` if it fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from e
+
+
 def _curve(grid: TimeGrid, value, where: str) -> GridCurve:
     """Scalar config values broadcast to constant curves; arrays must have
     one value per knot."""
@@ -149,8 +163,8 @@ def load_config(
         raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
 
     resolved = {
-        "horizon": float(raw.get("horizon", 1.0)),
-        "n_steps": int(steps if steps is not None else raw.get("n_steps", 2000)),
+        "horizon": _number(float, raw.get("horizon", 1.0), "horizon"),
+        "n_steps": _number(int, steps if steps is not None else raw.get("n_steps", 2000), "n_steps"),
         "bounds": _section(raw, "bounds", _BOUND_DEFAULTS),
         "mc": _section(raw, "mc", _MC_DEFAULTS),
         "tolerances": _section(raw, "tolerances", _TOL_DEFAULTS),
@@ -160,72 +174,67 @@ def load_config(
         resolved["mc"]["seed"] = int(seed)
     if samples is not None:
         resolved["mc"]["n_samples"] = int(samples)
-    for name, v in resolved["tolerances"].items():
-        if not v > 0:
+    bounds = Bounds(**{k: _number(float, v, f"bounds.{k}") for k, v in resolved["bounds"].items()})
+    tol = resolved["tolerances"]
+    tolerances = Tolerances(**{k: _number(float, v, f"tolerances.{k}") for k, v in tol.items()})
+    for name, v in tol.items():
+        if not getattr(tolerances, name) > 0:
             raise ConfigError(f"tolerances.{name} must be positive, got {v}")
+    m = resolved["mc"]
+    mc = McSettings(*(_number(int, m[k], f"mc.{k}") for k in ("n_samples", "n_agents", "n_w0_paths", "seed")),
+                    stratified=m["stratified"])
+    for name in ("n_samples", "n_agents", "n_w0_paths"):
+        if getattr(mc, name) < 1:
+            raise ConfigError(f"mc.{name} must be at least 1, got {getattr(mc, name)}")
+    if not isinstance(mc.stratified, bool):
+        raise ConfigError(f"mc.stratified must be true or false, got {mc.stratified!r}")
 
     type_specs = raw.get("population")
     if not isinstance(type_specs, list) or not type_specs:
         raise ConfigError("'population' must be a non-empty array of type records")
-    grid = TimeGrid(resolved["horizon"], resolved["n_steps"])
+    try:
+        grid = TimeGrid(resolved["horizon"], resolved["n_steps"])
+    except StructuralError as e:
+        raise ConfigError(str(e)) from e
     types = []
     default_weight = 1.0 / len(type_specs)
     resolved_types = []
     for i, record in enumerate(type_specs):
+        where = f"population[{i}]"
         if not isinstance(record, dict):
-            raise ConfigError(f"population[{i}] must be an object")
+            raise ConfigError(f"{where} must be an object")
         unknown = set(record) - _TYPE_KEYS
         if unknown:
-            raise ConfigError(f"population[{i}]: unknown keys {sorted(unknown)}")
+            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
         for req in ("gamma", "h", "sigma", "sigma0"):
             if req not in record:
-                raise ConfigError(f"population[{i}]: missing required key '{req}'")
-        rec = {
-            "weight": float(record.get("weight", default_weight)),
-            "x0": float(record.get("x0", 1.0)),
-            "gamma": float(record["gamma"]),
-            "theta": float(record.get("theta", 0.0)),
-            "alpha": float(record.get("alpha", 1.0)),
-            "h": record["h"],
-            "sigma": record["sigma"],
-            "sigma0": record["sigma0"],
-        }
+                raise ConfigError(f"{where}: missing required key '{req}'")
+        scalars = {"weight": default_weight, "x0": 1.0, "gamma": None, "theta": 0.0, "alpha": 1.0}
+        rec = {k: _number(float, record.get(k, d), f"{where}.{k}") for k, d in scalars.items()}
+        rec.update({k: record[k] for k in ("h", "sigma", "sigma0")})
         resolved_types.append(rec)
         try:
-            types.append(
-                AgentType(
-                    weight=rec["weight"],
-                    x0=rec["x0"],
-                    gamma=rec["gamma"],
-                    theta=rec["theta"],
-                    alpha=rec["alpha"],
-                    h=_curve(grid, rec["h"], f"population[{i}].h"),
-                    sigma=_curve(grid, rec["sigma"], f"population[{i}].sigma"),
-                    sigma0=_curve(grid, rec["sigma0"], f"population[{i}].sigma0"),
-                )
-            )
+            curves = {k: _curve(grid, rec[k], f"{where}.{k}") for k in ("h", "sigma", "sigma0")}
+            types.append(AgentType(**{k: rec[k] for k in scalars}, **curves))
         except StructuralError as e:
-            raise ConfigError(f"population[{i}]: {e}") from e
+            raise ConfigError(f"{where}: {e}") from e
     resolved["population"] = resolved_types
 
-    b = resolved["bounds"]
     try:
-        pop = Population(tuple(types), gamma_lb=float(b["gamma_lb"]), sigma_lb=float(b["sigma_lb"]))
+        pop = Population(tuple(types), gamma_lb=bounds.gamma_lb, sigma_lb=bounds.sigma_lb)
     except StructuralError as e:
         raise ConfigError(str(e)) from e
     report = validate(pop)
     if not report.ok:
         raise ConfigError(f"population violates standing assumptions: {report.describe()}")
 
-    m = resolved["mc"]
     return ScenarioConfig(
         horizon=resolved["horizon"],
         n_steps=resolved["n_steps"],
         population=pop,
-        bounds=Bounds(**{k: float(v) for k, v in b.items()}),
-        mc=McSettings(int(m["n_samples"]), int(m["n_agents"]), int(m["n_w0_paths"]), int(m["seed"]),
-                      bool(m["stratified"])),
-        tolerances=Tolerances(**{k: float(v) for k, v in resolved["tolerances"].items()}),
+        bounds=bounds,
+        mc=mc,
+        tolerances=tolerances,
         out_dir=resolved["out_dir"],
         resolved=resolved,
     )
@@ -236,18 +245,7 @@ def load_config(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))  # shortest round-trip representation
-    return str(x)
-
-
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+_CSV_BLOCK = 256  # rows per block: bounds the Python objects a write holds at once
 
 
 class RunManifest:
@@ -267,6 +265,19 @@ class RunManifest:
 
     def artifact(self, name: str) -> None:
         self.data["artifacts"].append(name)
+
+    def write_csv(self, path: Path, columns: dict[str, ArrayLike]) -> None:
+        """Write ``{header: column}`` to ``path`` as CSV and record it as an
+        artifact. Cells are the columns' ``tolist()`` values, so the csv
+        module writes each float as its shortest round-trip ``repr``;
+        booleans are written as 0/1."""
+        cols = [c.astype(int) if c.dtype == bool else c for c in map(np.asarray, columns.values())]
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(columns)
+            for i in range(0, len(cols[0]), _CSV_BLOCK):
+                w.writerows(zip(*(c[i:i + _CSV_BLOCK].tolist() for c in cols)))
+        self.artifact(path.name)
 
     def check(self, name: str, value: float, tolerance: float, passed: bool) -> None:
         self.data["checks"].append(
@@ -300,20 +311,20 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 
 
+def _report_columns(rows: Sequence, header: Sequence[str]) -> dict:
+    """A report's dataclass rows as ``{header: column}``, header i naming field i."""
+    return dict(zip(header, zip(*map(astuple, rows))))
+
+
 def _cmd_solve(cfg: ScenarioConfig, out: Path, manifest: RunManifest) -> None:
     pop = cfg.population
     sol = solve_equilibrium(pop)
-    times = pop.grid.times
-    # rows are streamed to the writer: a list of them would hold ~1 MB of scalars at 2000 steps
-    rows = (
-        (t, k, sol.pi_star[k, i], sol.c_star[k, i], sol.y_tilde[k, i],
-         sol.phi[i], sol.psi[i], sol.z0_common[i])
-        for i, t in enumerate(times)
-        for k in range(pop.n_types)
-    )
-    _write_csv(out / "equilibrium.csv",
-               ["t", "type", "pi_star", "c_star", "y_tilde", "phi", "psi", "z0"], rows)
-    manifest.artifact("equilibrium.csv")
+    k = pop.n_types  # one row per knot and type, time-major
+    manifest.write_csv(out / "equilibrium.csv", {
+        "t": np.repeat(pop.grid.times, k), "type": np.tile(np.arange(k), pop.grid.n_steps + 1),
+        "pi_star": sol.pi_star.T.ravel(), "c_star": sol.c_star.T.ravel(), "y_tilde": sol.y_tilde.T.ravel(),
+        "phi": np.repeat(sol.phi, k), "psi": np.repeat(sol.psi, k), "z0": np.repeat(sol.z0_common, k),
+    })
 
     c_term = float(np.abs(sol.c_star[:, -1] - sol.d_coeff).max())
     manifest.check("c_terminal_equals_d", c_term, 0.0, c_term <= 0.0)
@@ -329,12 +340,11 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path, manifest: RunManifest) -> None:
     sol = solve_equilibrium(pop)
 
     res = verify.bsde_residual(pop, sol)
-    rows = []
-    for k in range(pop.n_types):
-        for i, t in enumerate(pop.grid.times):
-            rows.append((t, k, res.residuals[k, i]))
-    _write_csv(out / "residuals.csv", ["t", "type", "residual"], rows)
-    manifest.artifact("residuals.csv")
+    manifest.write_csv(out / "residuals.csv", {  # type-major
+        "t": np.tile(pop.grid.times, pop.n_types),
+        "type": np.repeat(np.arange(pop.n_types), pop.grid.n_steps + 1),
+        "residual": res.residuals.ravel(),
+    })
     manifest.check("residual_sup", res.sup_norm, tol.residual_tol, res.sup_norm <= tol.residual_tol)
 
     j0 = verify._j_at_zero(pop)
@@ -361,21 +371,13 @@ def _cmd_simulate(cfg: ScenarioConfig, out: Path, manifest: RunManifest) -> None
     pop = cfg.population
     sol = solve_equilibrium(pop)
     flow = montecarlo.mean_field_flow(pop, sol, montecarlo.consistency_w0(pop.grid, cfg.mc.seed, 0))
-    _write_csv(
-        out / "flow.csv",
-        ["t", "mu_hat", "nu_hat"],
-        zip(pop.grid.times, flow.mu_hat.values, flow.nu_hat.values),
-    )
-    manifest.artifact("flow.csv")
+    manifest.write_csv(out / "flow.csv",
+                       {"t": pop.grid.times, "mu_hat": flow.mu_hat.values, "nu_hat": flow.nu_hat.values})
 
     rep = montecarlo.consistency_test(pop, sol, cfg.mc.n_agents, cfg.mc.n_w0_paths, cfg.mc.seed,
                                       stratified=cfg.mc.stratified)
-    _write_csv(
-        out / "consistency.csv",
-        ["path", "t", "empirical_mean", "flow_mu", "stderr", "deviation_units"],
-        ((r.path_index, r.t, r.empirical_mean, r.flow_mu, r.stderr, r.deviation_units) for r in rep.rows),
-    )
-    manifest.artifact("consistency.csv")
+    manifest.write_csv(out / "consistency.csv", _report_columns(
+        rep.rows, ("path", "t", "empirical_mean", "flow_mu", "stderr", "deviation_units")))
     manifest.check("consistency_max_units", rep.max_deviation_units, 3.0, rep.max_deviation_units <= 3.0)
 
 
@@ -392,12 +394,8 @@ def _cmd_deviate(cfg: ScenarioConfig, out: Path, manifest: RunManifest, probe_ty
     rep = montecarlo.deviation_test(
         pop, probe_type, sol, perts, cfg.mc.n_samples, cfg.mc.seed, b.pi_cap, b.c_min, b.c_max
     )
-    _write_csv(
-        out / "deviations.csv",
-        ["name", "delta", "stderr", "large", "flagged"],
-        ((r.name, r.delta, r.stderr, int(r.large), int(r.flagged)) for r in rep.rows),
-    )
-    manifest.artifact("deviations.csv")
+    manifest.write_csv(out / "deviations.csv",
+                       _report_columns(rep.rows, ("name", "delta", "stderr", "large", "flagged")))
     manifest.check("no_profitable_deviation", rep.margin, 0.0, rep.passed)
     manifest.check("large_deviations_detected", rep.large_margin, 0.0, rep.large_detected)
 
@@ -477,12 +475,8 @@ def _cmd_sweep(
     if points < 2:
         raise ConfigError("sweep needs at least 2 points")
     rows = sweep_sensitivity(cfg, parameter, np.linspace(lo, hi, points), mode, probe_type)
-    _write_csv(
-        out / "sweep.csv",
-        ["value", "pi_star", "c_star", "flagged"],
-        ((v, p, c, int(f)) for v, p, c, f in rows),
-    )
-    manifest.artifact("sweep.csv")
+    vals, pis, cs, flagged = (np.array(c) for c in zip(*rows))
+    manifest.write_csv(out / "sweep.csv", {"value": vals, "pi_star": pis, "c_star": cs, "flagged": flagged})
     manifest.extra("sweep", {"parameter": parameter, "mode": mode, "probe_type": probe_type})
 
     if parameter == "sigma0" and mode == "individual":
@@ -492,8 +486,6 @@ def _cmd_sweep(
                 "thresholds", {"sigma0_upper": thr.sigma0_upper, "sigma0_lower": thr.sigma0_lower}
             )
             marker = max(thr.sigma0_upper, thr.sigma0_lower)
-            pis = np.array([r[1] for r in rows])
-            vals = np.array([r[0] for r in rows])
             slopes = np.diff(pis)
             flips = np.flatnonzero(np.sign(slopes[:-1]) != np.sign(slopes[1:]))
             if vals[0] < marker < vals[-1]:

@@ -7,7 +7,8 @@ checks:
   full driver (quadratic noise-response terms plus the two exponential
   consumption terms) must vanish on the solved equilibrium;
 * the drift bracket of the candidate reward process: non-positive for every
-  admissible control pair, zero exactly at the optimiser;
+  admissible control pair, zero exactly at the optimiser; it is evaluated
+  on arrays of states, one formula for the optimiser and the bracket;
 * the analytic value ``V = (1/gamma) exp(gamma*log(x0) + Y_0)``, which the
   Monte-Carlo module re-estimates from scratch;
 * the algebraic relations tying the investment rate, consumption index and
@@ -24,14 +25,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
-from .closedform import EquilibriumSolution, _check_one_plus, _params_at
+from .closedform import _EXP_CAP, EquilibriumSolution, _check_one_plus, _params_at
 from .errors import ExponentRangeError
 from .grid import GridCurve
 from .population import Population
-
-_EXP_CAP = 700.0
 
 
 # ---------------------------------------------------------------------------
@@ -218,48 +217,63 @@ def bsde_residual(
 class MopState:
     """State at which the drift bracket is evaluated: backward component Y,
     log consumption index nu_hat, market and preference parameters, and the
-    martingale loadings (Z, Z0)."""
+    martingale loadings (Z, Z0). Fields are floats or arrays of one shape."""
 
-    Y: float
-    nu_hat: float
-    h: float
-    sigma: float
-    sigma0: float
-    gamma: float
-    theta: float
-    alpha: float
-    Z: float = 0.0
-    Z0: float = 0.0
+    Y: ArrayLike
+    nu_hat: ArrayLike
+    h: ArrayLike
+    sigma: ArrayLike
+    sigma0: ArrayLike
+    gamma: ArrayLike
+    theta: ArrayLike
+    alpha: ArrayLike
+    Z: ArrayLike = 0.0
+    Z0: ArrayLike = 0.0
 
 
-def mop_maximizer(state: MopState) -> tuple[float, float]:
+def _pow(base: ArrayLike, exponent: ArrayLike) -> ArrayLike:
+    """Elementwise libm ``pow``: numpy's SIMD array pow (SVML on AVX-512) can
+    differ in the last bit, and the bracket cancels terms of order one. On
+    arrays an overflow raises OverflowError where a scalar gives inf."""
+    if np.ndim(base) == 0 and np.ndim(exponent) == 0:
+        return base ** exponent
+    return np.power(np.asarray(base, dtype=object), exponent).astype(float)
+
+
+def _bracket(state: MopState) -> tuple[ArrayLike, ...]:
+    """The maximiser (pi, c), then K, 1 - gamma and sigma^2 + sigma0^2."""
+    sig_tot2 = state.sigma**2 + state.sigma0**2
+    omg = 1.0 - state.gamma
+    pi_opt = (state.h + state.sigma * state.Z + state.sigma0 * state.Z0) / (omg * sig_tot2)
+    k = state.alpha * np.exp(-state.Y - state.theta * state.gamma * state.nu_hat)
+    return pi_opt, _pow(k, 1.0 / omg), k, omg, sig_tot2
+
+
+def _float_if_scalar(x: ArrayLike) -> ArrayLike:
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def mop_maximizer(state: MopState) -> tuple[ArrayLike, ArrayLike]:
     """The unique maximiser of the drift bracket:
     ``pi = (h + sigma Z + sigma0 Z0) / ((1-gamma)(sigma^2+sigma0^2))`` and
     ``c = K^{1/(1-gamma)}`` with ``K = alpha exp(-Y - theta*gamma*nu_hat)``."""
-    sig_tot2 = state.sigma**2 + state.sigma0**2
-    omg = 1.0 - state.gamma
-    pi = (state.h + state.sigma * state.Z + state.sigma0 * state.Z0) / (omg * sig_tot2)
-    k = state.alpha * np.exp(-state.Y - state.theta * state.gamma * state.nu_hat)
-    return float(pi), float(k ** (1.0 / omg))
+    return tuple(map(_float_if_scalar, _bracket(state)[:2]))
 
 
-def mop_drift(state: MopState, pi: float, c: float) -> float:
+def mop_drift(state: MopState, pi: ArrayLike, c: ArrayLike) -> ArrayLike:
     """Drift bracket of the candidate reward process at control ``(pi, c)``.
 
     The everywhere-positive prefactor ``X^gamma e^Y`` is omitted, so the sign
     of the bracket is the sign of the drift: non-positive for every control,
     zero at the maximiser. Requires ``c > 0``.
     """
-    if c <= 0.0:
-        raise ValueError(f"consumption rate must be positive, got {c}")
-    sig_tot2 = state.sigma**2 + state.sigma0**2
-    omg = 1.0 - state.gamma
+    if np.any(np.asarray(c) <= 0.0):
+        raise ValueError(f"consumption rate must be positive, got {np.min(c)}")
+    pi_opt, c_opt, k, omg, sig_tot2 = _bracket(state)
     g = state.gamma
-    pi_opt = (state.h + state.sigma * state.Z + state.sigma0 * state.Z0) / (omg * sig_tot2)
     quad = -0.5 * omg * sig_tot2 * (pi - pi_opt) ** 2
-    k = state.alpha * np.exp(-state.Y - state.theta * g * state.nu_hat)
-    cons = -c + (k / g) * c**g - (omg / g) * k ** (1.0 / omg)
-    return float(quad + cons)
+    cons = -c + (k / g) * _pow(c, g) - (omg / g) * c_opt
+    return _float_if_scalar(quad + cons)
 
 
 def drift_check(seed: int, n_draws: int = 10_000, regime: str = "positive") -> tuple[float, float]:
@@ -272,32 +286,18 @@ def drift_check(seed: int, n_draws: int = 10_000, regime: str = "positive") -> t
     holds up to rounding, so the first stays below ~1e-12 and the second
     below ~1e-10.
     """
-    rng = np.random.default_rng(seed)
-    if regime == "positive":
-        gammas = rng.uniform(0.1, 0.7, n_draws)
-    elif regime == "negative":
-        gammas = rng.uniform(-2.0, -0.1, n_draws)
-    else:
+    gamma_range = {"positive": (0.1, 0.7), "negative": (-2.0, -0.1)}.get(regime)
+    if gamma_range is None:
         raise ValueError(f"regime must be 'positive' or 'negative', got {regime!r}")
-
-    worst = -np.inf
-    worst_opt = 0.0
-    for g in gammas:
-        state = MopState(
-            Y=rng.uniform(-1.0, 1.0),
-            nu_hat=rng.uniform(-1.0, 1.0),
-            h=rng.uniform(0.0, 0.4),
-            sigma=rng.uniform(0.1, 0.6),
-            sigma0=rng.uniform(0.0, 0.5),
-            gamma=float(g),
-            theta=rng.uniform(0.0, 1.0),
-            alpha=rng.uniform(0.5, 2.0),
-            Z=rng.uniform(-1.0, 1.0),
-            Z0=rng.uniform(-1.0, 1.0),
-        )
-        worst = max(worst, mop_drift(state, rng.uniform(-10, 10), rng.uniform(1e-3, 10)))
-        pi_opt, c_opt = mop_maximizer(state)
-        worst_opt = max(worst_opt, abs(mop_drift(state, pi_opt, c_opt)))
+    rng = np.random.default_rng(seed)
+    gammas = rng.uniform(*gamma_range, n_draws)
+    # then per draw one uniform(lo, hi) = lo + (hi - lo) * random() per MopState field but gamma, then pi, c
+    lo, hi = np.array([[-1.0, -1.0, 0.0, 0.1, 0.0, 0.0, 0.5, -1.0, -1.0, -10.0, 1e-3],
+                       [1.0, 1.0, 0.4, 0.6, 0.5, 1.0, 2.0, 1.0, 1.0, 10.0, 10.0]])
+    u = lo[:, None] + (hi - lo)[:, None] * rng.random((n_draws, lo.size)).T
+    state = MopState(*u[:5], gammas, *u[5:9])
+    worst = mop_drift(state, u[9], u[10]).max(initial=-np.inf)
+    worst_opt = np.abs(mop_drift(state, *mop_maximizer(state))).max(initial=0.0)
     return float(worst), float(worst_opt)
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,67 @@ class TestMainEntry:
         assert man["ok"] is False
         assert man["error"]["type"] == "ExponentRangeError"
         assert not (out / "equilibrium.csv").exists()
+
+
+class TestConfigErrorsExitTwo:
+    """Bad sizes and values of the wrong type are config errors: exit 2 and
+    one ``error:`` line, not a traceback."""
+
+    @pytest.mark.parametrize("command, flags, edit", [
+        pytest.param("deviate", ["--samples", "0"], None, id="samples-0"),
+        pytest.param("simulate", ["--steps", "0"], None, id="steps-0"),
+        pytest.param("solve", ["--steps", "-3"], None, id="steps-negative"),
+        pytest.param("solve", [], lambda raw: raw.update(horizon=-1), id="horizon-negative"),
+        pytest.param("solve", [], lambda raw: raw.update(horizon="long"), id="horizon-string"),
+        pytest.param("simulate", [], lambda raw: raw["mc"].update(n_agents=0), id="n_agents-0"),
+        pytest.param("simulate", [], lambda raw: raw["mc"].update(n_w0_paths=0), id="n_w0_paths-0"),
+        pytest.param("deviate", [], lambda raw: raw["mc"].update(n_samples="many"), id="n_samples-string"),
+        pytest.param("simulate", [], lambda raw: raw["mc"].update(stratified="false"), id="stratified-string"),
+        pytest.param("solve", [], lambda raw: raw["population"][0].update(gamma="x"), id="gamma-string"),
+        pytest.param("solve", [], lambda raw: raw["population"][0].update(weight=None), id="weight-null"),
+        pytest.param("verify", [], lambda raw: raw.update(tolerances={"drift_tol": "tight"}),
+                     id="tolerance-string"),
+    ])
+    def test_exit_two_with_error_line(self, tmp_path, capsys, command, flags, edit):
+        path = write_config(tmp_path)
+        if edit is not None:
+            raw = json.loads(path.read_text())
+            edit(raw)
+            path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _cells_round_trip(path, ints=("type", "path", "large", "flagged"), text=("name",)):
+    """Every float cell is its own shortest repr, every integer cell plain
+    digits; no cell holds a numpy scalar repr."""
+    rows = read_csv(path)
+    assert rows
+    for row in rows:
+        for key, cell in row.items():
+            assert "np." not in cell, (path.name, key, cell)
+            if key in ints:
+                assert cell == str(int(cell)), (path.name, key, cell)
+            elif key not in text:
+                assert repr(float(cell)) == cell, (path.name, key, cell)
+
+
+class TestArtifactFloats:
+    def test_every_artifact_round_trips(self, tmp_path):
+        path = write_config(tmp_path, n_steps=64, mc={"n_samples": 2000, "n_agents": 2000,
+                                                       "n_w0_paths": 2, "seed": 99})
+        cfg = load_config(path)
+        runs = {"verify": ({}, "residuals.csv"), "simulate": ({}, "flow.csv consistency.csv"),
+                "deviate": ({}, "deviations.csv"),
+                "sweep": ({"parameter": "gamma", "lo": -0.5, "hi": 0.5, "points": 11}, "sweep.csv")}
+        for command, (kwargs, names) in runs.items():
+            out = tmp_path / command
+            run(command, replace(cfg, out_dir=str(out)), **kwargs)
+            for name in names.split():
+                _cells_round_trip(out / name)
+        # the sweep crosses gamma = 0, where the closed form gives NaN
+        assert "nan" in (tmp_path / "sweep" / "sweep.csv").read_text()
 
 
 _NUMERICAL = {"ExponentRangeError", "SingularAggregateError", "IntegrationBlowUpError"}

@@ -218,6 +218,62 @@ class TestMopDrift:
             mop_drift(state, 1.0, 0.0)
 
 
+class TestMopDriftArrays:
+    """On arrays of states the bracket and its maximiser are the scalar ones,
+    element by element."""
+
+    @staticmethod
+    def random_states(seed, n=500):
+        rng = np.random.default_rng(seed)
+        gamma = np.where(rng.random(n) < 0.5, rng.uniform(0.1, 0.9, n), rng.uniform(-3.0, -0.1, n))
+        fields = dict(
+            Y=rng.uniform(-1.0, 1.0, n), nu_hat=rng.uniform(-1.0, 1.0, n), h=rng.uniform(-0.2, 0.5, n),
+            sigma=rng.uniform(0.05, 0.6, n), sigma0=rng.uniform(0.0, 0.5, n), gamma=gamma,
+            theta=rng.uniform(0.0, 1.0, n), alpha=rng.uniform(0.3, 3.0, n),
+            Z=rng.uniform(-1.0, 1.0, n), Z0=rng.uniform(-1.0, 1.0, n),
+        )
+        return fields, rng.uniform(-10.0, 10.0, n), rng.uniform(1e-3, 10.0, n)
+
+    def test_matches_scalar_calls(self):
+        fields, pi, c = self.random_states(11)
+        state = MopState(**fields)
+        drift = mop_drift(state, pi, c)
+        pi_opt, c_opt = mop_maximizer(state)
+        at_opt = mop_drift(state, pi_opt, c_opt)
+        assert all(isinstance(a, np.ndarray) and a.shape == pi.shape for a in (drift, pi_opt, c_opt, at_opt))
+        want = []
+        for i in range(pi.size):
+            one = MopState(**{k: float(v[i]) for k, v in fields.items()})
+            p1, c1 = mop_maximizer(one)
+            want.append((mop_drift(one, float(pi[i]), float(c[i])), p1, c1, mop_drift(one, p1, c1)))
+        for got, scalar in zip((drift, pi_opt, c_opt, at_opt), zip(*want)):
+            assert all(isinstance(x, float) for x in scalar)
+            np.testing.assert_allclose(got, scalar, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("regime, gamma_range", [("positive", (0.1, 0.7)), ("negative", (-2.0, -0.1))])
+    def test_drift_check_equals_per_draw_loop(self, regime, gamma_range):
+        # reference: one scalar state and control per draw, drawn field by field
+        rng = np.random.default_rng(7)
+        worst, worst_opt = -np.inf, 0.0
+        for g in rng.uniform(*gamma_range, 1000):
+            state = MopState(
+                Y=rng.uniform(-1.0, 1.0), nu_hat=rng.uniform(-1.0, 1.0), h=rng.uniform(0.0, 0.4),
+                sigma=rng.uniform(0.1, 0.6), sigma0=rng.uniform(0.0, 0.5), gamma=float(g),
+                theta=rng.uniform(0.0, 1.0), alpha=rng.uniform(0.5, 2.0),
+                Z=rng.uniform(-1.0, 1.0), Z0=rng.uniform(-1.0, 1.0),
+            )
+            worst = max(worst, mop_drift(state, rng.uniform(-10, 10), rng.uniform(1e-3, 10)))
+            worst_opt = max(worst_opt, abs(mop_drift(state, *mop_maximizer(state))))
+        assert drift_check(7, 1000, regime) == (worst, worst_opt)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3])
+    def test_rejects_nonpositive_consumption_inside_array(self, bad):
+        fields, pi, c = self.random_states(12, n=50)
+        c[17] = bad
+        with pytest.raises(ValueError, match="must be positive"):
+            mop_drift(MopState(**fields), pi, c)
+
+
 # frozen from the first build of this suite (grid 400, gamma 0.5, theta 0.5,
 # alpha = e^0.3, h = 0.1, sigma = 0.2, sigma0 = 0.1)
 REGRESSION_V_ALPHA_SHIFT = 4.192793317325947
