@@ -28,6 +28,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
@@ -116,18 +117,19 @@ def _section(raw: dict, key: str, defaults: dict) -> dict:
 
 
 def _number(kind: type, value, where: str):
-    """``kind(value)`` (``float`` or ``int``), a ConfigError naming ``where`` if it fails."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from e
+    """``value`` as a ``float`` or an ``int``, else a ConfigError naming
+    ``where``. A float is any JSON number; an int is a JSON integer or an
+    integral float such as ``1e3``. Booleans and strings are neither."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if kind is int and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return kind(value)
 
 
 def _curve(grid: TimeGrid, value, where: str) -> GridCurve:
     """Scalar config values broadcast to constant curves; arrays must have
     one value per knot."""
-    if isinstance(value, (int, float)):
-        return GridCurve.constant(grid, float(value))
     if isinstance(value, list):
         if len(value) != grid.n_steps + 1:
             raise ConfigError(
@@ -137,7 +139,7 @@ def _curve(grid: TimeGrid, value, where: str) -> GridCurve:
             return GridCurve(grid, np.asarray(value, dtype=float))
         except (StructuralError, ValueError) as e:
             raise ConfigError(f"{where}: {e}") from e
-    raise ConfigError(f"{where}: expected number or array, got {type(value).__name__}")
+    return GridCurve.constant(grid, _number(float, value, f"{where} (a number or an array)"))
 
 
 def load_config(
@@ -175,6 +177,11 @@ def load_config(
     if samples is not None:
         resolved["mc"]["n_samples"] = int(samples)
     bounds = Bounds(**{k: _number(float, v, f"bounds.{k}") for k, v in resolved["bounds"].items()})
+    for name, v in resolved["bounds"].items():
+        if not 0 < getattr(bounds, name) < math.inf:
+            raise ConfigError(f"bounds.{name} must be finite and positive, got {v}")
+    if bounds.c_max < bounds.c_min:
+        raise ConfigError(f"bounds.c_max must be at least bounds.c_min, got {bounds.c_max} < {bounds.c_min}")
     tol = resolved["tolerances"]
     tolerances = Tolerances(**{k: _number(float, v, f"tolerances.{k}") for k, v in tol.items()})
     for name, v in tol.items():
@@ -186,6 +193,8 @@ def load_config(
     for name in ("n_samples", "n_agents", "n_w0_paths"):
         if getattr(mc, name) < 1:
             raise ConfigError(f"mc.{name} must be at least 1, got {getattr(mc, name)}")
+    if mc.seed < 0:
+        raise ConfigError(f"mc.seed must be non-negative, got {mc.seed}")
     if not isinstance(mc.stratified, bool):
         raise ConfigError(f"mc.stratified must be true or false, got {mc.stratified!r}")
 
@@ -474,6 +483,8 @@ def _cmd_sweep(
 ) -> None:
     if points < 2:
         raise ConfigError("sweep needs at least 2 points")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"sweep ends must be finite, got lo={lo} hi={hi}")
     rows = sweep_sensitivity(cfg, parameter, np.linspace(lo, hi, points), mode, probe_type)
     vals, pis, cs, flagged = (np.array(c) for c in zip(*rows))
     manifest.write_csv(out / "sweep.csv", {"value": vals, "pi_star": pis, "c_star": cs, "flagged": flagged})

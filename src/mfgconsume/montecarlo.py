@@ -11,9 +11,9 @@ stay in L2 cache; every sample row is computed by the same operations in
 any block, so outputs depend on neither the block size nor the thread count.
 
 Simulation is Euler in log-wealth coordinates: volatilities at the left
-endpoint, matching the Ito integral, and the drift by the trapezoid rule, as
-``FlowModel`` integrates the mean. For constant coefficients the scheme is
-exact in distribution.
+endpoint, matching the Ito integral, and the drift by the trapezoid rule;
+``FlowModel`` is the population mean of the same step. For constant
+coefficients the scheme is exact in distribution.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from numpy.typing import NDArray
 
 from .closedform import EquilibriumSolution
 from .grid import GridCurve, TimeGrid
-from .odequad import cumtrapz_left
 from .population import AgentType, Population, sample_agents
 
 CHUNK = 4096
@@ -152,7 +151,7 @@ class Strategy:
     c_max: float = DEFAULT_C_MAX
 
     def __post_init__(self):
-        if self.c_min <= 0.0 or self.c_max < self.c_min or self.pi_cap <= 0.0:
+        if not (self.c_min > 0.0 and self.c_max >= self.c_min and self.pi_cap > 0.0):
             raise ValueError("need c_max >= c_min > 0 and pi_cap > 0")
         pi = np.asarray(self.pi, dtype=np.float64).copy()
         c = np.asarray(self.c, dtype=np.float64).copy()
@@ -209,16 +208,12 @@ class NoiseBundle:
 # ---------------------------------------------------------------------------
 
 
-def _log_drift(h, sigma, sigma0, pi, c):
-    """Drift of log-wealth at every knot: pi h - c - pi^2 (sigma^2 + sigma0^2) / 2."""
-    return pi * h - c - 0.5 * pi**2 * (sigma**2 + sigma0**2)
-
-
 def _euler_rows(h, sigma, sigma0, pi, c, dt: float) -> tuple[NDArray, NDArray, NDArray]:
     """Euler coefficients of the log-wealth step over the last axis, each one
-    knot shorter: the drift integrated by the trapezoid rule over the step,
-    and pi * sigma and pi * sigma0 at its left endpoint."""
-    g = _log_drift(h, sigma, sigma0, pi, c)
+    knot shorter: the log-wealth drift pi h - c - pi^2 (sigma^2 + sigma0^2) / 2
+    integrated by the trapezoid rule over the step, and pi * sigma and
+    pi * sigma0 at its left endpoint."""
+    g = pi * h - c - 0.5 * pi**2 * (sigma**2 + sigma0**2)
     return (g[..., :-1] + g[..., 1:]) * (dt / 2), (pi * sigma)[..., :-1], (pi * sigma0)[..., :-1]
 
 
@@ -283,25 +278,25 @@ class MeanFieldFlow:
 
 
 class FlowModel:
-    """Semi-analytic mean-field flow of a solved equilibrium.
+    """Mean-field flow of a solved equilibrium: the population mean of the
+    Euler log-wealth step. The step is linear in its rows, so along one
+    common-noise path the weighted mean of the types' Euler paths, with no
+    idiosyncratic noise, is the Euler path built from the mean rows:
 
-    The idiosyncratic noise integrates out, so per common-noise path
+        mu_hat(t_q) = E[log x0] + sum_{i<q} (E[drift_i] + E[pi* sigma0](t_i) dW0_i)
 
-        mu_hat(t) = E[log x0] + int_0^t E[pi* h - c* - pi*^2 (s^2+s0^2)/2] ds
-                    + sum_{t_i < t} E[pi* sigma0](t_i) dW0_i
-
-    is exact up to quadrature. The deterministic pieces are precomputed once
-    so the flow can be re-evaluated per sample path cheaply.
+    ``rows`` holds the per-type Euler rows (``_euler_rows``) of the
+    equilibrium controls, each (K, n); ``mu_det`` is the flow at zero
+    common noise.
     """
 
     def __init__(self, pop: Population, sol: EquilibriumSolution):
         self.grid = pop.grid
-        pi, c = sol.pi_star, sol.c_star
-        gbar = pop.mean(_log_drift(pop.h_mat, pop.sigma_mat, pop.sigma0_mat, pi, c))
+        self.rows = _euler_rows(pop.h_mat, pop.sigma_mat, pop.sigma0_mat, sol.pi_star, sol.c_star, self.grid.dt)
+        self.mean_drift, self.mean_vol_w0 = pop.mean(self.rows[0]), pop.mean(self.rows[2])
         self.e_logx = float(np.dot(pop.weights, np.log(pop.x0s)))
-        self.mu_det = self.e_logx + cumtrapz_left(gbar, self.grid.dt)
-        self.e_pis0 = pop.mean(pi * pop.sigma0_mat)
-        self.e_logc = pop.mean(np.log(c))
+        self.e_logc = pop.mean(np.log(sol.c_star))
+        self.mu_det = self.mu_values(np.zeros(self.grid.n_steps))
 
     def mu_values(self, w0_increments: NDArray) -> NDArray:
         """mu_hat at every knot for one common-noise path, shape (n+1,)."""
@@ -309,11 +304,8 @@ class FlowModel:
 
     def mu_batch(self, dw0: NDArray) -> NDArray:
         """mu_hat curves for a batch of common-noise paths, shape (m, n+1)."""
-        m = dw0.shape[0]
-        out = np.empty((m, self.grid.n_steps + 1))
-        out[:, 0] = 0.0
-        np.cumsum(self.e_pis0[:-1] * dw0, axis=1, out=out[:, 1:])
-        return out + self.mu_det
+        out = np.empty((dw0.shape[0], self.grid.n_steps + 1))
+        return _build_paths(out, self.e_logx, self.mean_drift, 0.0, self.mean_vol_w0, 0.0, dw0)
 
     def along(self, w0_increments: NDArray) -> MeanFieldFlow:
         w0 = np.asarray(w0_increments, dtype=float)
@@ -600,9 +592,7 @@ def consistency_test(
     rank = np.searchsorted(knots, probe_idx)  # sorted row of each caller probe
 
     flow = FlowModel(pop, sol)
-    drift, vol_w, vol_w0 = _euler_rows(
-        pop.h_mat, pop.sigma_mat, pop.sigma0_mat, sol.pi_star, sol.c_star, grid.dt
-    )
+    drift, vol_w, vol_w0 = flow.rows
     log_x0 = np.log(pop.x0s)
     var = np.zeros((pop.n_types, grid.n_steps + 1))
     np.cumsum(vol_w**2 * grid.dt, axis=1, out=var[:, 1:])

@@ -363,6 +363,25 @@ class TestConfigErrorsExitTwo:
         pytest.param("solve", [], lambda raw: raw["population"][0].update(weight=None), id="weight-null"),
         pytest.param("verify", [], lambda raw: raw.update(tolerances={"drift_tol": "tight"}),
                      id="tolerance-string"),
+        pytest.param("solve", [], lambda raw: raw.update(n_steps=2.5), id="n_steps-fractional"),
+        pytest.param("solve", [], lambda raw: raw.update(n_steps=True), id="n_steps-bool"),
+        pytest.param("solve", [], lambda raw: raw["mc"].update(seed=True), id="seed-bool"),
+        pytest.param("solve", [], lambda raw: raw["population"][0].update(theta=True), id="theta-bool"),
+        pytest.param("solve", [], lambda raw: raw["population"][0].update(h=True), id="h-bool"),
+        pytest.param("solve", [], lambda raw: raw["population"][0].update(gamma="0.5"), id="gamma-numeric-string"),
+        pytest.param("solve", [], lambda raw: raw.update(horizon="1.0"), id="horizon-numeric-string"),
+        pytest.param("solve", [], lambda raw: raw.update(population=[dict(raw["population"][0], weight="0.6"),
+                                                                     dict(raw["population"][0], weight=0.4)]),
+                     id="weight-numeric-string"),
+        pytest.param("verify", ["--seed", "-1"], None, id="seed-flag-negative"),
+        pytest.param("solve", [], lambda raw: raw["mc"].update(seed=-3), id="seed-negative"),
+        pytest.param("solve", [], lambda raw: (raw.update(bounds={"gamma_lb": -1}),
+                                               raw["population"][0].update(gamma=1e-5)), id="gamma_lb-negative"),
+        pytest.param("solve", [], lambda raw: raw.update(bounds={"pi_cap": math.nan}), id="pi_cap-nan"),
+        pytest.param("solve", [], lambda raw: raw.update(bounds={"c_min": 0.5, "c_max": 0.1}),
+                     id="c_max-below-c_min"),
+        pytest.param("sweep", ["--parameter", "h", "--lo", "nan", "--hi", "0.3"], None, id="sweep-lo-nan"),
+        pytest.param("sweep", ["--parameter", "gamma", "--lo", "0.1", "--hi", "inf"], None, id="sweep-hi-inf"),
     ])
     def test_exit_two_with_error_line(self, tmp_path, capsys, command, flags, edit):
         path = write_config(tmp_path)

@@ -52,6 +52,12 @@ class TestStrategy:
             Strategy(grid, np.full(n, 1.0), np.full(n, 20.0))
         Strategy(grid, np.full(n, 1.0), np.full(n, 0.5))
 
+    @pytest.mark.parametrize("bound", ["pi_cap", "c_min", "c_max"])
+    def test_nan_bound_rejected(self, grid, bound):
+        n = grid.n_steps + 1
+        with pytest.raises(ValueError):
+            Strategy(grid, np.full(n, 1.0), np.full(n, 0.5), **{bound: math.nan})
+
     def test_wrong_length(self, grid):
         with pytest.raises(ValueError):
             Strategy(grid, np.zeros(5), np.full(5, 0.5))
@@ -161,6 +167,23 @@ class TestFlow:
         flow = mean_field_flow(pop, sol, w0)
         want = pop.mean(np.log(sol.c_star)) + flow.mu_hat.values
         assert np.abs(flow.nu_hat.values - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("drift_rule", ["trapezoid", "left-endpoint"])
+    def test_flow_is_population_mean_of_euler_paths(self, monkeypatch, drift_rule):
+        # the flow is built from the one Euler step, so a change of its
+        # drift rule moves the flow and the per-type paths alike
+        if drift_rule == "left-endpoint":
+            def left_rows(h, sigma, sigma0, pi, c, dt):
+                g = pi * h - c - 0.5 * pi**2 * (sigma**2 + sigma0**2)
+                return g[..., :-1] * dt, (pi * sigma)[..., :-1], (pi * sigma0)[..., :-1]
+            monkeypatch.setattr(montecarlo, "_euler_rows", left_rows)
+        grid = TimeGrid(1.0, 64)
+        pop = make_random_population(5, grid, n_types=3)  # time-varying curves
+        sol = solve_equilibrium(pop)
+        w0 = philox_stream(6, 1).normal(0, np.sqrt(grid.dt), grid.n_steps)
+        rows = montecarlo._euler_rows(pop.h_mat, pop.sigma_mat, pop.sigma0_mat, sol.pi_star, sol.c_star, grid.dt)
+        paths = montecarlo._build_paths(np.empty((3, grid.n_steps + 1)), np.log(pop.x0s), *rows, 0.0, w0)
+        assert np.abs(FlowModel(pop, sol).mu_values(w0) - pop.mean(paths)).max() <= 1e-12
 
     def test_wrong_increment_count(self, grid):
         pop = single(grid)
