@@ -129,12 +129,14 @@ def _number(kind: type, value, where: str):
 
 def _curve(grid: TimeGrid, value, where: str) -> GridCurve:
     """Scalar config values broadcast to constant curves; arrays must have
-    one value per knot."""
+    one value per knot, each a number by the rule of ``_number``."""
     if isinstance(value, list):
         if len(value) != grid.n_steps + 1:
             raise ConfigError(
                 f"{where}: curve needs {grid.n_steps + 1} values (n_steps + 1), got {len(value)}"
             )
+        if not set(map(type, value)) <= {int, float}:  # JSON numbers; a bool's type is bool
+            raise ConfigError(f"{where}: every curve value must be a number, not a string, a boolean or null")
         try:
             return GridCurve(grid, np.asarray(value, dtype=float))
         except (StructuralError, ValueError) as e:
@@ -185,8 +187,8 @@ def load_config(
     tol = resolved["tolerances"]
     tolerances = Tolerances(**{k: _number(float, v, f"tolerances.{k}") for k, v in tol.items()})
     for name, v in tol.items():
-        if not getattr(tolerances, name) > 0:
-            raise ConfigError(f"tolerances.{name} must be positive, got {v}")
+        if not 0 < getattr(tolerances, name) < math.inf:
+            raise ConfigError(f"tolerances.{name} must be finite and positive, got {v}")
     m = resolved["mc"]
     mc = McSettings(*(_number(int, m[k], f"mc.{k}") for k in ("n_samples", "n_agents", "n_w0_paths", "seed")),
                     stratified=m["stratified"])

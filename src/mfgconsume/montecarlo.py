@@ -9,6 +9,9 @@ order, so results are bit-identical for any thread count; the
 Within a chunk, payoff paths are built and reduced in row blocks sized to
 stay in L2 cache; every sample row is computed by the same operations in
 any block, so outputs depend on neither the block size nor the thread count.
+Payoffs build no population index per block: the index and the consumption
+offset are folded into each strategy's Euler rows, and strategies with the
+same ``pi`` share one path build and one exponential.
 
 Simulation is Euler in log-wealth coordinates: volatilities at the left
 endpoint, matching the Ito integral, and the drift by the trapezoid rule;
@@ -339,6 +342,11 @@ class UtilityEstimate:
     n_samples: int
 
 
+# largest max|z - z_ref| for which a strategy reads a shared exp(z_ref): exp(+-30)
+# cannot overflow, and exp(z_ref) underflows only where exp(z) is subnormal itself
+_MAX_SHARED_SHIFT = 30.0
+
+
 def _payoffs(
     agent: AgentType,
     strategies: Sequence[Strategy],
@@ -349,34 +357,61 @@ def _payoffs(
     """Per-sample utility of each strategy on the same draws, shape
     (strategies, samples): terminal power utility of wealth relative to the
     population index, plus the time integral of the consumption utility
-    (trapezoid in time). Samples are taken in row blocks: each block builds
-    the population index once, then every strategy's paths in turn, in one
-    reused (block, n+1) buffer."""
-    g, th, al = agent.gamma, agent.theta, agent.alpha
+    (trapezoid in time).
+
+    The Euler step is linear in its rows and the index ``mu_hat`` is the
+    Euler path of the flow's mean rows, so the consumption exponent
+    z = g (log X - th mu_hat) + off, off = g (log c - th E[log c]), is itself
+    one Euler path of folded rows; no population index is built. The
+    payoff is then one weighted row sum of exp(z): trapezoid weights
+    (al/g) dt, plus exp(-off_T)/g on the last knot for the terminal term.
+    Strategies with the same ``pi`` share noise rows and differ from their
+    group's first member by a deterministic curve D; while max|D| stays
+    under ``_MAX_SHARED_SHIFT`` they read the first member's exp(z) with
+    weights scaled by exp(D), else they get their own build. Samples are
+    taken in row blocks, one path build and one exp per group in a reused
+    (block, n+1) buffer; every row is reduced on its own, so results depend
+    on neither the block size nor the thread count."""
+    g, th = agent.gamma, agent.theta
     dt = agent.grid.dt
     market = (agent.h.values, agent.sigma.values, agent.sigma0.values)
-    log_x0 = np.log(agent.x0)
-    coeffs = [_euler_rows(*market, s.pi, s.c, dt) for s in strategies]
-    log_c = [np.log(s.c) for s in strategies]
+    trapezoid = np.full(agent.grid.n_steps + 1, agent.alpha / g * dt)
+    trapezoid[[0, -1]] /= 2
+    groups: list[tuple[tuple, list[int], list[NDArray]]] = []  # (folded rows, members, weights)
+    for j, s in enumerate(strategies):
+        drift, vol_w, vol_w0 = _euler_rows(*market, s.pi, s.c, dt)
+        off = g * (np.log(s.c) - th * flow.e_logc)
+        rows = (
+            g * (np.log(agent.x0) - th * flow.e_logx) + off[0],
+            g * (drift - th * flow.mean_drift) + np.diff(off),
+            g * vol_w,
+            g * (vol_w0 - th * flow.mean_vol_w0),
+        )
+        for ref, members, weights in groups:
+            if np.array_equal(s.pi, strategies[members[0]].pi):
+                # same noise rows, so z - z_ref is a deterministic curve
+                shift = rows[0] - ref[0] + np.concatenate(([0.0], np.cumsum(rows[1] - ref[1])))
+                if np.abs(shift).max() < _MAX_SHARED_SHIFT:
+                    break
+        else:
+            ref, members, weights = rows, [], []
+            shift = np.zeros_like(off)
+            groups.append((ref, members, weights))
+        w = trapezoid * np.exp(shift)
+        w[-1] += np.exp(shift[-1] - off[-1]) / g
+        members.append(j)
+        weights.append(w)
+
     m, n = dw.shape
     blocks = _blocks(m, n)
-    buf = np.empty((blocks[0].stop, n + 1))
+    buf = np.empty((2, blocks[0].stop, n + 1))
     out = np.empty((len(strategies), m))
     for b in blocks:
-        mu = flow.mu_batch(dw0[b])
-        th_mu_T = th * mu[:, -1]
-        th_nu = th * (flow.e_logc + mu)
-        x = buf[: b.stop - b.start]
-        for j, (rows, lc) in enumerate(zip(coeffs, log_c)):
-            _build_paths(x, log_x0, *rows, dw[b], dw0[b])
-            terminal = (1.0 / g) * np.exp(g * (x[:, -1] - th_mu_T))
-            # integrand (al/g) exp(g (log c + x - th nu)), evaluated in place
-            x += lc
-            x -= th_nu
-            x *= g
-            np.exp(x, out=x)
-            x *= al / g
-            out[j, b] = terminal + np.trapezoid(x, dx=dt, axis=1)
+        ez, prod = buf[:, : b.stop - b.start]
+        for ref, members, weights in groups:
+            np.exp(_build_paths(ez, *ref, dw[b], dw0[b]), out=ez)
+            for j, w in zip(members, weights):
+                out[j, b] = np.multiply(ez, w, out=prod).sum(axis=1)
     return out
 
 

@@ -382,6 +382,11 @@ class TestConfigErrorsExitTwo:
                      id="c_max-below-c_min"),
         pytest.param("sweep", ["--parameter", "h", "--lo", "nan", "--hi", "0.3"], None, id="sweep-lo-nan"),
         pytest.param("sweep", ["--parameter", "gamma", "--lo", "0.1", "--hi", "inf"], None, id="sweep-hi-inf"),
+        pytest.param("solve", [], lambda raw: (raw.update(n_steps=8), raw["population"][0].update(h=["0.1"] * 9)),
+                     id="h-array-strings"),
+        pytest.param("solve", [], lambda raw: (raw.update(n_steps=8), raw["population"][0].update(sigma=[True] * 9)),
+                     id="sigma-array-bools"),
+        pytest.param("verify", [], lambda raw: raw.update(tolerances={"residual_tol": math.inf}), id="tolerance-inf"),
     ])
     def test_exit_two_with_error_line(self, tmp_path, capsys, command, flags, edit):
         path = write_config(tmp_path)

@@ -317,6 +317,50 @@ class TestDeviation:
         assert profitable.large_margin == math.inf and profitable.large_detected
 
 
+def _oracle_payoffs(agent, strategies, flow, dw, dw0):
+    """The payoff from its definition: log-wealth paths and the population
+    index built apart, the terminal term on its own and the consumption
+    integral by ``np.trapezoid``."""
+    g, th, al, dt = agent.gamma, agent.theta, agent.alpha, agent.grid.dt
+    mu = flow.mu_batch(dw0)
+    out = []
+    for s in strategies:
+        x = _logwealth_paths(agent.x0, agent.h.values, agent.sigma.values, agent.sigma0.values,
+                             s.pi, s.c, dw, dw0, dt)
+        terminal = np.exp(g * (x[:, -1] - th * mu[:, -1])) / g
+        integrand = al / g * np.exp(g * (np.log(s.c) + x - th * (flow.e_logc + mu)))
+        out.append(terminal + np.trapezoid(integrand, dx=dt, axis=1))
+    return np.array(out)
+
+
+class TestPayoffs:
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_matches_definition(self, monkeypatch, k, shared):
+        if not shared:  # every strategy takes its own path build
+            monkeypatch.setattr(montecarlo, "_MAX_SHARED_SHIFT", 0.0)
+        grid = TimeGrid(1.0, 64)
+        pop = make_random_population(3, grid, n_types=2)  # time-varying curves
+        sol = solve_equilibrium(pop)
+        flow = FlowModel(pop, sol)
+        eq = equilibrium_strategy(sol, k)
+        both = Strategy(grid, eq.pi * 0.8 + 0.1, eq.c * 1.3)  # changes pi and c
+        strategies = [eq, *(p.strategy for p in default_perturbations(sol, k)), both]
+        dw, dw0 = montecarlo._utility_draws(grid, 9, 0, (0, 300))
+        agent = pop.types[k]
+        builds = []
+        build = montecarlo._build_paths
+        monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
+        got = montecarlo._payoffs(agent, strategies, flow, dw, dw0)
+        # 14 distinct pi: the equilibrium, 12 pi perturbations and `both`
+        assert len(builds) == (14 if shared else len(strategies))
+        want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        for j, s in enumerate(strategies):
+            alone = montecarlo._payoffs(agent, [s], flow, dw, dw0)[0]
+            assert np.all(np.abs(got[j] - alone) <= 1e-12 * np.abs(alone))
+
+
 class TestConsistency:
     def test_single_type_within_three_units(self, grid):
         pop = single(grid)
