@@ -124,7 +124,10 @@ def _number(kind: type, value, where: str):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     if kind is int and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError as e:  # an integer literal beyond the float range
+        raise ConfigError(f"{where}: number out of range") from e
 
 
 def _curve(grid: TimeGrid, value, where: str) -> GridCurve:
@@ -139,7 +142,7 @@ def _curve(grid: TimeGrid, value, where: str) -> GridCurve:
             raise ConfigError(f"{where}: every curve value must be a number, not a string, a boolean or null")
         try:
             return GridCurve(grid, np.asarray(value, dtype=float))
-        except (StructuralError, ValueError) as e:
+        except (StructuralError, ValueError, OverflowError) as e:
             raise ConfigError(f"{where}: {e}") from e
     return GridCurve.constant(grid, _number(float, value, f"{where} (a number or an array)"))
 
@@ -160,6 +163,8 @@ def load_config(
         raise ConfigError(f"config file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: parse error at line {e.lineno} col {e.colno}: {e.msg}") from e
+    except ValueError as e:  # not UTF-8, or an integer literal past the interpreter's digit limit
+        raise ConfigError(f"{path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     unknown = set(raw) - _TOP_KEYS

@@ -8,10 +8,13 @@ order, so results are bit-identical for any thread count; the
 ``MFG_CONSUME_THREADS`` environment variable only sizes the worker pool.
 Within a chunk, payoff paths are built and reduced in row blocks sized to
 stay in L2 cache; every sample row is computed by the same operations in
-any block, so outputs depend on neither the block size nor the thread count.
-Payoffs build no population index per block: the index and the consumption
-offset are folded into each strategy's Euler rows, and strategies with the
-same ``pi`` share one path build and one exponential.
+any block, and reduced by one ``einsum`` pass along the row (no BLAS), so
+outputs depend on neither the block size nor the thread count. Payoffs
+build no population index per block: the index and the consumption offset
+are folded into each strategy's Euler rows. A block takes one path build
+for the reference strategy and at most one more, the unit-pi noise sum, for
+every strategy whose ``pi`` is a step of the reference's; strategies with
+the same ``pi`` share one exponential.
 
 Simulation is Euler in log-wealth coordinates: volatilities at the left
 endpoint, matching the Ito integral, and the drift by the trapezoid rule;
@@ -35,7 +38,7 @@ from .grid import GridCurve, TimeGrid
 from .population import AgentType, Population, sample_agents
 
 CHUNK = 4096
-_BLOCK_BYTES = 1 << 19  # bytes of one (rows, n_steps + 1) float64 row block
+_BLOCK_BYTES = 1 << 20  # scratch bytes of one row block, all its (rows, n_steps + 1) float64 buffers
 
 DEFAULT_PI_CAP = 10.0
 DEFAULT_C_MIN = 1e-3
@@ -96,9 +99,10 @@ def _chunks(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
 
 
-def _blocks(m: int, n_steps: int) -> list[slice]:
-    """Row slices of ``m`` samples, each block of paths about ``_BLOCK_BYTES``."""
-    size = max(1, _BLOCK_BYTES // (8 * (n_steps + 1)))
+def _blocks(m: int, n_steps: int, buffers: int) -> list[slice]:
+    """Row slices of ``m`` samples, each block's ``buffers`` path buffers
+    together about ``_BLOCK_BYTES``."""
+    size = max(1, _BLOCK_BYTES // (8 * buffers * (n_steps + 1)))
     return [slice(lo, min(lo + size, m)) for lo in range(0, m, size)]
 
 
@@ -347,6 +351,20 @@ class UtilityEstimate:
 _MAX_SHARED_SHIFT = 30.0
 
 
+def _step(pi: NDArray, ref: NDArray) -> tuple[int, int, float] | None:
+    """``(lo, hi, d)`` when ``pi - ref`` over the left-endpoint knots is ``d``
+    on the knots [lo, hi) and 0 elsewhere, up to the rounding of ``pi``
+    itself; None for any other difference."""
+    diff = pi[:-1] - ref[:-1]
+    nz = np.flatnonzero(diff)
+    if nz.size == 0:
+        return 0, 0, 0.0
+    lo, hi = int(nz[0]), int(nz[-1]) + 1
+    d = float(diff[lo:hi].mean())
+    tol = 4.0 * np.spacing(np.maximum(np.abs(pi[lo:hi]), np.abs(ref[lo:hi])))
+    return (lo, hi, d) if np.all(np.abs(diff[lo:hi] - d) <= tol) else None
+
+
 def _payoffs(
     agent: AgentType,
     strategies: Sequence[Strategy],
@@ -365,19 +383,35 @@ def _payoffs(
     one Euler path of folded rows; no population index is built. The
     payoff is then one weighted row sum of exp(z): trapezoid weights
     (al/g) dt, plus exp(-off_T)/g on the last knot for the terminal term.
-    Strategies with the same ``pi`` share noise rows and differ from their
-    group's first member by a deterministic curve D; while max|D| stays
+
+    Only the reference ``strategies[0]`` always takes a path build. A ``pi``
+    that is a step of the reference's (``_step``: d on the left-endpoint
+    knots [lo, hi), 0 elsewhere) changes the noise rows only there, by d
+    times the unit-pi rows g sigma and g sigma0. Its exponent is then
+    z_ref + D + d (N[clip(q, lo, hi)] - N[lo]), with D the deterministic
+    difference of the two strategies' rows and N the unit-pi noise sum,
+    built once per block when some step needs it. Any other ``pi`` takes
+    its own build. Strategies with the same ``pi`` differ from their
+    group's first member by a deterministic curve; while its max stays
     under ``_MAX_SHARED_SHIFT`` they read the first member's exp(z) with
-    weights scaled by exp(D), else they get their own build. Samples are
-    taken in row blocks, one path build and one exp per group in a reused
-    (block, n+1) buffer; every row is reduced on its own, so results depend
-    on neither the block size nor the thread count."""
+    weights scaled by its exp, else they start a group of their own.
+
+    Samples are taken in row blocks, one exp per group, in buffers reused
+    across blocks; each weighted row sum is one ``einsum`` pass over its row
+    (no BLAS), so results depend on neither the block size nor the thread
+    count."""
     g, th = agent.gamma, agent.theta
     dt = agent.grid.dt
     market = (agent.h.values, agent.sigma.values, agent.sigma0.values)
     trapezoid = np.full(agent.grid.n_steps + 1, agent.alpha / g * dt)
     trapezoid[[0, -1]] /= 2
-    groups: list[tuple[tuple, list[int], list[NDArray]]] = []  # (folded rows, members, weights)
+
+    def shift(rows: tuple, ref: tuple) -> NDArray:
+        """z - z_ref for two sets of folded rows, less their noise terms."""
+        return rows[0] - ref[0] + np.concatenate(([0.0], np.cumsum(rows[1] - ref[1])))
+
+    # (folded rows, the step (lo, hi, d, D) off the reference or None, members, weights)
+    groups: list[tuple[tuple, tuple | None, list[int], list[NDArray]]] = []
     for j, s in enumerate(strategies):
         drift, vol_w, vol_w0 = _euler_rows(*market, s.pi, s.c, dt)
         off = g * (np.log(s.c) - th * flow.e_logc)
@@ -387,31 +421,53 @@ def _payoffs(
             g * vol_w,
             g * (vol_w0 - th * flow.mean_vol_w0),
         )
-        for ref, members, weights in groups:
+        for head, _, members, weights in groups:
             if np.array_equal(s.pi, strategies[members[0]].pi):
-                # same noise rows, so z - z_ref is a deterministic curve
-                shift = rows[0] - ref[0] + np.concatenate(([0.0], np.cumsum(rows[1] - ref[1])))
-                if np.abs(shift).max() < _MAX_SHARED_SHIFT:
+                # same noise rows, so z - z_head is a deterministic curve
+                dz = shift(rows, head)
+                if np.abs(dz).max() < _MAX_SHARED_SHIFT:
                     break
         else:
-            ref, members, weights = rows, [], []
-            shift = np.zeros_like(off)
-            groups.append((ref, members, weights))
-        w = trapezoid * np.exp(shift)
-        w[-1] += np.exp(shift[-1] - off[-1]) / g
+            step = _step(s.pi, strategies[0].pi) if groups else None
+            if step is not None:
+                step = (*step, shift(rows, groups[0][0]))
+            members, weights = [], []
+            dz = np.zeros_like(off)
+            groups.append((rows, step, members, weights))
+        w = trapezoid * np.exp(dz)
+        w[-1] += np.exp(dz[-1] - off[-1]) / g
         members.append(j)
         weights.append(w)
 
+    steps = [step for _, step, _, _ in groups if step is not None]
+    noise_sum = any(lo < hi for lo, hi, _, _ in steps)  # some step reads N
+    n_buf = 1 + bool(steps) + 2 * noise_sum  # exp(z), z_ref, N and d (N - N[lo])
+    unit_rows = (0.0, 0.0, g * agent.sigma.values[:-1], g * agent.sigma0.values[:-1])
     m, n = dw.shape
-    blocks = _blocks(m, n)
-    buf = np.empty((2, blocks[0].stop, n + 1))
+    blocks = _blocks(m, n, n_buf)
+    buf = np.empty((n_buf, blocks[0].stop, n + 1))
     out = np.empty((len(strategies), m))
     for b in blocks:
-        ez, prod = buf[:, : b.stop - b.start]
-        for ref, members, weights in groups:
-            np.exp(_build_paths(ez, *ref, dw[b], dw0[b]), out=ez)
+        views = buf[:, : b.stop - b.start]
+        ez, z_ref = views[0], views[min(1, n_buf - 1)]  # z_ref is ez when no step reads it
+        noise, dnoise = views[2:] if noise_sum else (None, None)
+        if noise_sum:
+            _build_paths(noise, *unit_rows, dw[b], dw0[b])
+        for i, (rows, step, members, weights) in enumerate(groups):
+            if step is None:
+                np.exp(_build_paths(z_ref if i == 0 else ez, *rows, dw[b], dw0[b]), out=ez)
+            else:
+                lo, hi, d, shift_ref = step
+                np.add(z_ref, shift_ref, out=ez)
+                if lo < hi:
+                    r = slice(lo, hi + 1)
+                    np.subtract(noise[:, r], noise[:, lo : lo + 1], out=dnoise[:, r])
+                    dnoise[:, r] *= d
+                    ez[:, r] += dnoise[:, r]
+                    ez[:, hi + 1 :] += dnoise[:, hi : hi + 1]
+                np.exp(ez, out=ez)
             for j, w in zip(members, weights):
-                out[j, b] = np.multiply(ez, w, out=prod).sum(axis=1)
+                out[j, b] = np.einsum("ij,j->i", ez, w)
     return out
 
 

@@ -387,6 +387,9 @@ class TestConfigErrorsExitTwo:
         pytest.param("solve", [], lambda raw: (raw.update(n_steps=8), raw["population"][0].update(sigma=[True] * 9)),
                      id="sigma-array-bools"),
         pytest.param("verify", [], lambda raw: raw.update(tolerances={"residual_tol": math.inf}), id="tolerance-inf"),
+        pytest.param("solve", [], lambda raw: raw["population"][0].update(x0=10**400), id="x0-huge-integer"),
+        pytest.param("solve", [], lambda raw: (raw.update(n_steps=8), raw["population"][0].update(h=[0.1] * 8 + [10**400])),
+                     id="h-array-huge-integer"),
     ])
     def test_exit_two_with_error_line(self, tmp_path, capsys, command, flags, edit):
         path = write_config(tmp_path)
@@ -395,6 +398,14 @@ class TestConfigErrorsExitTwo:
             edit(raw)
             path.write_text(json.dumps(raw))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("x0", [b"1" + b"0" * 5000, b'"\xff"'], ids=["integer-past-digit-limit", "not-utf8"])
+    def test_unreadable_json_text(self, tmp_path, capsys, x0):
+        path = write_config(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"1.0", x0, 1))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

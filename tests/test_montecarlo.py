@@ -337,28 +337,57 @@ class TestPayoffs:
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("shared", [True, False])
     def test_matches_definition(self, monkeypatch, k, shared):
-        if not shared:  # every strategy takes its own path build
+        if not shared:  # no strategy reads another's exp(z)
             monkeypatch.setattr(montecarlo, "_MAX_SHARED_SHIFT", 0.0)
         grid = TimeGrid(1.0, 64)
         pop = make_random_population(3, grid, n_types=2)  # time-varying curves
         sol = solve_equilibrium(pop)
         flow = FlowModel(pop, sol)
         eq = equilibrium_strategy(sol, k)
+        library = [p.strategy for p in default_perturbations(sol, k)]
+        pi_steps = [s for s in library if not np.array_equal(s.pi, eq.pi)]
+        assert len(pi_steps) == 12
+        assert all(montecarlo._step(s.pi, eq.pi) is not None for s in pi_steps)
+        ramp = eq.pi + np.linspace(0.0, 0.5, grid.n_steps + 1)
+        bumps = eq.pi.copy()
+        bumps[5:10] += 0.5
+        bumps[30:40] += 0.5
+        moved = eq.pi.copy()
+        moved[10:30] += 0.5
+        moved[20] += 1e-9  # one knot off the step by far more than rounding
         both = Strategy(grid, eq.pi * 0.8 + 0.1, eq.c * 1.3)  # changes pi and c
-        strategies = [eq, *(p.strategy for p in default_perturbations(sol, k)), both]
+        non_steps = [*(Strategy(grid, pi, eq.c) for pi in (ramp, bumps, moved)), both]
+        assert all(montecarlo._step(s.pi, eq.pi) is None for s in non_steps)
+        strategies = [eq, *library, *non_steps]
         dw, dw0 = montecarlo._utility_draws(grid, 9, 0, (0, 300))
         agent = pop.types[k]
         builds = []
         build = montecarlo._build_paths
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
         got = montecarlo._payoffs(agent, strategies, flow, dw, dw0)
-        # 14 distinct pi: the equilibrium, 12 pi perturbations and `both`
-        assert len(builds) == (14 if shared else len(strategies))
+        # the reference, the unit-pi noise sum and the four strategies that
+        # are not steps of the reference; the 12 pi perturbations take none
+        assert len(builds) == 2 + len(non_steps)
         want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         for j, s in enumerate(strategies):
             alone = montecarlo._payoffs(agent, [s], flow, dw, dw0)[0]
             assert np.all(np.abs(got[j] - alone) <= 1e-12 * np.abs(alone))
+
+    # 100 samples in 7-row blocks; two chunks of one block each
+    @pytest.mark.parametrize("block_rows, n, blocks", [(7, 100, 15), (montecarlo.CHUNK, montecarlo.CHUNK + 10, 2)])
+    def test_one_strategy_takes_one_build_per_block(self, monkeypatch, block_rows, n, blocks):
+        # a single strategy has no step to serve, so no unit-pi noise sum is built
+        grid = TimeGrid(1.0, 64)
+        pop = make_random_population(3, grid, n_types=2)
+        sol = solve_equilibrium(pop)
+        flow = FlowModel(pop, sol)
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_rows * 8 * (grid.n_steps + 1))
+        builds = []
+        build = montecarlo._build_paths
+        monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
+        estimate_utility(pop.types[0], equilibrium_strategy(sol, 0), flow, n, seed=3)
+        assert len(builds) == blocks
 
 
 class TestConsistency:
