@@ -100,6 +100,13 @@ def _check_one_plus(x: NDArray | float, what: str) -> None:
         raise SingularAggregateError(f"1 + {what} vanishes; closed form undefined")
 
 
+def _check_finite(what: str, *values: NDArray) -> None:
+    """Raise ``ExponentRangeError`` when an entry of ``values`` overflowed to
+    inf or NaN, so that a non-finite value never reaches an output."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ExponentRangeError(f"{what} left the floating-point range")
+
+
 class _Coefficients(NamedTuple):
     pi: NDArray                # (K, m) investment rate pi*
     z0: NDArray                # (K, m) own common-noise exposure
@@ -153,6 +160,7 @@ def _coefficients(
     if np.max(np.abs(log_d)) > _EXP_CAP:
         raise ExponentRangeError("log D exceeds exponent range")
     d = np.exp(log_d)
+    _check_finite("closed-form coefficients", pi, z0, a, b, d)
 
     if not own:
         return _Coefficients(pi, z0, a, b, d, agg, None)

@@ -15,8 +15,9 @@ class SingularAggregateError(ArithmeticError):
 
 
 class ExponentRangeError(OverflowError):
-    """An exponent left the representable range (|x| > 700); raised instead of
-    silently producing inf."""
+    """A value left the floating-point range: an exponent past |x| > 700, or
+    a closed-form or driver coefficient that overflowed to inf or NaN;
+    raised instead of silently producing inf or NaN."""
 
 
 class IntegrationBlowUpError(ArithmeticError):

@@ -7,14 +7,18 @@ chunk). Samples are processed in fixed-size chunks and reduced in chunk
 order, so results are bit-identical for any thread count; the
 ``MFG_CONSUME_THREADS`` environment variable only sizes the worker pool.
 Within a chunk, payoff paths are built and reduced in row blocks sized to
-stay in L2 cache; every sample row is computed by the same operations in
-any block, and reduced by one ``einsum`` pass along the row (no BLAS), so
-outputs depend on neither the block size nor the thread count. Payoffs
-build no population index per block: the index and the consumption offset
-are folded into each strategy's Euler rows. A block takes one path build
-for the reference strategy and at most one more, the unit-pi noise sum, for
-every strategy whose ``pi`` is a step of the reference's; strategies with
-the same ``pi`` share one exponential.
+stay in L2 cache. Each block draws its own increments, in row order, from
+the chunk's two streams into buffers reused across blocks: a counter-based
+stream fills row after row, so these draws equal one chunk-sized draw per
+stream bit for bit, and no chunk-sized draw array is held. Every sample
+row is computed by the same operations in any block, and reduced by one
+``einsum`` pass along the row (no BLAS), so outputs depend on neither the
+block size nor the thread count. Payoffs build no population index per
+block: the index and the consumption offset are folded into each
+strategy's Euler rows. A block takes one path build for the reference
+strategy and at most one more, the unit-pi noise sum, for every strategy
+whose ``pi`` is a step of the reference's; strategies with the same ``pi``
+share one exponential.
 
 Simulation is Euler in log-wealth coordinates: volatilities at the left
 endpoint, matching the Ito integral, and the drift by the trapezoid rule;
@@ -38,7 +42,9 @@ from .grid import GridCurve, TimeGrid
 from .population import AgentType, Population, sample_agents
 
 CHUNK = 4096
-_BLOCK_BYTES = 1 << 20  # scratch bytes of one row block, all its (rows, n_steps + 1) float64 buffers
+# bytes of one row block's (rows, n_steps + 1) float64 path buffers; the block's
+# three (rows, n_steps) draw and product buffers come on top of these
+_BLOCK_BYTES = 1 << 20
 
 DEFAULT_PI_CAP = 10.0
 DEFAULT_C_MIN = 1e-3
@@ -224,13 +230,17 @@ def _euler_rows(h, sigma, sigma0, pi, c, dt: float) -> tuple[NDArray, NDArray, N
     return (g[..., :-1] + g[..., 1:]) * (dt / 2), (pi * sigma)[..., :-1], (pi * sigma0)[..., :-1]
 
 
-def _build_paths(out: NDArray, log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0) -> NDArray:
+def _build_paths(
+    out: NDArray, log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0, scratch: NDArray | None = None
+) -> NDArray:
     """Log-wealth paths from one set of Euler coefficient rows and
-    increments, written into ``out`` of shape (m, n+1)."""
+    increments, written into ``out`` of shape (m, n+1). ``scratch``, shaped
+    like ``out[:, 1:]``, takes the common-noise term; without it that term
+    is a new array."""
     inc = out[:, 1:]
     np.multiply(vol_w, dw, out=inc)
     inc += drift
-    inc += vol_w0 * dw0
+    inc += np.multiply(vol_w0, dw0, out=scratch)
     np.cumsum(inc, axis=1, out=inc)
     out[:, 0] = log_x0
     out[:, 1:] += out[:, :1]
@@ -369,11 +379,11 @@ def _payoffs(
     agent: AgentType,
     strategies: Sequence[Strategy],
     flow: FlowModel,
-    dw: NDArray,
-    dw0: NDArray,
+    m: int,
+    draws: Callable[[NDArray, NDArray], None],
 ) -> NDArray:
     """Per-sample utility of each strategy on the same draws, shape
-    (strategies, samples): terminal power utility of wealth relative to the
+    (strategies, m): terminal power utility of wealth relative to the
     population index, plus the time integral of the consumption utility
     (trapezoid in time).
 
@@ -397,9 +407,12 @@ def _payoffs(
     weights scaled by its exp, else they start a group of their own.
 
     Samples are taken in row blocks, one exp per group, in buffers reused
-    across blocks; each weighted row sum is one ``einsum`` pass over its row
-    (no BLAS), so results depend on neither the block size nor the thread
-    count."""
+    across blocks. Each block's increments are drawn by ``draws(dw, dw0)``
+    (``_utility_draws``) into two (rows, n_steps) buffers that this call
+    owns, in row order, so no chunk-sized draw array exists; a third buffer
+    of that shape takes each build's common-noise term. Each weighted row
+    sum is one ``einsum`` pass over its row (no BLAS), so results depend on
+    neither the block size nor the thread count."""
     g, th = agent.gamma, agent.theta
     dt = agent.grid.dt
     market = (agent.h.values, agent.sigma.values, agent.sigma0.values)
@@ -443,19 +456,22 @@ def _payoffs(
     noise_sum = any(lo < hi for lo, hi, _, _ in steps)  # some step reads N
     n_buf = 1 + bool(steps) + 2 * noise_sum  # exp(z), z_ref, N and d (N - N[lo])
     unit_rows = (0.0, 0.0, g * agent.sigma.values[:-1], g * agent.sigma0.values[:-1])
-    m, n = dw.shape
+    n = agent.grid.n_steps
     blocks = _blocks(m, n, n_buf)
     buf = np.empty((n_buf, blocks[0].stop, n + 1))
+    drawn = np.empty((3, blocks[0].stop, n))  # dW, dW0 and a build's common-noise term
     out = np.empty((len(strategies), m))
     for b in blocks:
         views = buf[:, : b.stop - b.start]
         ez, z_ref = views[0], views[min(1, n_buf - 1)]  # z_ref is ez when no step reads it
         noise, dnoise = views[2:] if noise_sum else (None, None)
+        dw, dw0, scratch = drawn[:, : b.stop - b.start]
+        draws(dw, dw0)
         if noise_sum:
-            _build_paths(noise, *unit_rows, dw[b], dw0[b])
+            _build_paths(noise, *unit_rows, dw, dw0, scratch)
         for i, (rows, step, members, weights) in enumerate(groups):
             if step is None:
-                np.exp(_build_paths(z_ref if i == 0 else ez, *rows, dw[b], dw0[b]), out=ez)
+                np.exp(_build_paths(z_ref if i == 0 else ez, *rows, dw, dw0, scratch), out=ez)
             else:
                 lo, hi, d, shift_ref = step
                 np.add(z_ref, shift_ref, out=ez)
@@ -471,14 +487,26 @@ def _payoffs(
     return out
 
 
-def _utility_draws(grid: TimeGrid, seed: int, i: int, chunk: tuple[int, int]) -> tuple[NDArray, NDArray]:
-    """Increments (dw, dw0) of utility chunk ``i``, each (chunk size, n_steps);
-    the utility estimate and the paired deviation test draw the same ones."""
-    shape = (chunk[1] - chunk[0], grid.n_steps)
+def _utility_draws(grid: TimeGrid, seed: int, i: int) -> Callable[[NDArray, NDArray], None]:
+    """The increments of utility chunk ``i`` as a filler: each call
+    ``fill(dw, dw0)`` writes the next rows of the chunk's W and W0 Philox
+    streams, N(0, dt) each, into two C-ordered (rows, n_steps) buffers.
+
+    ``standard_normal(out=buf)`` then ``buf *= sqrt(dt)`` is what
+    ``normal(0, sqrt(dt))`` computes for each value, and a counter-based
+    stream fills in row order, so consecutive fills of any row counts equal
+    one (chunk size, n_steps) ``normal`` call per stream, bit for bit. The
+    utility estimate and the paired deviation test draw the same ones."""
     sd = np.sqrt(grid.dt)
-    dw0 = philox_stream(seed, _sid(_DOM_UTIL_W0, i)).normal(0.0, sd, shape)
-    dw = philox_stream(seed, _sid(_DOM_UTIL_W, i)).normal(0.0, sd, shape)
-    return dw, dw0
+    w = philox_stream(seed, _sid(_DOM_UTIL_W, i))
+    w0 = philox_stream(seed, _sid(_DOM_UTIL_W0, i))
+
+    def fill(dw: NDArray, dw0: NDArray) -> None:
+        for stream, buf in ((w, dw), (w0, dw0)):
+            stream.standard_normal(out=buf)
+            buf *= sd
+
+    return fill
 
 
 def estimate_utility(
@@ -487,13 +515,14 @@ def estimate_utility(
     """Estimate the expected utility of ``strategy`` for one agent type.
 
     Both noises are integrated out: every sample draws a fresh common-noise
-    path and a fresh idiosyncratic path, and the population flow is
-    recomputed for each common-noise draw.
+    path and a fresh idiosyncratic path. The population index along each
+    common-noise path is folded into the payoff's Euler rows (``_payoffs``),
+    so no flow is built per sample.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     mean, stderr = _chunk_moments(
-        n, lambda i, chunk: _payoffs(agent, [strategy], flow, *_utility_draws(agent.grid, seed, i, chunk))
+        n, lambda i, chunk: _payoffs(agent, [strategy], flow, chunk[1] - chunk[0], _utility_draws(agent.grid, seed, i))
     )
     return UtilityEstimate(float(mean[0]), float(stderr[0]), n)
 
@@ -606,7 +635,7 @@ def deviation_test(
     strategies = [equilibrium_strategy(sol, k, pi_cap, c_min, c_max), *(p.strategy for p in perturbations)]
 
     def diffs(i: int, chunk: tuple[int, int]) -> NDArray:
-        pay = _payoffs(agent, strategies, flow, *_utility_draws(pop.grid, seed, i, chunk))
+        pay = _payoffs(agent, strategies, flow, chunk[1] - chunk[0], _utility_draws(pop.grid, seed, i))
         return pay[0] - pay[1:]
 
     delta, stderr = _chunk_moments(n, diffs)

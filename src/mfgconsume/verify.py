@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .closedform import _EXP_CAP, EquilibriumSolution, _check_one_plus, _params_at
+from .closedform import _EXP_CAP, EquilibriumSolution, _check_finite, _check_one_plus, _params_at
 from .errors import ExponentRangeError
 from .grid import GridCurve
 from .population import Population
@@ -64,7 +64,9 @@ def _kernel(pop: Population, h: NDArray, sig: NDArray, sig0: NDArray,
     g3 = tg * pop.mean(sig_tot2 / 2.0 * p**2)
     g4 = z**2 / 2.0 + (z0 - tg * s) ** 2 / 2.0
     g5 = g * (1.0 - g) * sig_tot2 / 2.0 * p**2
-    return _Kernel(g1 + g2 + g3 + g4 + g5, p, den, psi)
+    j = g1 + g2 + g3 + g4 + g5
+    _check_finite("driver kernel", j, p)
+    return _Kernel(j, p, den, psi)
 
 
 def _kernel_at(pop: Population, t: float, z: float = 0.0, z0: float = 0.0) -> _Kernel:

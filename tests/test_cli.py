@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -484,3 +487,43 @@ class TestFailureContract:
                 assert (code == 3) is ("error" in man)
                 if code == 3:
                     assert man["error"]["type"] in _NUMERICAL
+
+    # one type, 8 steps: each value overflows a coefficient of the closed
+    # form (h, sigma0) or of the verification driver (gamma) to inf or NaN
+    @pytest.mark.parametrize("command, key, value", [
+        ("solve", "h", 1e200),
+        ("solve", "sigma0", 1e200),
+        ("verify", "gamma", -1e300),
+    ])
+    def test_overflowing_coefficient_exits_three(self, tmp_path, command, key, value):
+        path = write_config(tmp_path, n_steps=8)
+        raw = json.loads(path.read_text())
+        raw["population"][0][key] = value
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["ok"] is False
+        assert man["error"]["type"] == "ExponentRangeError"
+        assert all(math.isfinite(c["value"]) for c in man["checks"])
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_deviate_at_2000_steps_peaks_under_60_mb(self, tmp_path, threads):
+        # a wrapper process runs the CLI as its only child, so RUSAGE_CHILDREN
+        # reads that child's peak RSS and nothing else this suite started
+        wrapper = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run(sys.argv[1:], check=False, capture_output=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, MFG_CONSUME_THREADS=threads, PYTHONPATH=str(src))
+        cmd = [sys.executable, "-m", "mfgconsume.cli", "deviate", "--config", str(REFERENCE),
+               "--samples", "4096", "--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, "-c", wrapper, *cmd], env=env, capture_output=True, text=True, check=True)
+        assert (tmp_path / "out" / "deviations.csv").exists()
+        peak_mb = int(done.stdout) * 1024 / 1e6  # ru_maxrss is in KiB on Linux
+        assert peak_mb <= 60.0

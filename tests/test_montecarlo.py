@@ -359,19 +359,22 @@ class TestPayoffs:
         non_steps = [*(Strategy(grid, pi, eq.c) for pi in (ramp, bumps, moved)), both]
         assert all(montecarlo._step(s.pi, eq.pi) is None for s in non_steps)
         strategies = [eq, *library, *non_steps]
-        dw, dw0 = montecarlo._utility_draws(grid, 9, 0, (0, 300))
+        m = 300
+        draws = lambda: montecarlo._utility_draws(grid, 9, 0)  # a fresh copy of one chunk's streams
+        dw, dw0 = np.empty((2, m, grid.n_steps))
+        draws()(dw, dw0)
         agent = pop.types[k]
         builds = []
         build = montecarlo._build_paths
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
-        got = montecarlo._payoffs(agent, strategies, flow, dw, dw0)
+        got = montecarlo._payoffs(agent, strategies, flow, m, draws())
         # the reference, the unit-pi noise sum and the four strategies that
         # are not steps of the reference; the 12 pi perturbations take none
         assert len(builds) == 2 + len(non_steps)
         want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         for j, s in enumerate(strategies):
-            alone = montecarlo._payoffs(agent, [s], flow, dw, dw0)[0]
+            alone = montecarlo._payoffs(agent, [s], flow, m, draws())[0]
             assert np.all(np.abs(got[j] - alone) <= 1e-12 * np.abs(alone))
 
     # 100 samples in 7-row blocks; two chunks of one block each
@@ -537,6 +540,23 @@ class TestConsistency:
 
 
 class TestRowBlocks:
+    # 1-row blocks, ragged 7-row blocks, one block per chunk, a short last chunk
+    @pytest.mark.parametrize("chunk, m, block_rows", [
+        (0, montecarlo.CHUNK, 1),
+        (1, montecarlo.CHUNK, 7),
+        (0, montecarlo.CHUNK, montecarlo.CHUNK),
+        (2, 100, 7),
+    ])
+    def test_block_fills_equal_one_draw_per_stream(self, chunk, m, block_rows):
+        grid, seed = TimeGrid(1.0, 64), 13
+        fill = montecarlo._utility_draws(grid, seed, chunk)
+        dw, dw0 = np.empty((2, m, grid.n_steps))
+        for lo in range(0, m, block_rows):
+            fill(dw[lo : lo + block_rows], dw0[lo : lo + block_rows])
+        for domain, got in ((montecarlo._DOM_UTIL_W, dw), (montecarlo._DOM_UTIL_W0, dw0)):
+            stream = philox_stream(seed, montecarlo._sid(domain, chunk))
+            assert np.array_equal(got, stream.normal(0.0, np.sqrt(grid.dt), (m, grid.n_steps)))
+
     @pytest.mark.parametrize("estimator", ["estimate_utility", "deviation_test", "consistency_test"])
     def test_block_size_does_not_change_output(self, monkeypatch, estimator):
         grid = TimeGrid(1.0, 64)
@@ -561,18 +581,26 @@ class TestRowBlocks:
 class TestMemory:
     # whole-chunk passes would hold several (CHUNK, n+1) float64 arrays:
     # 64 MB each at 2000 steps, 8 MB each at 256 steps
+    # chunk-sized draws would add two (CHUNK, n) arrays: 16 MB at 256 steps,
+    # 131 MB at 2000; per-block draws hold a few blocks' worth
     @pytest.mark.parametrize("estimator, n_steps, limit_mb", [
         ("consistency_test", 2000, 16),
         ("deviation_test", 256, 32),
+        ("deviation_test", 256, 8),
+        ("deviation_test", 2000, 8),
+        ("estimate_utility", 256, 8),
+        ("estimate_utility", 2000, 8),
     ])
     def test_peak_traced_memory(self, monkeypatch, estimator, n_steps, limit_mb):
         monkeypatch.setenv("MFG_CONSUME_THREADS", "1")
         pop = single(TimeGrid(1.0, n_steps))
         sol = solve_equilibrium(pop)
         perts = default_perturbations(sol, 0)
+        flow = FlowModel(pop, sol)
         run = {
             "consistency_test": lambda: consistency_test(pop, sol, 8192, 1, seed=2),
             "deviation_test": lambda: deviation_test(pop, 0, sol, perts, 8192, seed=2),
+            "estimate_utility": lambda: estimate_utility(pop.types[0], equilibrium_strategy(sol, 0), flow, 8192, 2),
         }[estimator]
         tracemalloc.start()
         try:
