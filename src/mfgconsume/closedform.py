@@ -117,6 +117,7 @@ class _Coefficients(NamedTuple):
     z0_common: NDArray | None  # (m,) aggregate exposure; None for held aggregates
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite turns inf and NaN into exit 3
 def _coefficients(
     pop: Population, h: NDArray, sig: NDArray, sig0: NDArray, agg: Aggregates | None = None
 ) -> _Coefficients:

@@ -16,9 +16,10 @@ row is computed by the same operations in any block, and reduced by one
 block size nor the thread count. Payoffs build no population index per
 block: the index and the consumption offset are folded into each
 strategy's Euler rows. A block takes one path build for the reference
-strategy and at most one more, the unit-pi noise sum, for every strategy
-whose ``pi`` is a step of the reference's; strategies with the same ``pi``
-share one exponential.
+strategy and at most one more, the unit-pi noise sum N, for every strategy
+whose ``pi`` is a step of the reference's. Such a step reads the
+reference's exponential times exp(|d| N), one exponential per distinct
+step size |d|; strategies with the same ``pi`` share one exponential.
 
 Simulation is Euler in log-wealth coordinates: volatilities at the left
 endpoint, matching the Ito integral, and the drift by the trapezoid rule;
@@ -359,6 +360,10 @@ class UtilityEstimate:
 # largest max|z - z_ref| for which a strategy reads a shared exp(z_ref): exp(+-30)
 # cannot overflow, and exp(z_ref) underflows only where exp(z) is subnormal itself
 _MAX_SHARED_SHIFT = 30.0
+# largest |D| and |d| max|N| for which a pi step reads exp(z_ref) exp(|d| N): each
+# factor and summed term then lies within exp(+-60) of the exp(z) it stands for,
+# so it overflows or underflows only where exp(z) nearly does itself
+_MAX_STEP_SHIFT = 30.0
 
 
 def _step(pi: NDArray, ref: NDArray) -> tuple[int, int, float] | None:
@@ -373,6 +378,11 @@ def _step(pi: NDArray, ref: NDArray) -> tuple[int, int, float] | None:
     d = float(diff[lo:hi].mean())
     tol = 4.0 * np.spacing(np.maximum(np.abs(pi[lo:hi]), np.abs(ref[lo:hi])))
     return (lo, hi, d) if np.all(np.abs(diff[lo:hi] - d) <= tol) else None
+
+
+def _row_sum(z: NDArray, w: NDArray) -> NDArray | float:
+    """One ``einsum`` pass of weighted row sums; 0 on an empty knot range."""
+    return np.einsum("ij,j->i", z, w) if w.size else 0.0
 
 
 def _payoffs(
@@ -394,36 +404,59 @@ def _payoffs(
     payoff is then one weighted row sum of exp(z): trapezoid weights
     (al/g) dt, plus exp(-off_T)/g on the last knot for the terminal term.
 
-    Only the reference ``strategies[0]`` always takes a path build. A ``pi``
-    that is a step of the reference's (``_step``: d on the left-endpoint
-    knots [lo, hi), 0 elsewhere) changes the noise rows only there, by d
-    times the unit-pi rows g sigma and g sigma0. Its exponent is then
-    z_ref + D + d (N[clip(q, lo, hi)] - N[lo]), with D the deterministic
-    difference of the two strategies' rows and N the unit-pi noise sum,
-    built once per block when some step needs it. Any other ``pi`` takes
-    its own build. Strategies with the same ``pi`` differ from their
-    group's first member by a deterministic curve; while its max stays
-    under ``_MAX_SHARED_SHIFT`` they read the first member's exp(z) with
+    Only the reference ``strategies[0]`` always takes a path build, and its
+    R = exp(z_ref) is kept. A ``pi`` that is a step of the reference's
+    (``_step``: d on the left-endpoint knots [lo, hi), 0 elsewhere) changes
+    the noise rows only there, by d times the unit-pi rows g sigma and
+    g sigma0. With D the deterministic difference of the two strategies'
+    rows, N the unit-pi noise sum and E = exp(d N), exp(z) is
+    R e^D E[clip(q, lo, hi)] / E[lo]: e^D goes into the weights, and per
+    block exp(|d| N) is taken once per distinct |d| and R exp(+-|d| N) once
+    per size and sign. A step's payoff is three row sums: R before lo, the
+    product on [lo, hi] over E[lo], and R after hi times E[hi] / E[lo].
+    A step with max|D|, or a sample row with |d| max|N|, at
+    ``_MAX_STEP_SHIFT`` or past it takes its own build instead; the check is
+    per row, so outputs do not depend on the block size. Any other ``pi``
+    takes its own build too. Strategies with the same ``pi`` differ from
+    their group's first member by a deterministic curve; while its max stays
+    under ``_MAX_SHARED_SHIFT`` they read the first member's exponential with
     weights scaled by its exp, else they start a group of their own.
 
-    Samples are taken in row blocks, one exp per group, in buffers reused
-    across blocks. Each block's increments are drawn by ``draws(dw, dw0)``
-    (``_utility_draws``) into two (rows, n_steps) buffers that this call
-    owns, in row order, so no chunk-sized draw array exists; a third buffer
-    of that shape takes each build's common-noise term. Each weighted row
-    sum is one ``einsum`` pass over its row (no BLAS), so results depend on
-    neither the block size nor the thread count."""
+    Samples are taken in row blocks, in buffers reused across blocks. Each
+    block's increments are drawn by ``draws(dw, dw0)`` (``_utility_draws``)
+    into two (rows, n_steps) buffers that this call owns, in row order, so
+    no chunk-sized draw array exists; a third buffer of that shape takes
+    each build's common-noise term. Each weighted row sum is one ``einsum``
+    pass over its row (no BLAS), so results depend on neither the block size
+    nor the thread count."""
     g, th = agent.gamma, agent.theta
     dt = agent.grid.dt
     market = (agent.h.values, agent.sigma.values, agent.sigma0.values)
     trapezoid = np.full(agent.grid.n_steps + 1, agent.alpha / g * dt)
     trapezoid[[0, -1]] /= 2
+    # step sizes equal up to the rounding of pi share one exp(|d| N)
+    tol = 4.0 * np.spacing(max(float(np.abs(s.pi).max()) for s in strategies))
+    sizes: list[float] = []
 
     def shift(rows: tuple, ref: tuple) -> NDArray:
         """z - z_ref for two sets of folded rows, less their noise terms."""
         return rows[0] - ref[0] + np.concatenate(([0.0], np.cumsum(rows[1] - ref[1])))
 
-    # (folded rows, the step (lo, hi, d, D) off the reference or None, members, weights)
+    def step_of(s: Strategy, rows: tuple) -> tuple[int, int, int, bool] | None:
+        """``(lo, hi, index of |d| in sizes, d > 0)`` of a step that reads R;
+        index -1 where ``pi`` equals the reference's on the left-endpoint knots."""
+        step = _step(s.pi, strategies[0].pi) if groups else None
+        if step is None or np.abs(shift(rows, groups[0][0])).max() >= _MAX_STEP_SHIFT:
+            return None
+        lo, hi, d = step
+        if lo == hi:
+            return 0, 0, -1, True
+        k = next((k for k, size in enumerate(sizes) if abs(abs(d) - size) <= tol), len(sizes))
+        if k == len(sizes):
+            sizes.append(abs(d))
+        return lo, hi, k, d > 0
+
+    # (folded rows, the step off the reference or None, members, weights)
     groups: list[tuple[tuple, tuple | None, list[int], list[NDArray]]] = []
     for j, s in enumerate(strategies):
         drift, vol_w, vol_w0 = _euler_rows(*market, s.pi, s.c, dt)
@@ -434,27 +467,23 @@ def _payoffs(
             g * vol_w,
             g * (vol_w0 - th * flow.mean_vol_w0),
         )
-        for head, _, members, weights in groups:
+        for head, step, members, weights in groups:
             if np.array_equal(s.pi, strategies[members[0]].pi):
                 # same noise rows, so z - z_head is a deterministic curve
-                dz = shift(rows, head)
-                if np.abs(dz).max() < _MAX_SHARED_SHIFT:
+                if np.abs(shift(rows, head)).max() < _MAX_SHARED_SHIFT:
                     break
         else:
-            step = _step(s.pi, strategies[0].pi) if groups else None
-            if step is not None:
-                step = (*step, shift(rows, groups[0][0]))
-            members, weights = [], []
-            dz = np.zeros_like(off)
-            groups.append((rows, step, members, weights))
+            head, step, members, weights = rows, step_of(s, rows), [], []
+            groups.append((head, step, members, weights))
+        dz = shift(rows, head if step is None else groups[0][0])  # a step reads R: e^D goes into its weights
         w = trapezoid * np.exp(dz)
         w[-1] += np.exp(dz[-1] - off[-1]) / g
         members.append(j)
         weights.append(w)
 
-    steps = [step for _, step, _, _ in groups if step is not None]
-    noise_sum = any(lo < hi for lo, hi, _, _ in steps)  # some step reads N
-    n_buf = 1 + bool(steps) + 2 * noise_sum  # exp(z), z_ref, N and d (N - N[lo])
+    own = [group for group in groups if group[1] is None]
+    steps = sorted((group for group in groups if group[1] is not None), key=lambda group: group[1][2:])
+    n_buf = 1 + bool(steps) + 2 * bool(sizes)  # R, an own build's exp(z) or R E^(+-1), N, E
     unit_rows = (0.0, 0.0, g * agent.sigma.values[:-1], g * agent.sigma0.values[:-1])
     n = agent.grid.n_steps
     blocks = _blocks(m, n, n_buf)
@@ -463,27 +492,46 @@ def _payoffs(
     out = np.empty((len(strategies), m))
     for b in blocks:
         views = buf[:, : b.stop - b.start]
-        ez, z_ref = views[0], views[min(1, n_buf - 1)]  # z_ref is ez when no step reads it
-        noise, dnoise = views[2:] if noise_sum else (None, None)
+        r, ez = views[0], views[-1]  # ez is r when no step reads r
         dw, dw0, scratch = drawn[:, : b.stop - b.start]
         draws(dw, dw0)
-        if noise_sum:
-            _build_paths(noise, *unit_rows, dw, dw0, scratch)
-        for i, (rows, step, members, weights) in enumerate(groups):
-            if step is None:
-                np.exp(_build_paths(z_ref if i == 0 else ez, *rows, dw, dw0, scratch), out=ez)
-            else:
-                lo, hi, d, shift_ref = step
-                np.add(z_ref, shift_ref, out=ez)
-                if lo < hi:
-                    r = slice(lo, hi + 1)
-                    np.subtract(noise[:, r], noise[:, lo : lo + 1], out=dnoise[:, r])
-                    dnoise[:, r] *= d
-                    ez[:, r] += dnoise[:, r]
-                    ez[:, hi + 1 :] += dnoise[:, hi : hi + 1]
-                np.exp(ez, out=ez)
+        for i, (rows, _, members, weights) in enumerate(own):
+            z = r if i == 0 else ez
+            np.exp(_build_paths(z, *rows, dw, dw0, scratch), out=z)
             for j, w in zip(members, weights):
-                out[j, b] = np.einsum("ij,j->i", ez, w)
+                out[j, b] = np.einsum("ij,j->i", z, w)
+        if sizes:
+            noise, e = views[1:3]
+            _build_paths(noise, *unit_rows, dw, dw0, scratch)
+            span = np.maximum(noise.max(axis=1), -noise.min(axis=1))
+            far = [np.flatnonzero(size * span >= _MAX_STEP_SHIFT) for size in sizes]
+        held = None  # the (size index, sign) whose R E^(+-1) ez holds
+        for _, (lo, hi, k, up), members, weights in steps:
+            if k < 0:
+                for j, w in zip(members, weights):
+                    out[j, b] = np.einsum("ij,j->i", r, w)
+                continue
+            if held is None or held[0] != k:
+                np.multiply(noise, sizes[k], out=e)
+                e[far[k]] = 0.0  # rows past the bound take their own build below
+                np.exp(e, out=e)
+            if held != (k, up):
+                (np.multiply if up else np.divide)(r, e, out=ez)
+                held = (k, up)
+            e_lo, e_hi = e[:, lo], e[:, hi]
+            for j, w in zip(members, weights):
+                mid = _row_sum(ez[:, lo : hi + 1], w[lo : hi + 1])
+                after = _row_sum(r[:, hi + 1 :], w[hi + 1 :])
+                mid = (mid + after * e_hi) / e_lo if up else (mid + after / e_hi) * e_lo
+                out[j, b] = _row_sum(r[:, :lo], w[:lo]) + mid
+        for rows, (_, _, k, _), members, weights in steps:
+            if k >= 0 and far[k].size:
+                # the reference's deterministic rows: the weights carry e^D
+                rel, rows = far[k], (*own[0][0][:2], *rows[2:])
+                z = ez[: rel.size]
+                np.exp(_build_paths(z, *rows, dw[rel], dw0[rel], scratch[: rel.size]), out=z)
+                for j, w in zip(members, weights):
+                    out[j, b.start + rel] = np.einsum("ij,j->i", z, w)
     return out
 
 

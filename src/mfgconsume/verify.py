@@ -45,6 +45,7 @@ class _Kernel(NamedTuple):
     psi: NDArray    # (m,) E[theta*gamma*sigma0^2/den]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite turns inf and NaN into exit 3
 def _kernel(pop: Population, h: NDArray, sig: NDArray, sig0: NDArray,
             z: float = 0.0, z0: float = 0.0) -> _Kernel:
     """The quadratic driver part J (see :func:`eval_J`) and the induced

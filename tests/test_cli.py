@@ -489,7 +489,8 @@ class TestFailureContract:
                     assert man["error"]["type"] in _NUMERICAL
 
     # one type, 8 steps: each value overflows a coefficient of the closed
-    # form (h, sigma0) or of the verification driver (gamma) to inf or NaN
+    # form (h, sigma0) or of the verification driver (gamma) to inf or NaN;
+    # the CLI runs in its own process, so stderr is what a user sees
     @pytest.mark.parametrize("command, key, value", [
         ("solve", "h", 1e200),
         ("solve", "sigma0", 1e200),
@@ -501,8 +502,12 @@ class TestFailureContract:
         raw["population"][0][key] = value
         path.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        cmd = [sys.executable, "-m", "mfgconsume.cli", command, "--config", str(path), "--out", str(out)]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        assert done.returncode == 3
+        [line] = done.stderr.splitlines()  # no numpy warning before the error line
+        assert line.startswith("error: ExponentRangeError: ")
         man = json.loads((out / "manifest.json").read_text())
         assert man["ok"] is False
         assert man["error"]["type"] == "ExponentRangeError"

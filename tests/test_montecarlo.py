@@ -335,10 +335,12 @@ def _oracle_payoffs(agent, strategies, flow, dw, dw0):
 
 class TestPayoffs:
     @pytest.mark.parametrize("k", [0, 1])
-    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("shared", [True, False, "steps-built"])
     def test_matches_definition(self, monkeypatch, k, shared):
         if not shared:  # no strategy reads another's exp(z)
             monkeypatch.setattr(montecarlo, "_MAX_SHARED_SHIFT", 0.0)
+        if shared == "steps-built":  # no pi step reads exp(z_ref)
+            monkeypatch.setattr(montecarlo, "_MAX_STEP_SHIFT", 0.0)
         grid = TimeGrid(1.0, 64)
         pop = make_random_population(3, grid, n_types=2)  # time-varying curves
         sol = solve_equilibrium(pop)
@@ -369,13 +371,47 @@ class TestPayoffs:
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
         got = montecarlo._payoffs(agent, strategies, flow, m, draws())
         # the reference, the unit-pi noise sum and the four strategies that
-        # are not steps of the reference; the 12 pi perturbations take none
-        assert len(builds) == 2 + len(non_steps)
+        # are not steps of the reference; the 12 pi perturbations take none,
+        # or one each and no noise sum is built when no step may read it
+        assert len(builds) == (1 + len(pi_steps) if shared == "steps-built" else 2) + len(non_steps)
         want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         for j, s in enumerate(strategies):
             alone = montecarlo._payoffs(agent, [s], flow, m, draws())[0]
             assert np.all(np.abs(got[j] - alone) <= 1e-12 * np.abs(alone))
+
+    def test_rows_past_the_step_bound_take_their_own_build(self, monkeypatch):
+        # gamma = -5, sigma = 100: |d| max|N| reaches the bound in some sample
+        # rows and not in others at d = 0.05, and passes exp's range in some at
+        # d = 1; the steps span a few knots, so their |D| stays under the bound
+        grid = TimeGrid(1.0, 1024)
+        pop = single(grid, gamma=-5.0, sigma=100.0, sigma0=5.0)
+        sol = solve_equilibrium(pop)
+        flow = FlowModel(pop, sol)
+        eq = equilibrium_strategy(sol, 0)
+        strategies = [eq]
+        for d, lo, hi in ((0.05, 100, 110), (-0.05, 0, 3), (0.05, 1020, 1024), (1.0, 500, 501), (-1.0, 700, 701)):
+            pi = eq.pi.copy()
+            pi[lo:hi] += d
+            strategies.append(Strategy(grid, pi, eq.c))
+            assert montecarlo._step(pi, eq.pi)[:2] == (lo, hi)
+        agent, m = pop.types[0], 200
+        draws = lambda: montecarlo._utility_draws(grid, 4, 0)
+        dw, dw0 = np.empty((2, m, grid.n_steps))
+        draws()(dw, dw0)
+        noise = np.cumsum(agent.gamma * (agent.sigma.values[:-1] * dw + agent.sigma0.values[:-1] * dw0), axis=1)
+        span = np.abs(noise).max(axis=1)
+        assert 0 < np.sum(0.05 * span >= montecarlo._MAX_STEP_SHIFT) < m
+        assert np.any(span > np.log(np.finfo(float).max))
+        want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
+        row_bytes = 8 * (grid.n_steps + 1)
+        got = []
+        # one row per block, ragged 7-row blocks, one block for all rows
+        for block_bytes in (1, 7 * 4 * row_bytes, m * 4 * row_bytes):
+            monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_bytes)
+            got.append(montecarlo._payoffs(agent, strategies, flow, m, draws()))
+            assert np.all(np.abs(got[-1] - want) <= 1e-12 * np.abs(want))
+        assert all(np.array_equal(got[0], other) for other in got[1:])
 
     # 100 samples in 7-row blocks; two chunks of one block each
     @pytest.mark.parametrize("block_rows, n, blocks", [(7, 100, 15), (montecarlo.CHUNK, montecarlo.CHUNK + 10, 2)])
@@ -564,10 +600,14 @@ class TestRowBlocks:
         sol = solve_equilibrium(pop)
         flow = FlowModel(pop, sol)
         eq = equilibrium_strategy(sol, 0)
+        # with pi+-1.0@third1, steps with a prefix and a suffix, of both signs
+        library = default_perturbations(sol, 0)
+        perts = [*library[::5], library[12], library[13]]
+        assert [p.name for p in perts[-2:]] == ["pi+1.0@third1", "pi-1.0@third1"]
         n = 2 * montecarlo.CHUNK + 100  # three chunks, the last one short
         run = {
             "estimate_utility": lambda: estimate_utility(pop.types[0], eq, flow, n, seed=5),
-            "deviation_test": lambda: deviation_test(pop, 0, sol, default_perturbations(sol, 0)[::5], n, seed=5),
+            "deviation_test": lambda: deviation_test(pop, 0, sol, perts, n, seed=5),
             "consistency_test": lambda: consistency_test(pop, sol, n, 1, seed=5, probe_times=[0.0, 0.5, 1.0]),
         }[estimator]
         want = run()
