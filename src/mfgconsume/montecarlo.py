@@ -16,10 +16,12 @@ row is computed by the same operations in any block, and reduced by one
 block size nor the thread count. Payoffs build no population index per
 block: the index and the consumption offset are folded into each
 strategy's Euler rows. A block takes one path build for the reference
-strategy and at most one more, the unit-pi noise sum N, for every strategy
-whose ``pi`` is a step of the reference's. Such a step reads the
-reference's exponential times exp(|d| N), one exponential per distinct
-step size |d|; strategies with the same ``pi`` share one exponential.
+strategy and keeps its exponential R. Every other strategy either reads R
+or takes its own build. It reads R when its ``pi`` is a step of the
+reference's, d on one knot range, with a deterministic shift under
+``_MAX_SHIFT``; a change of ``c`` alone is the empty step. A step of d != 0
+reads R times exp(|d| N), with N the unit-pi noise sum: one more build per
+block, and one exponential per distinct step size |d|.
 
 Simulation is Euler in log-wealth coordinates: volatilities at the left
 endpoint, matching the Ito integral, and the drift by the trapezoid rule;
@@ -357,13 +359,10 @@ class UtilityEstimate:
     n_samples: int
 
 
-# largest max|z - z_ref| for which a strategy reads a shared exp(z_ref): exp(+-30)
-# cannot overflow, and exp(z_ref) underflows only where exp(z) is subnormal itself
-_MAX_SHARED_SHIFT = 30.0
-# largest |D| and |d| max|N| for which a pi step reads exp(z_ref) exp(|d| N): each
+# largest |D| and |d| max|N| for which a strategy reads exp(z_ref) exp(|d| N): each
 # factor and summed term then lies within exp(+-60) of the exp(z) it stands for,
 # so it overflows or underflows only where exp(z) nearly does itself
-_MAX_STEP_SHIFT = 30.0
+_MAX_SHIFT = 30.0
 
 
 def _step(pi: NDArray, ref: NDArray) -> tuple[int, int, float] | None:
@@ -404,23 +403,23 @@ def _payoffs(
     payoff is then one weighted row sum of exp(z): trapezoid weights
     (al/g) dt, plus exp(-off_T)/g on the last knot for the terminal term.
 
-    Only the reference ``strategies[0]`` always takes a path build, and its
-    R = exp(z_ref) is kept. A ``pi`` that is a step of the reference's
-    (``_step``: d on the left-endpoint knots [lo, hi), 0 elsewhere) changes
-    the noise rows only there, by d times the unit-pi rows g sigma and
-    g sigma0. With D the deterministic difference of the two strategies'
-    rows, N the unit-pi noise sum and E = exp(d N), exp(z) is
+    Each block takes one path build of the reference ``strategies[0]`` and
+    keeps R = exp(z_ref). Every strategy either reads R or takes its own
+    build. It reads R when its ``pi`` is a step of the reference's
+    (``_step``: d on the left-endpoint knots [lo, hi), 0 elsewhere; d = 0
+    for a change of ``c`` alone) and max|D| < ``_MAX_SHIFT``, with D the
+    deterministic difference of the two strategies' rows; the reference is
+    the empty step of itself. A step changes the noise rows only on
+    [lo, hi), by d times the unit-pi rows g sigma and g sigma0. With N the
+    unit-pi noise sum and E = exp(d N), exp(z) is
     R e^D E[clip(q, lo, hi)] / E[lo]: e^D goes into the weights, and per
     block exp(|d| N) is taken once per distinct |d| and R exp(+-|d| N) once
     per size and sign. A step's payoff is three row sums: R before lo, the
-    product on [lo, hi] over E[lo], and R after hi times E[hi] / E[lo].
-    A step with max|D|, or a sample row with |d| max|N|, at
-    ``_MAX_STEP_SHIFT`` or past it takes its own build instead; the check is
-    per row, so outputs do not depend on the block size. Any other ``pi``
-    takes its own build too. Strategies with the same ``pi`` differ from
-    their group's first member by a deterministic curve; while its max stays
-    under ``_MAX_SHARED_SHIFT`` they read the first member's exponential with
-    weights scaled by its exp, else they start a group of their own.
+    product on [lo, hi] over E[lo], and R after hi times E[hi] / E[lo]; an
+    empty step is one row sum of R. A sample row with |d| max|N| at
+    ``_MAX_SHIFT`` or past it takes its own build of that step; the check
+    is per row, so outputs do not depend on the block size. Builds run after
+    every read of R, into its buffer.
 
     Samples are taken in row blocks, in buffers reused across blocks. Each
     block's increments are drawn by ``draws(dw, dw0)`` (``_utility_draws``)
@@ -429,6 +428,8 @@ def _payoffs(
     each build's common-noise term. Each weighted row sum is one ``einsum``
     pass over its row (no BLAS), so results depend on neither the block size
     nor the thread count."""
+    if any(s.grid != agent.grid for s in strategies):
+        raise ValueError("every strategy must be on the agent's time grid")
     g, th = agent.gamma, agent.theta
     dt = agent.grid.dt
     market = (agent.h.values, agent.sigma.values, agent.sigma0.values)
@@ -437,27 +438,8 @@ def _payoffs(
     # step sizes equal up to the rounding of pi share one exp(|d| N)
     tol = 4.0 * np.spacing(max(float(np.abs(s.pi).max()) for s in strategies))
     sizes: list[float] = []
-
-    def shift(rows: tuple, ref: tuple) -> NDArray:
-        """z - z_ref for two sets of folded rows, less their noise terms."""
-        return rows[0] - ref[0] + np.concatenate(([0.0], np.cumsum(rows[1] - ref[1])))
-
-    def step_of(s: Strategy, rows: tuple) -> tuple[int, int, int, bool] | None:
-        """``(lo, hi, index of |d| in sizes, d > 0)`` of a step that reads R;
-        index -1 where ``pi`` equals the reference's on the left-endpoint knots."""
-        step = _step(s.pi, strategies[0].pi) if groups else None
-        if step is None or np.abs(shift(rows, groups[0][0])).max() >= _MAX_STEP_SHIFT:
-            return None
-        lo, hi, d = step
-        if lo == hi:
-            return 0, 0, -1, True
-        k = next((k for k, size in enumerate(sizes) if abs(abs(d) - size) <= tol), len(sizes))
-        if k == len(sizes):
-            sizes.append(abs(d))
-        return lo, hi, k, d > 0
-
-    # (folded rows, the step off the reference or None, members, weights)
-    groups: list[tuple[tuple, tuple | None, list[int], list[NDArray]]] = []
+    steps: list[tuple] = []  # (index of |d| in sizes or -1 for an empty step, d > 0, lo, hi, j, rows, weights)
+    own: list[tuple] = []  # (j, rows, weights)
     for j, s in enumerate(strategies):
         drift, vol_w, vol_w0 = _euler_rows(*market, s.pi, s.c, dt)
         off = g * (np.log(s.c) - th * flow.e_logc)
@@ -467,23 +449,26 @@ def _payoffs(
             g * vol_w,
             g * (vol_w0 - th * flow.mean_vol_w0),
         )
-        for head, step, members, weights in groups:
-            if np.array_equal(s.pi, strategies[members[0]].pi):
-                # same noise rows, so z - z_head is a deterministic curve
-                if np.abs(shift(rows, head)).max() < _MAX_SHARED_SHIFT:
-                    break
-        else:
-            head, step, members, weights = rows, step_of(s, rows), [], []
-            groups.append((head, step, members, weights))
-        dz = shift(rows, head if step is None else groups[0][0])  # a step reads R: e^D goes into its weights
+        if j == 0:
+            ref = rows
+        # D: z - z_ref less its noise terms, which a step's weights carry
+        dz = rows[0] - ref[0] + np.concatenate(([0.0], np.cumsum(rows[1] - ref[1])))
+        step = _step(s.pi, strategies[0].pi)
+        if j and (step is None or np.abs(dz).max() >= _MAX_SHIFT):
+            step, dz = None, np.zeros_like(dz)
         w = trapezoid * np.exp(dz)
         w[-1] += np.exp(dz[-1] - off[-1]) / g
-        members.append(j)
-        weights.append(w)
+        if step is None:
+            own.append((j, rows, w))
+            continue
+        lo, hi, d = step
+        k = -1 if lo == hi else next((k for k, size in enumerate(sizes) if abs(abs(d) - size) <= tol), len(sizes))
+        if k == len(sizes):
+            sizes.append(abs(d))
+        steps.append((k, d > 0, lo, hi, j, rows, w))
+    steps.sort(key=lambda step: step[:2])
 
-    own = [group for group in groups if group[1] is None]
-    steps = sorted((group for group in groups if group[1] is not None), key=lambda group: group[1][2:])
-    n_buf = 1 + bool(steps) + 2 * bool(sizes)  # R, an own build's exp(z) or R E^(+-1), N, E
+    n_buf = 1 + 3 * bool(sizes)  # R, and N, E and R E^(+-1) when a step has a size
     unit_rows = (0.0, 0.0, g * agent.sigma.values[:-1], g * agent.sigma0.values[:-1])
     n = agent.grid.n_steps
     blocks = _blocks(m, n, n_buf)
@@ -491,25 +476,19 @@ def _payoffs(
     drawn = np.empty((3, blocks[0].stop, n))  # dW, dW0 and a build's common-noise term
     out = np.empty((len(strategies), m))
     for b in blocks:
-        views = buf[:, : b.stop - b.start]
-        r, ez = views[0], views[-1]  # ez is r when no step reads r
+        r, *views = buf[:, : b.stop - b.start]
         dw, dw0, scratch = drawn[:, : b.stop - b.start]
         draws(dw, dw0)
-        for i, (rows, _, members, weights) in enumerate(own):
-            z = r if i == 0 else ez
-            np.exp(_build_paths(z, *rows, dw, dw0, scratch), out=z)
-            for j, w in zip(members, weights):
-                out[j, b] = np.einsum("ij,j->i", z, w)
+        np.exp(_build_paths(r, *ref, dw, dw0, scratch), out=r)
         if sizes:
-            noise, e = views[1:3]
+            noise, e, ez = views
             _build_paths(noise, *unit_rows, dw, dw0, scratch)
             span = np.maximum(noise.max(axis=1), -noise.min(axis=1))
-            far = [np.flatnonzero(size * span >= _MAX_STEP_SHIFT) for size in sizes]
+            far = [np.flatnonzero(size * span >= _MAX_SHIFT) for size in sizes]
         held = None  # the (size index, sign) whose R E^(+-1) ez holds
-        for _, (lo, hi, k, up), members, weights in steps:
+        for k, up, lo, hi, j, _, w in steps:
             if k < 0:
-                for j, w in zip(members, weights):
-                    out[j, b] = np.einsum("ij,j->i", r, w)
+                out[j, b] = _row_sum(r, w)
                 continue
             if held is None or held[0] != k:
                 np.multiply(noise, sizes[k], out=e)
@@ -518,20 +497,20 @@ def _payoffs(
             if held != (k, up):
                 (np.multiply if up else np.divide)(r, e, out=ez)
                 held = (k, up)
-            e_lo, e_hi = e[:, lo], e[:, hi]
-            for j, w in zip(members, weights):
-                mid = _row_sum(ez[:, lo : hi + 1], w[lo : hi + 1])
-                after = _row_sum(r[:, hi + 1 :], w[hi + 1 :])
-                mid = (mid + after * e_hi) / e_lo if up else (mid + after / e_hi) * e_lo
-                out[j, b] = _row_sum(r[:, :lo], w[:lo]) + mid
-        for rows, (_, _, k, _), members, weights in steps:
+            mid = _row_sum(ez[:, lo : hi + 1], w[lo : hi + 1])
+            after = _row_sum(r[:, hi + 1 :], w[hi + 1 :])
+            mid = (mid + after * e[:, hi]) / e[:, lo] if up else (mid + after / e[:, hi]) * e[:, lo]
+            out[j, b] = _row_sum(r[:, :lo], w[:lo]) + mid
+        for k, _, _, _, j, rows, w in steps:
             if k >= 0 and far[k].size:
                 # the reference's deterministic rows: the weights carry e^D
-                rel, rows = far[k], (*own[0][0][:2], *rows[2:])
-                z = ez[: rel.size]
-                np.exp(_build_paths(z, *rows, dw[rel], dw0[rel], scratch[: rel.size]), out=z)
-                for j, w in zip(members, weights):
-                    out[j, b.start + rel] = np.einsum("ij,j->i", z, w)
+                rel = far[k]
+                z = r[: rel.size]
+                np.exp(_build_paths(z, *ref[:2], *rows[2:], dw[rel], dw0[rel], scratch[: rel.size]), out=z)
+                out[j, b.start + rel] = _row_sum(z, w)
+        for j, rows, w in own:
+            np.exp(_build_paths(r, *rows, dw, dw0, scratch), out=r)
+            out[j, b] = _row_sum(r, w)
     return out
 
 

@@ -236,6 +236,18 @@ class TestEstimateUtility:
         with pytest.raises(ValueError):
             estimate_utility(pop.types[0], equilibrium_strategy(sol, 0), FlowModel(pop, sol), 0, 1)
 
+    @pytest.mark.parametrize("estimator", ["estimate_utility", "deviation_test"])
+    def test_rejects_a_strategy_on_another_grid(self, grid, estimator):
+        # same knot count, another horizon: the curves would broadcast
+        pop = single(grid)
+        sol = solve_equilibrium(pop)
+        other = equilibrium_strategy(solve_equilibrium(single(TimeGrid(5.0, grid.n_steps))), 0)
+        with pytest.raises(ValueError, match="time grid"):
+            if estimator == "estimate_utility":
+                estimate_utility(pop.types[0], other, FlowModel(pop, sol), 100, 1)
+            else:
+                deviation_test(pop, 0, sol, [Perturbation("other", other, False)], 100, 1)
+
     @pytest.mark.parametrize("estimator", ["estimate_utility", "deviation_test", "consistency_test"])
     def test_thread_count_does_not_change_output(self, grid, monkeypatch, estimator):
         pop = single(grid)
@@ -335,12 +347,10 @@ def _oracle_payoffs(agent, strategies, flow, dw, dw0):
 
 class TestPayoffs:
     @pytest.mark.parametrize("k", [0, 1])
-    @pytest.mark.parametrize("shared", [True, False, "steps-built"])
+    @pytest.mark.parametrize("shared", [True, False])
     def test_matches_definition(self, monkeypatch, k, shared):
-        if not shared:  # no strategy reads another's exp(z)
-            monkeypatch.setattr(montecarlo, "_MAX_SHARED_SHIFT", 0.0)
-        if shared == "steps-built":  # no pi step reads exp(z_ref)
-            monkeypatch.setattr(montecarlo, "_MAX_STEP_SHIFT", 0.0)
+        if not shared:  # no strategy but the reference reads exp(z_ref)
+            monkeypatch.setattr(montecarlo, "_MAX_SHIFT", 0.0)
         grid = TimeGrid(1.0, 64)
         pop = make_random_population(3, grid, n_types=2)  # time-varying curves
         sol = solve_equilibrium(pop)
@@ -371,14 +381,44 @@ class TestPayoffs:
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
         got = montecarlo._payoffs(agent, strategies, flow, m, draws())
         # the reference, the unit-pi noise sum and the four strategies that
-        # are not steps of the reference; the 12 pi perturbations take none,
-        # or one each and no noise sum is built when no step may read it
-        assert len(builds) == (1 + len(pi_steps) if shared == "steps-built" else 2) + len(non_steps)
+        # are not steps of the reference; the 20 perturbations take none, or
+        # one each and no noise sum is built when no step may read exp(z_ref)
+        assert len(builds) == (2 if shared else 1 + len(library)) + len(non_steps)
         want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         for j, s in enumerate(strategies):
             alone = montecarlo._payoffs(agent, [s], flow, m, draws())[0]
             assert np.all(np.abs(got[j] - alone) <= 1e-12 * np.abs(alone))
+
+    def test_strategies_off_the_step_rule_take_their_own_build(self, monkeypatch):
+        grid = TimeGrid(1.0, 64)
+        pop = single(grid, gamma=-5.0)
+        sol = solve_equilibrium(pop)
+        flow = FlowModel(pop, sol)
+        eq = equilibrium_strategy(sol, 0)
+        last = eq.pi.copy()
+        last[-1] += 0.5  # off the reference at knot n only: an empty step
+        assert montecarlo._step(last, eq.pi) == (0, 0, 0.0)
+        # |g log r| = 35: the offset part of max|D| alone passes the bound
+        assert 5.0 * 7.0 > montecarlo._MAX_SHIFT
+        scaled = Strategy(grid, eq.pi, eq.c * math.exp(-7.0), c_min=1e-6)
+        ramp = eq.pi + np.linspace(0.0, 0.5, grid.n_steps + 1)
+        assert montecarlo._step(ramp, eq.pi) is None
+        same_pi = [Strategy(grid, ramp, eq.c * r) for r in (1.0, 1.1)]
+        strategies = [eq, Strategy(grid, last, eq.c), scaled, *same_pi]
+        agent, m = pop.types[0], 300
+        draws = lambda: montecarlo._utility_draws(grid, 6, 0)
+        dw, dw0 = np.empty((2, m, grid.n_steps))
+        draws()(dw, dw0)
+        builds = []
+        build = montecarlo._build_paths
+        monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
+        got = montecarlo._payoffs(agent, strategies, flow, m, draws())
+        # the reference, which the empty step reads; one build each for the
+        # rescaling and the two strategies with the ramp; no noise sum
+        assert len(builds) == 4
+        want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_rows_past_the_step_bound_take_their_own_build(self, monkeypatch):
         # gamma = -5, sigma = 100: |d| max|N| reaches the bound in some sample
@@ -401,7 +441,7 @@ class TestPayoffs:
         draws()(dw, dw0)
         noise = np.cumsum(agent.gamma * (agent.sigma.values[:-1] * dw + agent.sigma0.values[:-1] * dw0), axis=1)
         span = np.abs(noise).max(axis=1)
-        assert 0 < np.sum(0.05 * span >= montecarlo._MAX_STEP_SHIFT) < m
+        assert 0 < np.sum(0.05 * span >= montecarlo._MAX_SHIFT) < m
         assert np.any(span > np.log(np.finfo(float).max))
         want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
         row_bytes = 8 * (grid.n_steps + 1)
@@ -611,11 +651,18 @@ class TestRowBlocks:
             "consistency_test": lambda: consistency_test(pop, sol, n, 1, seed=5, probe_times=[0.0, 0.5, 1.0]),
         }[estimator]
         want = run()
-        row_bytes = 8 * (grid.n_steps + 1)
+        # the path buffers a block holds: R alone, or R, N, E and R E^(+-1)
+        row_bytes = 8 * (grid.n_steps + 1) * (4 if estimator == "deviation_test" else 1)
+        seen = []  # (samples, rows of the first block) per chunk; the consistency test takes no blocks
+        real = montecarlo._blocks
+        monkeypatch.setattr(montecarlo, "_blocks", lambda m, *a: seen.append((m, real(m, *a)[0].stop)) or real(m, *a))
         # one row per block, ragged 7-row blocks, one block per chunk
-        for block_bytes in (1, 7 * row_bytes, montecarlo.CHUNK * row_bytes):
-            monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_bytes)
+        for rows in (1, 7, montecarlo.CHUNK):
+            seen.clear()
+            monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", rows * row_bytes)
             assert run() == want
+            chunks = [] if estimator == "consistency_test" else [100, montecarlo.CHUNK, montecarlo.CHUNK]
+            assert sorted(seen) == [(m, min(rows, m)) for m in chunks]
 
 
 class TestMemory:
