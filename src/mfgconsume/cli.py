@@ -210,7 +210,7 @@ def load_config(
         raise ConfigError("'population' must be a non-empty array of type records")
     try:
         grid = TimeGrid(resolved["horizon"], resolved["n_steps"])
-    except StructuralError as e:
+    except (StructuralError, MemoryError) as e:  # numpy refuses a grid past memory at once
         raise ConfigError(str(e)) from e
     types = []
     default_weight = 1.0 / len(type_specs)

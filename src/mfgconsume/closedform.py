@@ -453,7 +453,7 @@ def tagged_policy_at0(agg: Aggregates, agent: AgentType) -> tuple[float, float]:
     stay put; a population perturbation changes the aggregates while the
     tagged agent keeps her parameters.
     """
-    if abs(agent.gamma) < 1e-15 or agent.gamma >= 1.0:
+    if agent.gamma == 0.0 or agent.gamma >= 1.0:
         raise ValueError(f"gamma must lie in (-inf, 1) excluding 0, got {agent.gamma}")
     if agent.alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {agent.alpha}")

@@ -13,20 +13,17 @@ stream fills row after row, so these draws equal one chunk-sized draw per
 stream bit for bit, and no chunk-sized draw array is held. Every sample
 row is computed by the same operations in any block, and reduced by one
 ``einsum`` pass along the row (no BLAS), so outputs depend on neither the
-block size nor the thread count. Payoffs build no population index per
-block: the index and the consumption offset are folded into each
-strategy's Euler rows. A block takes one path build for the reference
-strategy and keeps its exponential R. Every other strategy either reads R
-or takes its own build. It reads R when its ``pi`` is a step of the
-reference's, d on one knot range, with a deterministic shift under
-``_MAX_SHIFT``; a change of ``c`` alone is the empty step. A step of d != 0
-reads R times exp(|d| N), with N the unit-pi noise sum: one more build per
-block, and one exponential per distinct step size |d|.
+block size nor the thread count.
 
 Simulation is Euler in log-wealth coordinates: volatilities at the left
-endpoint, matching the Ito integral, and the drift by the trapezoid rule;
-``FlowModel`` is the population mean of the same step. For constant
-coefficients the scheme is exact in distribution.
+endpoint, matching the Ito integral, and the drift by the trapezoid rule.
+``_euler_rows`` is the one statement of the step. ``FlowModel`` is the
+population mean of its rows, and payoffs fold that index into each
+strategy's rows (``_folded_rows``), so no index is built per block. A
+block builds the reference strategy's path once. A strategy whose ``pi``
+the scheme loads as a step of the reference's reads that build and one
+unit-pi noise sum; any other takes its own. For constant coefficients the
+scheme is exact in distribution.
 """
 
 from __future__ import annotations
@@ -303,20 +300,20 @@ class FlowModel:
     common-noise path the weighted mean of the types' Euler paths, with no
     idiosyncratic noise, is the Euler path built from the mean rows:
 
-        mu_hat(t_q) = E[log x0] + sum_{i<q} (E[drift_i] + E[pi* sigma0](t_i) dW0_i)
+        mu_hat(t_q) = E[log x0] + sum_{i<q} (E[drift_i] + E[vol_w0_i] dW0_i)
 
     ``rows`` holds the per-type Euler rows (``_euler_rows``) of the
-    equilibrium controls, each (K, n); ``mu_det`` is the flow at zero
-    common noise.
+    equilibrium controls, each (K, n). ``index_rows``, the start and rows
+    (E[log x0], E[drift], 0.0, E[vol_w0]) of that path, is the one statement
+    of the index: ``mu_batch`` builds it and ``_folded_rows`` subtracts it.
     """
 
     def __init__(self, pop: Population, sol: EquilibriumSolution):
         self.grid = pop.grid
         self.rows = _euler_rows(pop.h_mat, pop.sigma_mat, pop.sigma0_mat, sol.pi_star, sol.c_star, self.grid.dt)
-        self.mean_drift, self.mean_vol_w0 = pop.mean(self.rows[0]), pop.mean(self.rows[2])
-        self.e_logx = float(np.dot(pop.weights, np.log(pop.x0s)))
+        start = float(np.dot(pop.weights, np.log(pop.x0s)))  # E[log x0]
+        self.index_rows = (start, pop.mean(self.rows[0]), 0.0, pop.mean(self.rows[2]))
         self.e_logc = pop.mean(np.log(sol.c_star))
-        self.mu_det = self.mu_values(np.zeros(self.grid.n_steps))
 
     def mu_values(self, w0_increments: NDArray) -> NDArray:
         """mu_hat at every knot for one common-noise path, shape (n+1,)."""
@@ -325,7 +322,7 @@ class FlowModel:
     def mu_batch(self, dw0: NDArray) -> NDArray:
         """mu_hat curves for a batch of common-noise paths, shape (m, n+1)."""
         out = np.empty((dw0.shape[0], self.grid.n_steps + 1))
-        return _build_paths(out, self.e_logx, self.mean_drift, 0.0, self.mean_vol_w0, 0.0, dw0)
+        return _build_paths(out, *self.index_rows, 0.0, dw0)
 
     def along(self, w0_increments: NDArray) -> MeanFieldFlow:
         w0 = np.asarray(w0_increments, dtype=float)
@@ -368,7 +365,8 @@ _MAX_SHIFT = 30.0
 def _step(pi: NDArray, ref: NDArray) -> tuple[int, int, float] | None:
     """``(lo, hi, d)`` when ``pi - ref`` over the left-endpoint knots is ``d``
     on the knots [lo, hi) and 0 elsewhere, up to the rounding of ``pi``
-    itself; None for any other difference."""
+    itself; None for any other difference. A proposal: ``_payoffs`` asks
+    ``_euler_rows`` whether the step loads its noise that way."""
     diff = pi[:-1] - ref[:-1]
     nz = np.flatnonzero(diff)
     if nz.size == 0:
@@ -377,6 +375,19 @@ def _step(pi: NDArray, ref: NDArray) -> tuple[int, int, float] | None:
     d = float(diff[lo:hi].mean())
     tol = 4.0 * np.spacing(np.maximum(np.abs(pi[lo:hi]), np.abs(ref[lo:hi])))
     return (lo, hi, d) if np.all(np.abs(diff[lo:hi] - d) <= tol) else None
+
+
+def _folded_rows(agent: AgentType, strategy: Strategy, flow: FlowModel) -> tuple[tuple, float]:
+    """Start and Euler rows of the payoff's exponent, and its offset at T.
+    The step is linear in its rows and ``mu_hat`` is the Euler path of
+    ``flow.index_rows``, so z = g (log X - th mu_hat) + off, with
+    off = g (log c - th E[log c]), is one Euler path: of the rows
+    g (own rows - th index rows), plus off[0] at the start and off's steps."""
+    g, th = agent.gamma, agent.theta
+    own = _euler_rows(agent.h.values, agent.sigma.values, agent.sigma0.values, strategy.pi, strategy.c, agent.grid.dt)
+    start, drift, vol_w, vol_w0 = (g * (a - th * b) for a, b in zip((np.log(agent.x0), *own), flow.index_rows))
+    off = g * (np.log(strategy.c) - th * flow.e_logc)
+    return (start + off[0], drift + np.diff(off), vol_w, vol_w0), off[-1]
 
 
 def _row_sum(z: NDArray, w: NDArray) -> NDArray | float:
@@ -394,46 +405,38 @@ def _payoffs(
     """Per-sample utility of each strategy on the same draws, shape
     (strategies, m): terminal power utility of wealth relative to the
     population index, plus the time integral of the consumption utility
-    (trapezoid in time).
-
-    The Euler step is linear in its rows and the index ``mu_hat`` is the
-    Euler path of the flow's mean rows, so the consumption exponent
-    z = g (log X - th mu_hat) + off, off = g (log c - th E[log c]), is itself
-    one Euler path of folded rows; no population index is built. The
-    payoff is then one weighted row sum of exp(z): trapezoid weights
-    (al/g) dt, plus exp(-off_T)/g on the last knot for the terminal term.
+    (trapezoid in time): one weighted row sum of exp(z), z the exponent of
+    ``_folded_rows``, with trapezoid weights (al/g) dt plus exp(-off_T)/g on
+    the last knot for the terminal term.
 
     Each block takes one path build of the reference ``strategies[0]`` and
     keeps R = exp(z_ref). Every strategy either reads R or takes its own
-    build. It reads R when its ``pi`` is a step of the reference's
-    (``_step``: d on the left-endpoint knots [lo, hi), 0 elsewhere; d = 0
-    for a change of ``c`` alone) and max|D| < ``_MAX_SHIFT``, with D the
-    deterministic difference of the two strategies' rows; the reference is
-    the empty step of itself. A step changes the noise rows only on
-    [lo, hi), by d times the unit-pi rows g sigma and g sigma0. With N the
-    unit-pi noise sum and E = exp(d N), exp(z) is
-    R e^D E[clip(q, lo, hi)] / E[lo]: e^D goes into the weights, and per
-    block exp(|d| N) is taken once per distinct |d| and R exp(+-|d| N) once
-    per size and sign. A step's payoff is three row sums: R before lo, the
-    product on [lo, hi] over E[lo], and R after hi times E[hi] / E[lo]; an
-    empty step is one row sum of R. A sample row with |d| max|N| at
-    ``_MAX_SHIFT`` or past it takes its own build of that step; the check
-    is per row, so outputs do not depend on the block size. Builds run after
+    build. ``_step`` proposes d on the knots [lo, hi) (d = 0 for a change
+    of ``c`` alone; the reference is the empty step of itself), and
+    ``_euler_rows`` decides: the step reads R only if the scheme loads the
+    knots where ``pi`` moves, by d, exactly as the unit-pi noise rows on the
+    steps [lo, hi) and not at all elsewhere, and max|D| < ``_MAX_SHIFT``,
+    with D the deterministic difference of the two strategies' rows. With N
+    the unit-pi noise sum and E = exp(d N), exp(z) = R e^D E[clip(q, lo, hi)]
+    / E[lo]: e^D goes into the weights, and per block exp(|d| N) is taken
+    once per distinct |d| and R exp(+-|d| N) once per size and sign. A
+    step's payoff is three row sums: R before lo, the product on [lo, hi]
+    over E[lo], and R after hi times E[hi] / E[lo]. A sample row with
+    |d| max|N| at ``_MAX_SHIFT`` or past it takes its own build of that
+    step, so outputs do not depend on the block size. Builds run after
     every read of R, into its buffer.
 
-    Samples are taken in row blocks, in buffers reused across blocks. Each
-    block's increments are drawn by ``draws(dw, dw0)`` (``_utility_draws``)
-    into two (rows, n_steps) buffers that this call owns, in row order, so
-    no chunk-sized draw array exists; a third buffer of that shape takes
-    each build's common-noise term. Each weighted row sum is one ``einsum``
-    pass over its row (no BLAS), so results depend on neither the block size
-    nor the thread count."""
-    if any(s.grid != agent.grid for s in strategies):
-        raise ValueError("every strategy must be on the agent's time grid")
-    g, th = agent.gamma, agent.theta
-    dt = agent.grid.dt
+    Row blocks are as in the module docstring: ``draws(dw, dw0)``
+    (``_utility_draws``) fills each block's increments into two
+    (rows, n_steps) buffers that this call owns, and a third buffer of that
+    shape takes each build's common-noise term."""
+    if flow.grid != agent.grid or any(s.grid != agent.grid for s in strategies):
+        raise ValueError("every strategy and the flow must be on the agent's time grid")
+    g, dt, n = agent.gamma, agent.grid.dt, agent.grid.n_steps
     market = (agent.h.values, agent.sigma.values, agent.sigma0.values)
-    trapezoid = np.full(agent.grid.n_steps + 1, agent.alpha / g * dt)
+    unit = _euler_rows(*market, np.ones(n + 1), 0.0, dt)[1:]  # the noise rows at pi = 1
+    ref_pi, knots = strategies[0].pi, np.arange(n)
+    trapezoid = np.full(n + 1, agent.alpha / g * dt)
     trapezoid[[0, -1]] /= 2
     # step sizes equal up to the rounding of pi share one exp(|d| N)
     tol = 4.0 * np.spacing(max(float(np.abs(s.pi).max()) for s in strategies))
@@ -441,27 +444,26 @@ def _payoffs(
     steps: list[tuple] = []  # (index of |d| in sizes or -1 for an empty step, d > 0, lo, hi, j, rows, weights)
     own: list[tuple] = []  # (j, rows, weights)
     for j, s in enumerate(strategies):
-        drift, vol_w, vol_w0 = _euler_rows(*market, s.pi, s.c, dt)
-        off = g * (np.log(s.c) - th * flow.e_logc)
-        rows = (
-            g * (np.log(agent.x0) - th * flow.e_logx) + off[0],
-            g * (drift - th * flow.mean_drift) + np.diff(off),
-            g * vol_w,
-            g * (vol_w0 - th * flow.mean_vol_w0),
-        )
+        rows, off_t = _folded_rows(agent, s, flow)
         if j == 0:
             ref = rows
         # D: z - z_ref less its noise terms, which a step's weights carry
         dz = rows[0] - ref[0] + np.concatenate(([0.0], np.cumsum(rows[1] - ref[1])))
-        step = _step(s.pi, strategies[0].pi)
+        step = _step(s.pi, ref_pi)
+        if step is not None:
+            lo, hi, d = step
+            # 1 where pi moves by d; NaN, which no row equals, where it moves by other than d
+            moved = np.where(s.pi == ref_pi, 0.0, np.where(np.abs(s.pi - ref_pi - d) <= tol, 1.0, np.nan))
+            on = (lo <= knots) & (knots < hi)
+            if not all(map(np.array_equal, _euler_rows(*market, moved, 0.0, dt)[1:], (u * on for u in unit))):
+                step = None
         if j and (step is None or np.abs(dz).max() >= _MAX_SHIFT):
             step, dz = None, np.zeros_like(dz)
         w = trapezoid * np.exp(dz)
-        w[-1] += np.exp(dz[-1] - off[-1]) / g
+        w[-1] += np.exp(dz[-1] - off_t) / g
         if step is None:
             own.append((j, rows, w))
             continue
-        lo, hi, d = step
         k = -1 if lo == hi else next((k for k, size in enumerate(sizes) if abs(abs(d) - size) <= tol), len(sizes))
         if k == len(sizes):
             sizes.append(abs(d))
@@ -469,8 +471,6 @@ def _payoffs(
     steps.sort(key=lambda step: step[:2])
 
     n_buf = 1 + 3 * bool(sizes)  # R, and N, E and R E^(+-1) when a step has a size
-    unit_rows = (0.0, 0.0, g * agent.sigma.values[:-1], g * agent.sigma0.values[:-1])
-    n = agent.grid.n_steps
     blocks = _blocks(m, n, n_buf)
     buf = np.empty((n_buf, blocks[0].stop, n + 1))
     drawn = np.empty((3, blocks[0].stop, n))  # dW, dW0 and a build's common-noise term
@@ -482,7 +482,7 @@ def _payoffs(
         np.exp(_build_paths(r, *ref, dw, dw0, scratch), out=r)
         if sizes:
             noise, e, ez = views
-            _build_paths(noise, *unit_rows, dw, dw0, scratch)
+            _build_paths(noise, 0.0, 0.0, g * unit[0], g * unit[1], dw, dw0, scratch)
             span = np.maximum(noise.max(axis=1), -noise.min(axis=1))
             far = [np.flatnonzero(size * span >= _MAX_SHIFT) for size in sizes]
         held = None  # the (size index, sign) whose R E^(+-1) ez holds
@@ -708,7 +708,6 @@ def consistency_test(
     seed: int,
     probe_times: Sequence[float] | None = None,
     stratified: bool = False,
-    w0_seed: int | None = None,
 ) -> ConsistencyReport:
     """Fixed-point check: per common-noise path, the empirical mean
     log-wealth of ``n_agents`` simulated agents (types drawn by weight,
@@ -747,7 +746,7 @@ def consistency_test(
 
     rows: list[ConsistencyRow] = []
     for p in range(n_w0_paths):
-        w0 = consistency_w0(grid, seed if w0_seed is None else w0_seed, p)
+        w0 = consistency_w0(grid, seed, p)
         mu = flow.mu_values(w0)
         # the per-type part: Euler paths with the idiosyncratic increments set to 0
         base = _build_paths(np.empty_like(var), log_x0, drift, vol_w, vol_w0, 0.0, w0)[:, knots].T

@@ -303,6 +303,21 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_sensitivity(cfg, "rho", [0.1], "individual")
 
+    def test_gamma_inside_a_small_gamma_lb_solves(self, tmp_path, capsys):
+        # gamma_lb = 1e-20 admits |gamma| = 1e-16: the tagged policy rejects
+        # only gamma = 0 and gamma >= 1, no cutoff of its own
+        raw = json.loads(REFERENCE.read_text())
+        raw["bounds"]["gamma_lb"] = 1e-20
+        path = tmp_path / "tiny_gamma_lb.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        flags = ["--parameter", "gamma", "--lo", "1e-16", "--hi", "2e-16", "--points", "2"]
+        assert main(["sweep", "--config", str(path), "--out", str(out), *flags]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(out / "sweep.csv")
+        assert [r["flagged"] for r in rows] == ["0", "0"]
+        assert all(math.isfinite(float(r[c])) for r in rows for c in ("pi_star", "c_star"))
+
 
 class TestMainEntry:
     def test_usage_error_exit_two(self, tmp_path):
@@ -393,6 +408,8 @@ class TestConfigErrorsExitTwo:
         pytest.param("solve", [], lambda raw: raw["population"][0].update(x0=10**400), id="x0-huge-integer"),
         pytest.param("solve", [], lambda raw: (raw.update(n_steps=8), raw["population"][0].update(h=[0.1] * 8 + [10**400])),
                      id="h-array-huge-integer"),
+        # numpy refuses the 7 PiB grid at once, so nothing is allocated
+        pytest.param("solve", ["--steps", "1000000000000000"], None, id="steps-past-memory"),
     ])
     def test_exit_two_with_error_line(self, tmp_path, capsys, command, flags, edit):
         path = write_config(tmp_path)

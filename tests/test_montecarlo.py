@@ -205,7 +205,7 @@ class TestEstimateUtility:
         assert est.stderr == 0.0
         # deterministic oracle computed directly from the definitions
         x = np.log(1.0) - 0.4 * grid.times
-        mu = flow.mu_det
+        mu = flow.mu_values(np.zeros(grid.n_steps))
         nu = flow.e_logc + mu
         g, th, al = 0.5, 0.5, 1.0
         terminal = (1 / g) * math.exp(g * (x[-1] - th * mu[-1]))
@@ -241,12 +241,21 @@ class TestEstimateUtility:
         # same knot count, another horizon: the curves would broadcast
         pop = single(grid)
         sol = solve_equilibrium(pop)
-        other = equilibrium_strategy(solve_equilibrium(single(TimeGrid(5.0, grid.n_steps))), 0)
+        other_pop = single(TimeGrid(5.0, grid.n_steps))
+        other_sol = solve_equilibrium(other_pop)
+        other = equilibrium_strategy(other_sol, 0)
         with pytest.raises(ValueError, match="time grid"):
             if estimator == "estimate_utility":
                 estimate_utility(pop.types[0], other, FlowModel(pop, sol), 100, 1)
             else:
                 deviation_test(pop, 0, sol, [Perturbation("other", other, False)], 100, 1)
+        # a flow from another grid: estimate_utility is handed it, and
+        # deviation_test builds it from an equilibrium solved there
+        with pytest.raises(ValueError, match="time grid"):
+            if estimator == "estimate_utility":
+                estimate_utility(pop.types[0], equilibrium_strategy(sol, 0), FlowModel(other_pop, other_sol), 100, 1)
+            else:
+                deviation_test(pop, 0, other_sol, default_perturbations(sol, 0), 100, 1)
 
     @pytest.mark.parametrize("estimator", ["estimate_utility", "deviation_test", "consistency_test"])
     def test_thread_count_does_not_change_output(self, grid, monkeypatch, estimator):
@@ -345,12 +354,22 @@ def _oracle_payoffs(agent, strategies, flow, dw, dw0):
     return np.array(out)
 
 
+def _two_knot_rows(h, sigma, sigma0, pi, c, dt):
+    """Another Euler rule: each step loads the mean of its two knots'
+    exposures on dW and dW0, with the trapezoid drift."""
+    g = pi * h - c - 0.5 * pi**2 * (sigma**2 + sigma0**2)
+    mean = lambda v: (v[..., :-1] + v[..., 1:]) / 2
+    return (g[..., :-1] + g[..., 1:]) * (dt / 2), mean(pi * sigma), mean(pi * sigma0)
+
+
 class TestPayoffs:
     @pytest.mark.parametrize("k", [0, 1])
-    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("shared", [True, False, "two-knot"])
     def test_matches_definition(self, monkeypatch, k, shared):
         if not shared:  # no strategy but the reference reads exp(z_ref)
             monkeypatch.setattr(montecarlo, "_MAX_SHIFT", 0.0)
+        if shared == "two-knot":  # sharing on; the flow, the payoff and the oracle all follow the rule
+            monkeypatch.setattr(montecarlo, "_euler_rows", _two_knot_rows)
         grid = TimeGrid(1.0, 64)
         pop = make_random_population(3, grid, n_types=2)  # time-varying curves
         sol = solve_equilibrium(pop)
@@ -382,8 +401,10 @@ class TestPayoffs:
         got = montecarlo._payoffs(agent, strategies, flow, m, draws())
         # the reference, the unit-pi noise sum and the four strategies that
         # are not steps of the reference; the 20 perturbations take none, or
-        # one each and no noise sum is built when no step may read exp(z_ref)
-        assert len(builds) == (2 if shared else 1 + len(library)) + len(non_steps)
+        # one each and no noise sum is built when no step may read exp(z_ref).
+        # Under the two-knot rule a step's boundary increments load half of
+        # it, so the six thirds, which do not span the grid, take one each
+        assert len(builds) == {True: 2, False: 1 + len(library), "two-knot": 2 + 6}[shared] + len(non_steps)
         want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         for j, s in enumerate(strategies):
@@ -417,6 +438,37 @@ class TestPayoffs:
         # the reference, which the empty step reads; one build each for the
         # rescaling and the two strategies with the ramp; no noise sum
         assert len(builds) == 4
+        want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("rule", ["left-endpoint", "two-knot"])
+    def test_a_step_reads_the_noise_sum_only_where_the_rule_loads_it(self, monkeypatch, rule):
+        # moves at knot n, which only the two-knot rule loads: alone, and by
+        # another size than the step on the knots before it
+        if rule == "two-knot":
+            monkeypatch.setattr(montecarlo, "_euler_rows", _two_knot_rows)
+        grid = TimeGrid(1.0, 64)
+        pop = make_random_population(3, grid, n_types=2)
+        sol = solve_equilibrium(pop)
+        flow = FlowModel(pop, sol)
+        eq = equilibrium_strategy(sol, 0)
+        last, mixed = eq.pi.copy(), eq.pi + 0.1
+        last[-1] += 0.5
+        mixed[-1] += 0.4
+        assert montecarlo._step(last, eq.pi) == (0, 0, 0.0)
+        assert montecarlo._step(mixed, eq.pi)[:2] == (0, grid.n_steps)
+        strategies = [eq, *(Strategy(grid, pi, eq.c) for pi in (eq.pi + 0.1, last, mixed))]
+        agent, m = pop.types[0], 300
+        draws = lambda: montecarlo._utility_draws(grid, 5, 0)
+        dw, dw0 = np.empty((2, m, grid.n_steps))
+        draws()(dw, dw0)
+        builds = []
+        build = montecarlo._build_paths
+        monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
+        got = montecarlo._payoffs(agent, strategies, flow, m, draws())
+        # the reference and N; under the two-knot rule, one build each for
+        # the two strategies that move at knot n
+        assert len(builds) == {"left-endpoint": 2, "two-knot": 4}[rule]
         want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -485,14 +537,17 @@ class TestConsistency:
         rep = consistency_test(pop, sol, 20_000, 2, seed=5)
         assert rep.max_deviation_units <= 3.0
 
-    def test_no_common_noise_path_independence(self, grid):
+    def test_no_common_noise_path_independence(self, grid, monkeypatch):
         # with sigma0 = 0 the report cannot depend on which common-noise
         # path was drawn
         pop = single(grid, sigma0=0.0)
         sol = solve_equilibrium(pop)
-        a = consistency_test(pop, sol, 5000, 2, seed=9, w0_seed=100)
-        b = consistency_test(pop, sol, 5000, 2, seed=9, w0_seed=200)
-        assert a.rows == b.rows
+        reports = []
+        for w0_seed in (100, 200):
+            draw = lambda grid, seed, path, w0_seed=w0_seed: consistency_w0(grid, w0_seed, path)
+            monkeypatch.setattr(montecarlo, "consistency_w0", draw)
+            reports.append(consistency_test(pop, sol, 5000, 2, seed=9))
+        assert reports[0].rows == reports[1].rows
 
     def test_stderr_scaling(self, grid):
         pop = single(grid)
