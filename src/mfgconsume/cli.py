@@ -30,9 +30,9 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -57,47 +57,37 @@ class ConfigError(Exception):
 # configuration
 # ---------------------------------------------------------------------------
 
-SWEEPABLE = ("h", "sigma", "sigma0", "theta", "gamma", "alpha")
-
-_TOP_KEYS = {"horizon", "n_steps", "population", "bounds", "mc", "tolerances", "out_dir"}
-_TYPE_KEYS = {"weight", "x0", "gamma", "theta", "alpha", "h", "sigma", "sigma0"}
-_BOUND_DEFAULTS = {"gamma_lb": population.DEFAULT_GAMMA_LB, "sigma_lb": population.DEFAULT_SIGMA_LB,
-                   "c_min": montecarlo.DEFAULT_C_MIN, "c_max": montecarlo.DEFAULT_C_MAX,
-                   "pi_cap": montecarlo.DEFAULT_PI_CAP}
-_MC_DEFAULTS = {"n_samples": 20000, "n_agents": 20000, "n_w0_paths": 3, "seed": 12345,
-                "stratified": False}
-_TOL_DEFAULTS = {"riccati_tol": 1e-6, "residual_tol": 1e-4, "drift_tol": 1e-12}
+_CURVES = ("h", "sigma", "sigma0")  # market parameters given per knot
+SWEEPABLE = (*_CURVES, "theta", "gamma", "alpha")
 
 
 @dataclass(frozen=True)
 class Bounds:
-    gamma_lb: float
-    sigma_lb: float
-    c_min: float
-    c_max: float
-    pi_cap: float
+    gamma_lb: float = population.DEFAULT_GAMMA_LB
+    sigma_lb: float = population.DEFAULT_SIGMA_LB
+    c_min: float = montecarlo.DEFAULT_C_MIN
+    c_max: float = montecarlo.DEFAULT_C_MAX
+    pi_cap: float = montecarlo.DEFAULT_PI_CAP
 
 
 @dataclass(frozen=True)
 class McSettings:
-    n_samples: int
-    n_agents: int
-    n_w0_paths: int
-    seed: int
+    n_samples: int = 20000
+    n_agents: int = 20000
+    n_w0_paths: int = 3
+    seed: int = 12345
     stratified: bool = False
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    riccati_tol: float
-    residual_tol: float
-    drift_tol: float
+    riccati_tol: float = 1e-6
+    residual_tol: float = 1e-4
+    drift_tol: float = 1e-12
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    horizon: float
-    n_steps: int
     population: Population
     bounds: Bounds
     mc: McSettings
@@ -105,15 +95,45 @@ class ScenarioConfig:
     out_dir: str
     resolved: dict  # fully-defaulted raw dictionary, hashed into manifests
 
+    @property
+    def horizon(self) -> float:
+        return self.population.grid.T
 
-def _section(raw: dict, key: str, defaults: dict) -> dict:
-    got = raw.get(key, {})
-    if not isinstance(got, dict):
-        raise ConfigError(f"'{key}' must be an object")
-    unknown = set(got) - set(defaults)
+    @property
+    def n_steps(self) -> int:
+        return self.population.grid.n_steps
+
+
+def _keys(obj, allowed, where: str) -> dict:
+    """``obj`` when it is an object with no key outside ``allowed``, else a
+    ConfigError naming ``where``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(obj) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown keys in '{key}': {sorted(unknown)}")
-    return {**defaults, **got}
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    return obj
+
+
+def _section(raw: dict, key: str, cls: type, **overrides) -> tuple[dict, object]:
+    """Section ``key`` of ``raw``, whose schema is the dataclass ``cls``:
+    each field is a key, its default the key's default and its annotation
+    the key's kind. Returns the raw values over the defaults, with the
+    ``overrides`` that are not None on top (the dict hashed into manifests),
+    and the ``cls`` instance they make. A float must be finite and positive,
+    an int integral (both by the rule of ``_number``), a bool a JSON boolean."""
+    merged = {f.name: f.default for f in fields(cls)}
+    merged.update(_keys(raw.get(key, {}), merged, f"'{key}'"))
+    merged.update((k, v) for k, v in overrides.items() if v is not None)
+    values = {}
+    for name, kind in get_type_hints(cls).items():
+        v, where = merged[name], f"{key}.{name}"
+        if kind is bool and not isinstance(v, bool):
+            raise ConfigError(f"{where} must be true or false, got {v!r}")
+        values[name] = v if kind is bool else _number(kind, v, where)
+        if kind is float and not 0 < values[name] < math.inf:
+            raise ConfigError(f"{where} must be finite and positive, got {v}")
+    return merged, cls(**values)
 
 
 def _number(kind: type, value, where: str):
@@ -165,45 +185,24 @@ def load_config(
         raise ConfigError(f"{path}: parse error at line {e.lineno} col {e.colno}: {e.msg}") from e
     except ValueError as e:  # not UTF-8, or an integer literal past the interpreter's digit limit
         raise ConfigError(f"{path}: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
+    _keys(raw, ("horizon", "n_steps", "population", "bounds", "mc", "tolerances", "out_dir"),
+          f"the top level of {path}")
 
     resolved = {
         "horizon": _number(float, raw.get("horizon", 1.0), "horizon"),
         "n_steps": _number(int, steps if steps is not None else raw.get("n_steps", 2000), "n_steps"),
-        "bounds": _section(raw, "bounds", _BOUND_DEFAULTS),
-        "mc": _section(raw, "mc", _MC_DEFAULTS),
-        "tolerances": _section(raw, "tolerances", _TOL_DEFAULTS),
         "out_dir": str(out_dir if out_dir is not None else raw.get("out_dir", "out")),
     }
-    if seed is not None:
-        resolved["mc"]["seed"] = int(seed)
-    if samples is not None:
-        resolved["mc"]["n_samples"] = int(samples)
-    bounds = Bounds(**{k: _number(float, v, f"bounds.{k}") for k, v in resolved["bounds"].items()})
-    for name, v in resolved["bounds"].items():
-        if not 0 < getattr(bounds, name) < math.inf:
-            raise ConfigError(f"bounds.{name} must be finite and positive, got {v}")
+    resolved["bounds"], bounds = _section(raw, "bounds", Bounds)
     if bounds.c_max < bounds.c_min:
         raise ConfigError(f"bounds.c_max must be at least bounds.c_min, got {bounds.c_max} < {bounds.c_min}")
-    tol = resolved["tolerances"]
-    tolerances = Tolerances(**{k: _number(float, v, f"tolerances.{k}") for k, v in tol.items()})
-    for name, v in tol.items():
-        if not 0 < getattr(tolerances, name) < math.inf:
-            raise ConfigError(f"tolerances.{name} must be finite and positive, got {v}")
-    m = resolved["mc"]
-    mc = McSettings(*(_number(int, m[k], f"mc.{k}") for k in ("n_samples", "n_agents", "n_w0_paths", "seed")),
-                    stratified=m["stratified"])
+    resolved["tolerances"], tolerances = _section(raw, "tolerances", Tolerances)
+    resolved["mc"], mc = _section(raw, "mc", McSettings, seed=seed, n_samples=samples)
     for name in ("n_samples", "n_agents", "n_w0_paths"):
         if getattr(mc, name) < 1:
             raise ConfigError(f"mc.{name} must be at least 1, got {getattr(mc, name)}")
     if mc.seed < 0:
         raise ConfigError(f"mc.seed must be non-negative, got {mc.seed}")
-    if not isinstance(mc.stratified, bool):
-        raise ConfigError(f"mc.stratified must be true or false, got {mc.stratified!r}")
 
     type_specs = raw.get("population")
     if not isinstance(type_specs, list) or not type_specs:
@@ -212,25 +211,20 @@ def load_config(
         grid = TimeGrid(resolved["horizon"], resolved["n_steps"])
     except (StructuralError, MemoryError) as e:  # numpy refuses a grid past memory at once
         raise ConfigError(str(e)) from e
+    scalars = {"weight": 1.0 / len(type_specs), "x0": 1.0, "gamma": None, "theta": 0.0, "alpha": 1.0}
     types = []
-    default_weight = 1.0 / len(type_specs)
     resolved_types = []
     for i, record in enumerate(type_specs):
         where = f"population[{i}]"
-        if not isinstance(record, dict):
-            raise ConfigError(f"{where} must be an object")
-        unknown = set(record) - _TYPE_KEYS
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-        for req in ("gamma", "h", "sigma", "sigma0"):
+        _keys(record, (*scalars, *_CURVES), where)
+        for req in ("gamma", *_CURVES):
             if req not in record:
                 raise ConfigError(f"{where}: missing required key '{req}'")
-        scalars = {"weight": default_weight, "x0": 1.0, "gamma": None, "theta": 0.0, "alpha": 1.0}
         rec = {k: _number(float, record.get(k, d), f"{where}.{k}") for k, d in scalars.items()}
-        rec.update({k: record[k] for k in ("h", "sigma", "sigma0")})
+        rec.update({k: record[k] for k in _CURVES})
         resolved_types.append(rec)
         try:
-            curves = {k: _curve(grid, rec[k], f"{where}.{k}") for k in ("h", "sigma", "sigma0")}
+            curves = {k: _curve(grid, rec[k], f"{where}.{k}") for k in _CURVES}
             types.append(AgentType(**{k: rec[k] for k in scalars}, **curves))
         except StructuralError as e:
             raise ConfigError(f"{where}: {e}") from e
@@ -245,8 +239,6 @@ def load_config(
         raise ConfigError(f"population violates standing assumptions: {report.describe()}")
 
     return ScenarioConfig(
-        horizon=resolved["horizon"],
-        n_steps=resolved["n_steps"],
         population=pop,
         bounds=bounds,
         mc=mc,
@@ -418,7 +410,7 @@ def _cmd_deviate(cfg: ScenarioConfig, out: Path, manifest: RunManifest, probe_ty
 
 def _set_param(agent: AgentType, parameter: str, value: float) -> AgentType:
     grid = agent.grid
-    if parameter in ("h", "sigma", "sigma0"):
+    if parameter in _CURVES:
         return replace(agent, **{parameter: GridCurve.constant(grid, value)})
     return replace(agent, **{parameter: float(value)})
 

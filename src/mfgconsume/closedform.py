@@ -96,7 +96,7 @@ class Aggregates:
 
 
 def _check_one_plus(x: NDArray | float, what: str) -> None:
-    if np.min(np.abs(1.0 + np.asarray(x))) <= _SINGULAR_TOL or np.min(1.0 + np.asarray(x)) <= 0.0:
+    if np.min(1.0 + np.asarray(x)) <= _SINGULAR_TOL:
         raise SingularAggregateError(f"1 + {what} vanishes; closed form undefined")
 
 

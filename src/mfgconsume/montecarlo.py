@@ -309,6 +309,8 @@ class FlowModel:
     """
 
     def __init__(self, pop: Population, sol: EquilibriumSolution):
+        if sol.grid != pop.grid:
+            raise ValueError("the equilibrium must be solved on the population's time grid")
         self.grid = pop.grid
         self.rows = _euler_rows(pop.h_mat, pop.sigma_mat, pop.sigma0_mat, sol.pi_star, sol.c_star, self.grid.dt)
         start = float(np.dot(pop.weights, np.log(pop.x0s)))  # E[log x0]
@@ -698,6 +700,11 @@ class ConsistencyReport:
 def consistency_w0(grid: TimeGrid, seed: int, path: int) -> NDArray:
     """Common-noise increments of consistency-test path ``path``, (n_steps,)."""
     return philox_stream(seed, _sid(_DOM_CONS_W0, path)).normal(0.0, np.sqrt(grid.dt), grid.n_steps)
+
+
+def relation_w0(grid: TimeGrid, seed: int) -> NDArray:
+    """Common-noise increments of ``verify.relation_check``'s path, (n_steps,)."""
+    return philox_stream(seed, _sid(_DOM_RELATION)).normal(0.0, np.sqrt(grid.dt), grid.n_steps)
 
 
 def consistency_test(

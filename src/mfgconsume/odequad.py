@@ -13,7 +13,7 @@ from typing import Callable, Literal
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import IntegrationBlowUpError, StructuralError
+from .errors import IntegrationBlowUpError
 from .grid import GridCurve, TimeGrid
 
 Direction = Literal["forward", "backward"]
@@ -74,8 +74,6 @@ def rk4_integrate(
     A non-finite state mid-sweep raises :class:`IntegrationBlowUpError`
     carrying the first bad knot.
     """
-    if grid.n_steps < 1:
-        raise StructuralError("grid needs at least 2 knots")
     values = _rk4_sweep(rhs, boundary_value, grid, direction)
     if values.ndim == 1:
         return GridCurve(grid, values)

@@ -30,6 +30,7 @@ from numpy.typing import ArrayLike, NDArray
 from .closedform import _EXP_CAP, EquilibriumSolution, _check_finite, _check_one_plus, _params_at
 from .errors import ExponentRangeError
 from .grid import GridCurve
+from .montecarlo import FlowModel, relation_w0
 from .population import Population
 
 
@@ -339,8 +340,6 @@ def relation_check(
     ``E[log c*] + mu_hat``; (iii) the common-noise exposure rebuilt from the
     loading relation matches ``z0_common``.
     """
-    from .montecarlo import _DOM_RELATION, FlowModel, _sid, philox_stream
-
     ker = _kernel(pop, pop.h_mat, pop.sigma_mat, pop.sigma0_mat)
     # (i): with vanishing loadings the investment rate is the kernel's P
     err_pi = float(np.abs(ker.p - sol.pi_star).max())
@@ -352,8 +351,7 @@ def relation_check(
 
     # (ii): consumption index along one sampled common-noise path
     if w0_increments is None:
-        rng = philox_stream(seed, _sid(_DOM_RELATION))
-        w0_increments = rng.normal(0.0, np.sqrt(pop.grid.dt), pop.grid.n_steps)
+        w0_increments = relation_w0(pop.grid, seed)
     flow = FlowModel(pop, sol)
     mu = flow.mu_values(w0_increments)
     e_theta, e_logalpha = _consumption_means(pop)

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfgconsume.cli import SWEEPABLE, ConfigError, load_config, main, run, sweep_sensitivity
+from mfgconsume.cli import (
+    SWEEPABLE,
+    Bounds,
+    ConfigError,
+    McSettings,
+    Tolerances,
+    load_config,
+    main,
+    run,
+    sweep_sensitivity,
+)
 from mfgconsume.errors import ExponentRangeError
 
 REFERENCE = Path(__file__).resolve().parents[1] / "demos" / "configs" / "reference.json"
@@ -428,6 +438,52 @@ class TestConfigErrorsExitTwo:
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestSchema:
+    """The section dataclasses are the schema: every field is a key, and a
+    key outside them is an error naming its path."""
+
+    def test_every_section_field_loads_as_given(self, tmp_path):
+        sections = {
+            "bounds": (Bounds, {"gamma_lb": 2e-3, "sigma_lb": 3e-3, "c_min": 4e-3, "c_max": 5.0, "pi_cap": 6.0}),
+            "mc": (McSettings, {"n_samples": 111, "n_agents": 222, "n_w0_paths": 4, "seed": 5, "stratified": True}),
+            "tolerances": (Tolerances, {"riccati_tol": 2e-6, "residual_tol": 3e-4, "drift_tol": 4e-12}),
+        }
+        for cls, values in sections.values():
+            assert set(values) == {f.name for f in fields(cls)}
+            assert all(values[f.name] != f.default for f in fields(cls))
+        path = write_config(tmp_path, **{key: values for key, (_, values) in sections.items()})
+        cfg = load_config(path)
+        for key, (cls, values) in sections.items():
+            assert getattr(cfg, key) == cls(**values)
+            assert cfg.resolved[key] == values
+
+    @pytest.mark.parametrize("where", ["top level", "bounds", "mc", "tolerances", "population[0]"])
+    def test_unknown_key_exits_two_naming_its_path(self, tmp_path, capsys, where):
+        path = write_config(tmp_path)
+        raw = json.loads(path.read_text())
+        if where == "top level":
+            raw["extra"] = 1
+        elif where == "population[0]":
+            raw["population"][0]["extra"] = 1
+        else:
+            raw.setdefault(where, {})["extra"] = 1
+        path.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown keys in ") and err.count("\n") == 1
+        assert where in err and "'extra'" in err
+
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "4b24675e02e23c4c0695847a1a77506fe73bedaaea88ccc22290f115ea4d911b"),
+        (["--seed", "7", "--steps", "256", "--samples", "8192"],
+         "f1986ca5c57ff39550449d29a86d6144053a97ea0b2de01c2409089703603b31"),
+    ], ids=["reference", "reference-overrides"])
+    def test_config_hash_is_pinned(self, tmp_path, flags, digest):
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(REFERENCE), "--out", str(out), *flags]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config_hash"] == digest
 
 
 def _cells_round_trip(path, ints=("type", "path", "large", "flagged"), text=("name",)):

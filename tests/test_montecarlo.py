@@ -21,6 +21,7 @@ from mfgconsume import (
     estimate_utility,
     mean_field_flow,
     philox_stream,
+    relation_check,
     simulate_wealth,
     solve_equilibrium,
     value_function,
@@ -190,6 +191,20 @@ class TestFlow:
         sol = solve_equilibrium(pop)
         with pytest.raises(ValueError):
             mean_field_flow(pop, sol, np.zeros(5))
+
+    @pytest.mark.parametrize("caller", ["FlowModel", "consistency_test", "relation_check"])
+    def test_rejects_an_equilibrium_on_another_grid(self, grid, caller):
+        # same knot count, another horizon: the rows would broadcast and the
+        # agents and the flow would share the mixed rows
+        pop = single(grid)
+        other_sol = solve_equilibrium(single(TimeGrid(5.0, grid.n_steps)))
+        with pytest.raises(ValueError, match="time grid"):
+            if caller == "FlowModel":
+                FlowModel(pop, other_sol)
+            elif caller == "consistency_test":
+                consistency_test(pop, other_sol, 4000, 1, seed=1)
+            else:
+                relation_check(pop, other_sol)
 
 
 class TestEstimateUtility:
