@@ -93,7 +93,7 @@ class ScenarioConfig:
     mc: McSettings
     tolerances: Tolerances
     out_dir: str
-    resolved: dict  # fully-defaulted raw dictionary, hashed into manifests
+    resolved: dict  # fully-defaulted typed dictionary, hashed into manifests
 
     @property
     def horizon(self) -> float:
@@ -118,10 +118,11 @@ def _keys(obj, allowed, where: str) -> dict:
 def _section(raw: dict, key: str, cls: type, **overrides) -> tuple[dict, object]:
     """Section ``key`` of ``raw``, whose schema is the dataclass ``cls``:
     each field is a key, its default the key's default and its annotation
-    the key's kind. Returns the raw values over the defaults, with the
-    ``overrides`` that are not None on top (the dict hashed into manifests),
-    and the ``cls`` instance they make. A float must be finite and positive,
-    an int integral (both by the rule of ``_number``), a bool a JSON boolean."""
+    the key's kind. Returns the typed values of the raw keys over the
+    defaults, with the ``overrides`` that are not None on top (the dict
+    hashed into manifests), and the ``cls`` instance they make. A float
+    must be finite and positive, an int integral (both by the rule of
+    ``_number``), a bool a JSON boolean."""
     merged = {f.name: f.default for f in fields(cls)}
     merged.update(_keys(raw.get(key, {}), merged, f"'{key}'"))
     merged.update((k, v) for k, v in overrides.items() if v is not None)
@@ -133,7 +134,7 @@ def _section(raw: dict, key: str, cls: type, **overrides) -> tuple[dict, object]
         values[name] = v if kind is bool else _number(kind, v, where)
         if kind is float and not 0 < values[name] < math.inf:
             raise ConfigError(f"{where} must be finite and positive, got {v}")
-    return merged, cls(**values)
+    return values, cls(**values)
 
 
 def _number(kind: type, value, where: str):
@@ -221,13 +222,14 @@ def load_config(
             if req not in record:
                 raise ConfigError(f"{where}: missing required key '{req}'")
         rec = {k: _number(float, record.get(k, d), f"{where}.{k}") for k, d in scalars.items()}
-        rec.update({k: record[k] for k in _CURVES})
-        resolved_types.append(rec)
         try:
-            curves = {k: _curve(grid, rec[k], f"{where}.{k}") for k in _CURVES}
-            types.append(AgentType(**{k: rec[k] for k in scalars}, **curves))
+            curves = {k: _curve(grid, record[k], f"{where}.{k}") for k in _CURVES}
+            types.append(AgentType(**rec, **curves))
         except StructuralError as e:
             raise ConfigError(f"{where}: {e}") from e
+        for k, c in curves.items():  # a curve hashes as its typed value: one float, or one per knot
+            rec[k] = c.values.tolist() if isinstance(record[k], list) else float(c.values[0])
+        resolved_types.append(rec)
     resolved["population"] = resolved_types
 
     try:

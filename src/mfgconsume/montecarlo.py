@@ -20,10 +20,10 @@ endpoint, matching the Ito integral, and the drift by the trapezoid rule.
 ``_euler_rows`` is the one statement of the step. ``FlowModel`` is the
 population mean of its rows, and payoffs fold that index into each
 strategy's rows (``_folded_rows``), so no index is built per block. A
-block builds the reference strategy's path once. A strategy whose ``pi``
-the scheme loads as a step of the reference's reads that build and one
-unit-pi noise sum; any other takes its own. For constant coefficients the
-scheme is exact in distribution.
+block builds the reference strategy's path once. A strategy whose folded
+noise rows step off the reference's by a multiple of the unit-pi rows
+reads that build and one unit-pi noise sum; any other takes its own. For
+constant coefficients the scheme is exact in distribution.
 """
 
 from __future__ import annotations
@@ -364,19 +364,21 @@ class UtilityEstimate:
 _MAX_SHIFT = 30.0
 
 
-def _step(pi: NDArray, ref: NDArray) -> tuple[int, int, float] | None:
-    """``(lo, hi, d)`` when ``pi - ref`` over the left-endpoint knots is ``d``
-    on the knots [lo, hi) and 0 elsewhere, up to the rounding of ``pi``
-    itself; None for any other difference. A proposal: ``_payoffs`` asks
-    ``_euler_rows`` whether the step loads its noise that way."""
-    diff = pi[:-1] - ref[:-1]
-    nz = np.flatnonzero(diff)
+def _step_window(noise: tuple, ref: tuple, unit: tuple, dpi: NDArray, top: float, tol: float) -> tuple | None:
+    """``(lo, hi, d)`` when the folded noise rows ``noise`` differ from the
+    reference's ``ref`` on the steps [lo, hi) alone, and there by d times
+    ``unit``, d the mean of the ``pi`` difference ``dpi`` on [lo, hi); None
+    otherwise. Rows from equal inputs compare equal. With ``tol`` the
+    rounding of a ``pi`` up to ``top``, a row may miss by tol |unit| plus
+    the fold's rounding, tol (|noise| + |ref|) / top."""
+    nz = np.flatnonzero((noise[0] != ref[0]) | (noise[1] != ref[1]))
     if nz.size == 0:
         return 0, 0, 0.0
     lo, hi = int(nz[0]), int(nz[-1]) + 1
-    d = float(diff[lo:hi].mean())
-    tol = 4.0 * np.spacing(np.maximum(np.abs(pi[lo:hi]), np.abs(ref[lo:hi])))
-    return (lo, hi, d) if np.all(np.abs(diff[lo:hi] - d) <= tol) else None
+    d = float(dpi[lo:hi].mean())
+    a, b, u = (np.stack(rows)[:, lo:hi] for rows in (noise, ref, unit))
+    fits = top * np.abs(a - b - d * u) <= tol * (top * np.abs(u) + np.abs(a) + np.abs(b))
+    return (lo, hi, d) if fits.all() else None
 
 
 def _folded_rows(agent: AgentType, strategy: Strategy, flow: FlowModel) -> tuple[tuple, float]:
@@ -413,20 +415,20 @@ def _payoffs(
 
     Each block takes one path build of the reference ``strategies[0]`` and
     keeps R = exp(z_ref). Every strategy either reads R or takes its own
-    build. ``_step`` proposes d on the knots [lo, hi) (d = 0 for a change
-    of ``c`` alone; the reference is the empty step of itself), and
-    ``_euler_rows`` decides: the step reads R only if the scheme loads the
-    knots where ``pi`` moves, by d, exactly as the unit-pi noise rows on the
-    steps [lo, hi) and not at all elsewhere, and max|D| < ``_MAX_SHIFT``,
-    with D the deterministic difference of the two strategies' rows. With N
-    the unit-pi noise sum and E = exp(d N), exp(z) = R e^D E[clip(q, lo, hi)]
-    / E[lo]: e^D goes into the weights, and per block exp(|d| N) is taken
-    once per distinct |d| and R exp(+-|d| N) once per size and sign. A
-    step's payoff is three row sums: R before lo, the product on [lo, hi]
-    over E[lo], and R after hi times E[hi] / E[lo]. A sample row with
-    |d| max|N| at ``_MAX_SHIFT`` or past it takes its own build of that
-    step, so outputs do not depend on the block size. Builds run after
-    every read of R, into its buffer.
+    build. It reads R only if ``_step_window`` finds its folded noise rows to
+    be the reference's plus d times the unit-pi noise rows on the steps
+    [lo, hi) and equal elsewhere (d = 0 for a change of ``c`` alone; the
+    reference is the empty step of itself), and max|D| < ``_MAX_SHIFT``,
+    with D the deterministic difference of the two strategies' rows. As
+    sigma + sigma0 >= sigma_lb > 0, the rows move exactly where ``pi``
+    moves on a left knot. With N the unit-pi noise sum and E = exp(d N),
+    exp(z) = R e^D E[clip(q, lo, hi)] / E[lo]: e^D goes into the weights,
+    and per block exp(|d| N) is taken once per distinct |d| and
+    R exp(+-|d| N) once per size and sign. A step's payoff is three row
+    sums: R before lo, the product on [lo, hi] over E[lo], and R after hi
+    times E[hi] / E[lo]. A sample row with |d| max|N| at ``_MAX_SHIFT`` or
+    past it takes its own build of that step, so outputs do not depend on
+    the block size. Builds run after every read of R, into its buffer.
 
     Row blocks are as in the module docstring: ``draws(dw, dw0)``
     (``_utility_draws``) fills each block's increments into two
@@ -436,12 +438,12 @@ def _payoffs(
         raise ValueError("every strategy and the flow must be on the agent's time grid")
     g, dt, n = agent.gamma, agent.grid.dt, agent.grid.n_steps
     market = (agent.h.values, agent.sigma.values, agent.sigma0.values)
-    unit = _euler_rows(*market, np.ones(n + 1), 0.0, dt)[1:]  # the noise rows at pi = 1
-    ref_pi, knots = strategies[0].pi, np.arange(n)
+    unit = tuple(g * u for u in _euler_rows(*market, np.ones(n + 1), 0.0, dt)[1:])  # g times the noise rows at pi = 1
     trapezoid = np.full(n + 1, agent.alpha / g * dt)
     trapezoid[[0, -1]] /= 2
     # step sizes equal up to the rounding of pi share one exp(|d| N)
-    tol = 4.0 * np.spacing(max(float(np.abs(s.pi).max()) for s in strategies))
+    top = max(float(np.abs(s.pi).max()) for s in strategies)
+    tol = 4.0 * np.spacing(top)
     sizes: list[float] = []
     steps: list[tuple] = []  # (index of |d| in sizes or -1 for an empty step, d > 0, lo, hi, j, rows, weights)
     own: list[tuple] = []  # (j, rows, weights)
@@ -451,14 +453,7 @@ def _payoffs(
             ref = rows
         # D: z - z_ref less its noise terms, which a step's weights carry
         dz = rows[0] - ref[0] + np.concatenate(([0.0], np.cumsum(rows[1] - ref[1])))
-        step = _step(s.pi, ref_pi)
-        if step is not None:
-            lo, hi, d = step
-            # 1 where pi moves by d; NaN, which no row equals, where it moves by other than d
-            moved = np.where(s.pi == ref_pi, 0.0, np.where(np.abs(s.pi - ref_pi - d) <= tol, 1.0, np.nan))
-            on = (lo <= knots) & (knots < hi)
-            if not all(map(np.array_equal, _euler_rows(*market, moved, 0.0, dt)[1:], (u * on for u in unit))):
-                step = None
+        step = _step_window(rows[2:], ref[2:], unit, s.pi - strategies[0].pi, top, tol)
         if j and (step is None or np.abs(dz).max() >= _MAX_SHIFT):
             step, dz = None, np.zeros_like(dz)
         w = trapezoid * np.exp(dz)
@@ -466,6 +461,7 @@ def _payoffs(
         if step is None:
             own.append((j, rows, w))
             continue
+        lo, hi, d = step
         k = -1 if lo == hi else next((k for k, size in enumerate(sizes) if abs(abs(d) - size) <= tol), len(sizes))
         if k == len(sizes):
             sizes.append(abs(d))
@@ -484,7 +480,7 @@ def _payoffs(
         np.exp(_build_paths(r, *ref, dw, dw0, scratch), out=r)
         if sizes:
             noise, e, ez = views
-            _build_paths(noise, 0.0, 0.0, g * unit[0], g * unit[1], dw, dw0, scratch)
+            _build_paths(noise, 0.0, 0.0, *unit, dw, dw0, scratch)
             span = np.maximum(noise.max(axis=1), -noise.min(axis=1))
             far = [np.flatnonzero(size * span >= _MAX_SHIFT) for size in sizes]
         held = None  # the (size index, sign) whose R E^(+-1) ez holds

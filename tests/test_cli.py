@@ -18,6 +18,7 @@ from mfgconsume.cli import (
     Bounds,
     ConfigError,
     McSettings,
+    RunManifest,
     Tolerances,
     load_config,
     main,
@@ -484,6 +485,24 @@ class TestSchema:
         out = tmp_path / "o"
         assert main(["solve", "--config", str(REFERENCE), "--out", str(out), *flags]) == 0
         assert json.loads((out / "manifest.json").read_text())["config_hash"] == digest
+
+    @pytest.mark.parametrize("section, key, spellings", [
+        ("bounds", "pi_cap", [10, 10.0, None]),  # None: left out, so the default 10.0
+        ("mc", "n_samples", [2e4, 20000]),
+        ("population", "sigma0", [0, 0.0]),
+        ("population", "sigma0", [[0] * 129, [0.0] * 129]),
+    ])
+    def test_config_hash_reads_typed_values(self, tmp_path, section, key, spellings):
+        digests = set()
+        for value in spellings:
+            raw = json.loads(write_config(tmp_path).read_text())
+            part = raw["population"][0] if section == "population" else raw.setdefault(section, {})
+            if value is not None:
+                part[key] = value
+            path = tmp_path / "typed.json"
+            path.write_text(json.dumps(raw))
+            digests.add(RunManifest("solve", load_config(path)).data["config_hash"])
+        assert len(digests) == 1
 
 
 def _cells_round_trip(path, ints=("type", "path", "large", "flagged"), text=("name",)):

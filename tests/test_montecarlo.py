@@ -377,6 +377,17 @@ def _two_knot_rows(h, sigma, sigma0, pi, c, dt):
     return (g[..., :-1] + g[..., 1:]) * (dt / 2), mean(pi * sigma), mean(pi * sigma0)
 
 
+def step_window(agent, flow, s, ref):
+    """What ``_step_window`` finds for ``s`` against the reference ``ref``
+    when ``_payoffs`` prices the two: ``(lo, hi, d)`` or None."""
+    seen = []
+    real = montecarlo._step_window
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_step_window", lambda *a: seen.append(real(*a)) or seen[-1])
+        montecarlo._payoffs(agent, [ref, s], flow, 1, lambda dw, dw0: (dw.fill(0.0), dw0.fill(0.0)))
+    return seen[1]
+
+
 class TestPayoffs:
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("shared", [True, False, "two-knot"])
@@ -390,10 +401,13 @@ class TestPayoffs:
         sol = solve_equilibrium(pop)
         flow = FlowModel(pop, sol)
         eq = equilibrium_strategy(sol, k)
+        agent = pop.types[k]
         library = [p.strategy for p in default_perturbations(sol, k)]
         pi_steps = [s for s in library if not np.array_equal(s.pi, eq.pi)]
         assert len(pi_steps) == 12
-        assert all(montecarlo._step(s.pi, eq.pi) is not None for s in pi_steps)
+        # under the two-knot rule the six thirds move half rows at their ends
+        steps = [step_window(agent, flow, s, eq) for s in pi_steps]
+        assert sum(step is not None for step in steps) == (6 if shared == "two-knot" else 12)
         ramp = eq.pi + np.linspace(0.0, 0.5, grid.n_steps + 1)
         bumps = eq.pi.copy()
         bumps[5:10] += 0.5
@@ -403,13 +417,12 @@ class TestPayoffs:
         moved[20] += 1e-9  # one knot off the step by far more than rounding
         both = Strategy(grid, eq.pi * 0.8 + 0.1, eq.c * 1.3)  # changes pi and c
         non_steps = [*(Strategy(grid, pi, eq.c) for pi in (ramp, bumps, moved)), both]
-        assert all(montecarlo._step(s.pi, eq.pi) is None for s in non_steps)
+        assert all(step_window(agent, flow, s, eq) is None for s in non_steps)
         strategies = [eq, *library, *non_steps]
         m = 300
         draws = lambda: montecarlo._utility_draws(grid, 9, 0)  # a fresh copy of one chunk's streams
         dw, dw0 = np.empty((2, m, grid.n_steps))
         draws()(dw, dw0)
-        agent = pop.types[k]
         builds = []
         build = montecarlo._build_paths
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
@@ -432,17 +445,17 @@ class TestPayoffs:
         sol = solve_equilibrium(pop)
         flow = FlowModel(pop, sol)
         eq = equilibrium_strategy(sol, 0)
+        agent, m = pop.types[0], 300
         last = eq.pi.copy()
         last[-1] += 0.5  # off the reference at knot n only: an empty step
-        assert montecarlo._step(last, eq.pi) == (0, 0, 0.0)
+        assert step_window(agent, flow, Strategy(grid, last, eq.c), eq) == (0, 0, 0.0)
         # |g log r| = 35: the offset part of max|D| alone passes the bound
         assert 5.0 * 7.0 > montecarlo._MAX_SHIFT
         scaled = Strategy(grid, eq.pi, eq.c * math.exp(-7.0), c_min=1e-6)
         ramp = eq.pi + np.linspace(0.0, 0.5, grid.n_steps + 1)
-        assert montecarlo._step(ramp, eq.pi) is None
         same_pi = [Strategy(grid, ramp, eq.c * r) for r in (1.0, 1.1)]
+        assert step_window(agent, flow, same_pi[0], eq) is None
         strategies = [eq, Strategy(grid, last, eq.c), scaled, *same_pi]
-        agent, m = pop.types[0], 300
         draws = lambda: montecarlo._utility_draws(grid, 6, 0)
         dw, dw0 = np.empty((2, m, grid.n_steps))
         draws()(dw, dw0)
@@ -470,10 +483,14 @@ class TestPayoffs:
         last, mixed = eq.pi.copy(), eq.pi + 0.1
         last[-1] += 0.5
         mixed[-1] += 0.4
-        assert montecarlo._step(last, eq.pi) == (0, 0, 0.0)
-        assert montecarlo._step(mixed, eq.pi)[:2] == (0, grid.n_steps)
         strategies = [eq, *(Strategy(grid, pi, eq.c) for pi in (eq.pi + 0.1, last, mixed))]
         agent, m = pop.types[0], 300
+        found = [step_window(agent, flow, s, eq) for s in strategies[2:]]
+        if rule == "left-endpoint":
+            assert found[0] == (0, 0, 0.0)  # the empty step
+            assert found[1][:2] == (0, grid.n_steps)
+        else:  # both move the last increment's rows by other than d
+            assert found == [None, None]
         draws = lambda: montecarlo._utility_draws(grid, 5, 0)
         dw, dw0 = np.empty((2, m, grid.n_steps))
         draws()(dw, dw0)
@@ -497,12 +514,12 @@ class TestPayoffs:
         flow = FlowModel(pop, sol)
         eq = equilibrium_strategy(sol, 0)
         strategies = [eq]
+        agent, m = pop.types[0], 200
         for d, lo, hi in ((0.05, 100, 110), (-0.05, 0, 3), (0.05, 1020, 1024), (1.0, 500, 501), (-1.0, 700, 701)):
             pi = eq.pi.copy()
             pi[lo:hi] += d
             strategies.append(Strategy(grid, pi, eq.c))
-            assert montecarlo._step(pi, eq.pi)[:2] == (lo, hi)
-        agent, m = pop.types[0], 200
+            assert step_window(agent, flow, strategies[-1], eq)[:2] == (lo, hi)
         draws = lambda: montecarlo._utility_draws(grid, 4, 0)
         dw, dw0 = np.empty((2, m, grid.n_steps))
         draws()(dw, dw0)
@@ -519,6 +536,19 @@ class TestPayoffs:
             got.append(montecarlo._payoffs(agent, strategies, flow, m, draws()))
             assert np.all(np.abs(got[-1] - want) <= 1e-12 * np.abs(want))
         assert all(np.array_equal(got[0], other) for other in got[1:])
+
+    def test_euler_rows_run_once_per_strategy_and_once_for_the_unit_rows(self, monkeypatch):
+        # the step decisions read the folded rows; they call no scheme of their own
+        grid = TimeGrid(1.0, 64)
+        pop = make_random_population(3, grid, n_types=2)
+        sol = solve_equilibrium(pop)
+        flow = FlowModel(pop, sol)
+        strategies = [equilibrium_strategy(sol, 0), *(p.strategy for p in default_perturbations(sol, 0))]
+        calls = []
+        rows = montecarlo._euler_rows
+        monkeypatch.setattr(montecarlo, "_euler_rows", lambda *a: calls.append(1) or rows(*a))
+        montecarlo._payoffs(pop.types[0], strategies, flow, 10, montecarlo._utility_draws(grid, 2, 0))
+        assert len(calls) <= len(strategies) + 1
 
     # 100 samples in 7-row blocks; two chunks of one block each
     @pytest.mark.parametrize("block_rows, n, blocks", [(7, 100, 15), (montecarlo.CHUNK, montecarlo.CHUNK + 10, 2)])
