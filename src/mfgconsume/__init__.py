@@ -52,7 +52,6 @@ from .montecarlo import (
     philox_stream,
     simulate_wealth,
 )
-from .odequad import rk4_integrate, trapezoid_cumulative
 from .population import (
     AgentType,
     Population,

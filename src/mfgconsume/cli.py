@@ -30,7 +30,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
@@ -93,7 +93,6 @@ class ScenarioConfig:
     mc: McSettings
     tolerances: Tolerances
     out_dir: str
-    resolved: dict  # fully-defaulted typed dictionary, hashed into manifests
 
     @property
     def horizon(self) -> float:
@@ -115,14 +114,13 @@ def _keys(obj, allowed, where: str) -> dict:
     return obj
 
 
-def _section(raw: dict, key: str, cls: type, **overrides) -> tuple[dict, object]:
+def _section(raw: dict, key: str, cls: type, **overrides):
     """Section ``key`` of ``raw``, whose schema is the dataclass ``cls``:
     each field is a key, its default the key's default and its annotation
-    the key's kind. Returns the typed values of the raw keys over the
-    defaults, with the ``overrides`` that are not None on top (the dict
-    hashed into manifests), and the ``cls`` instance they make. A float
-    must be finite and positive, an int integral (both by the rule of
-    ``_number``), a bool a JSON boolean."""
+    the key's kind. Returns the ``cls`` instance of the typed values of the
+    raw keys over the defaults, with the ``overrides`` that are not None on
+    top. A float must be finite and positive, an int integral (both by the
+    rule of ``_number``), a bool a JSON boolean."""
     merged = {f.name: f.default for f in fields(cls)}
     merged.update(_keys(raw.get(key, {}), merged, f"'{key}'"))
     merged.update((k, v) for k, v in overrides.items() if v is not None)
@@ -134,7 +132,7 @@ def _section(raw: dict, key: str, cls: type, **overrides) -> tuple[dict, object]
         values[name] = v if kind is bool else _number(kind, v, where)
         if kind is float and not 0 < values[name] < math.inf:
             raise ConfigError(f"{where} must be finite and positive, got {v}")
-    return values, cls(**values)
+    return cls(**values)
 
 
 def _number(kind: type, value, where: str):
@@ -189,16 +187,13 @@ def load_config(
     _keys(raw, ("horizon", "n_steps", "population", "bounds", "mc", "tolerances", "out_dir"),
           f"the top level of {path}")
 
-    resolved = {
-        "horizon": _number(float, raw.get("horizon", 1.0), "horizon"),
-        "n_steps": _number(int, steps if steps is not None else raw.get("n_steps", 2000), "n_steps"),
-        "out_dir": str(out_dir if out_dir is not None else raw.get("out_dir", "out")),
-    }
-    resolved["bounds"], bounds = _section(raw, "bounds", Bounds)
+    horizon = _number(float, raw.get("horizon", 1.0), "horizon")
+    n_steps = _number(int, steps if steps is not None else raw.get("n_steps", 2000), "n_steps")
+    bounds = _section(raw, "bounds", Bounds)
     if bounds.c_max < bounds.c_min:
         raise ConfigError(f"bounds.c_max must be at least bounds.c_min, got {bounds.c_max} < {bounds.c_min}")
-    resolved["tolerances"], tolerances = _section(raw, "tolerances", Tolerances)
-    resolved["mc"], mc = _section(raw, "mc", McSettings, seed=seed, n_samples=samples)
+    tolerances = _section(raw, "tolerances", Tolerances)
+    mc = _section(raw, "mc", McSettings, seed=seed, n_samples=samples)
     for name in ("n_samples", "n_agents", "n_w0_paths"):
         if getattr(mc, name) < 1:
             raise ConfigError(f"mc.{name} must be at least 1, got {getattr(mc, name)}")
@@ -209,12 +204,11 @@ def load_config(
     if not isinstance(type_specs, list) or not type_specs:
         raise ConfigError("'population' must be a non-empty array of type records")
     try:
-        grid = TimeGrid(resolved["horizon"], resolved["n_steps"])
+        grid = TimeGrid(horizon, n_steps)
     except (StructuralError, MemoryError) as e:  # numpy refuses a grid past memory at once
         raise ConfigError(str(e)) from e
     scalars = {"weight": 1.0 / len(type_specs), "x0": 1.0, "gamma": None, "theta": 0.0, "alpha": 1.0}
     types = []
-    resolved_types = []
     for i, record in enumerate(type_specs):
         where = f"population[{i}]"
         _keys(record, (*scalars, *_CURVES), where)
@@ -227,10 +221,6 @@ def load_config(
             types.append(AgentType(**rec, **curves))
         except StructuralError as e:
             raise ConfigError(f"{where}: {e}") from e
-        for k, c in curves.items():  # a curve hashes as its typed value: one float, or one per knot
-            rec[k] = c.values.tolist() if isinstance(record[k], list) else float(c.values[0])
-        resolved_types.append(rec)
-    resolved["population"] = resolved_types
 
     try:
         pop = Population(tuple(types), gamma_lb=bounds.gamma_lb, sigma_lb=bounds.sigma_lb)
@@ -245,8 +235,7 @@ def load_config(
         bounds=bounds,
         mc=mc,
         tolerances=tolerances,
-        out_dir=resolved["out_dir"],
-        resolved=resolved,
+        out_dir=str(out_dir if out_dir is not None else raw.get("out_dir", "out")),
     )
 
 
@@ -258,12 +247,27 @@ def load_config(
 _CSV_BLOCK = 256  # rows per block: bounds the Python objects a write holds at once
 
 
+def _type_record(t: AgentType) -> dict:
+    """An agent type as hashed into manifests: its scalars, and each curve
+    as its one float if constant, else one float per knot."""
+    rec = {k: getattr(t, k) for k in ("weight", "x0", "gamma", "theta", "alpha")}
+    for k in _CURVES:
+        v = getattr(t, k).values
+        rec[k] = float(v[0]) if np.all(v == v[0]) else v.tolist()
+    return rec
+
+
 class RunManifest:
     """Collects artifacts and checks; serialised once per run."""
 
     def __init__(self, command: str, cfg: ScenarioConfig):
-        # hash the scenario itself; where artifacts land is not part of it
-        hashed = {k: v for k, v in cfg.resolved.items() if k != "out_dir"}
+        # hash the typed scenario itself; where artifacts land is not part of it
+        hashed = {
+            "horizon": cfg.horizon,
+            "n_steps": cfg.n_steps,
+            **{key: asdict(getattr(cfg, key)) for key in ("bounds", "mc", "tolerances")},
+            "population": [_type_record(t) for t in cfg.population.types],
+        }
         canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
         self.data = {
             "command": command,

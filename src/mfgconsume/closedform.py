@@ -60,7 +60,7 @@ from numpy.typing import NDArray
 
 from .errors import ExponentRangeError, SingularAggregateError
 from .grid import GridCurve, TimeGrid
-from .odequad import cumtrapz_right, rk4_integrate
+from .odequad import cumtrapz_right, riccati_sweep
 from .population import AgentType, Population
 
 # treat 1 + psi (and 1 + E[theta*gamma/(1-gamma)]) as singular below this
@@ -205,7 +205,7 @@ class EquilibriumSolution:
     ``a_coeff`` and ``b_coeff``; per-type scalars ``d_coeff``. Shared knots
     (n+1,): ``phi``, ``psi`` and the common-noise exposure aggregate
     ``z0_common``. The martingale components vanish identically under
-    deterministic market parameters (``z_tilde_zero``, ``z0_tilde_zero``).
+    deterministic market parameters.
     """
 
     grid: TimeGrid
@@ -218,8 +218,6 @@ class EquilibriumSolution:
     phi: NDArray
     psi: NDArray
     z0_common: NDArray
-    z_tilde_zero: bool = True
-    z0_tilde_zero: bool = True
 
     def curve(self, name: str, k: int | None = None) -> GridCurve:
         vals = getattr(self, name)
@@ -382,23 +380,8 @@ def solve_riccati_numeric(pop: Population, k: int | None = None):
     swept jointly either way).
     """
     co = _at_knots(pop)
-    grid = pop.grid
-    n = grid.n_steps
-    # RK4 only evaluates the rhs at knots and midpoints; pre-sampling B on
-    # the half grid keeps the sweep exact for piecewise-linear B and cheap
-    b_half = np.empty((pop.n_types, 2 * n + 1))
-    b_half[:, 0::2] = co.b
-    b_half[:, 1::2] = (co.b[:, :-1] + co.b[:, 1:]) / 2.0
-    half_dt = grid.dt / 2.0
-
-    def rhs(t, y):
-        i = int(round(t / half_dt))
-        return b_half[:, i] * y + y * y
-
-    values = rk4_integrate(rhs, co.d, "backward", grid)
-    if k is None:
-        return values
-    return GridCurve(grid, values[k])
+    values = riccati_sweep(co.b, co.d, pop.grid.dt)
+    return values if k is None else GridCurve(pop.grid, values[k])
 
 
 # ---------------------------------------------------------------------------

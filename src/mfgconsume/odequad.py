@@ -1,83 +1,52 @@
 """Deterministic numerical kernels on the shared grid.
 
-Two tools only: a classical fourth-order Runge-Kutta sweep (forward or
-backward) and composite trapezoid quadrature with cumulative variants.
+Two tools only: the backward classical fourth-order Runge-Kutta sweep of the
+consumption Riccati equation, and composite trapezoid running integrals.
 Trapezoid is deliberate: second order matches the piecewise-linear curve
 model exactly, so a higher-order rule would buy nothing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Literal
-
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import IntegrationBlowUpError
-from .grid import GridCurve, TimeGrid
-
-Direction = Literal["forward", "backward"]
-Anchor = Literal["left", "right"]
 
 
-def _rk4_sweep(
-    rhs: Callable, y0, grid: TimeGrid, direction: Direction
-) -> NDArray[np.float64]:
-    """Raw RK4 sweep; returns state per knot, shape (n+1,) or (m, n+1)."""
-    t = grid.times
-    n = grid.n_steps
-    y = np.asarray(y0, dtype=np.float64)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y).copy()
-    out = np.empty((y.shape[0], n + 1))
+def riccati_sweep(b: NDArray, d: NDArray, dt: float) -> NDArray[np.float64]:
+    """Classical RK4 for ``y' = B y + y^2`` backward from ``y(T) = d``.
 
-    if direction == "forward":
-        knots = range(0, n)
-        h = grid.dt
-        out[:, 0] = y
-    elif direction == "backward":
-        knots = range(n, 0, -1)
-        h = -grid.dt
-        out[:, n] = y
-    else:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    ``b`` holds B at the knots of each row, shape (K, n+1), and ``d`` the K
+    terminal values; returns y at the knots, shape (K, n+1), the rows swept
+    jointly. The step from knot i to i-1 takes B at knot i, at the midpoint
+    as the mean of the two knots (exact for piecewise-linear B), and at knot
+    i-1. A non-finite state raises :class:`IntegrationBlowUpError` carrying
+    the first bad knot.
+    """
+    n = b.shape[1] - 1
+    h = -dt
+    b_mid = (b[:, :-1] + b[:, 1:]) / 2.0
+    y = np.array(d, dtype=np.float64)
+    out = np.empty(b.shape)
+    out[:, n] = y
 
     # divergence is detected and reported, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in knots:
-            ti = t[i]
-            k1 = rhs(ti, y)
-            k2 = rhs(ti + h / 2, y + (h / 2) * k1)
-            k3 = rhs(ti + h / 2, y + (h / 2) * k2)
-            k4 = rhs(ti + h, y + h * k3)
+        for i in range(n, 0, -1):
+            k1 = b[:, i] * y + y * y
+            y2 = y + (h / 2) * k1
+            k2 = b_mid[:, i - 1] * y2 + y2 * y2
+            y3 = y + (h / 2) * k2
+            k3 = b_mid[:, i - 1] * y3 + y3 * y3
+            y4 = y + h * k3
+            k4 = b[:, i - 1] * y4 + y4 * y4
             y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            j = i + 1 if direction == "forward" else i - 1
             if not np.all(np.isfinite(y)):
-                raise IntegrationBlowUpError(j, float(t[j]))
-            out[:, j] = y
+                raise IntegrationBlowUpError(i - 1, (i - 1) * dt)
+            out[:, i - 1] = y
 
-    return out[0] if scalar else out
-
-
-def rk4_integrate(
-    rhs: Callable,
-    boundary_value,
-    direction: Direction,
-    grid: TimeGrid,
-) -> GridCurve | NDArray[np.float64]:
-    """Solve y' = rhs(t, y) on the grid with classical RK4.
-
-    ``direction='forward'`` starts from ``boundary_value`` at t = 0;
-    ``direction='backward'`` starts from it at t = T and sweeps to 0.
-    A scalar boundary value yields a :class:`GridCurve`; an array boundary
-    integrates the states jointly and yields the raw (m, n+1) matrix.
-    A non-finite state mid-sweep raises :class:`IntegrationBlowUpError`
-    carrying the first bad knot.
-    """
-    values = _rk4_sweep(rhs, boundary_value, grid, direction)
-    if values.ndim == 1:
-        return GridCurve(grid, values)
-    return values
+    return out
 
 
 def cumtrapz_left(values: NDArray, dt: float) -> NDArray[np.float64]:
@@ -98,18 +67,3 @@ def cumtrapz_right(values: NDArray, dt: float) -> NDArray[np.float64]:
     """
     left = cumtrapz_left(values, dt)
     return left[..., -1:] - left
-
-
-def trapezoid_cumulative(f: GridCurve, anchor: Anchor) -> GridCurve:
-    """Cumulative trapezoid integral of a grid curve.
-
-    ``anchor='left'`` returns t -> integral over [0, t];
-    ``anchor='right'`` returns t -> integral over [t, T].
-    """
-    if anchor == "left":
-        vals = cumtrapz_left(f.values, f.grid.dt)
-    elif anchor == "right":
-        vals = cumtrapz_right(f.values, f.grid.dt)
-    else:
-        raise ValueError(f"anchor must be 'left' or 'right', got {anchor!r}")
-    return GridCurve(f.grid, vals)

@@ -3,11 +3,12 @@
 #
 #   tools/diff_artifacts.sh <rev>
 #
-# Runs eight CLI commands on demos/configs/reference.json at one and two
+# Runs nine CLI commands on demos/configs/reference.json at one and two
 # threads, once from the committed files of <rev> and once from the working
 # tree, and compares the two output trees with `diff -r`. Each run's exit
 # status is kept in its output directory beside its artifacts and
-# manifest.json, so a verdict or a crash that differs shows in the diff.
+# manifest.json, so a verdict or a crash that differs shows in the diff;
+# sweep-gamma ends in exit 3, so a manifest's `error` block is diffed too.
 # Outputs stay under out/diff_artifacts/ for inspection. Exits 0 when every
 # file is byte-identical, 1 when some file differs.
 set -euo pipefail
@@ -40,6 +41,7 @@ solve solve
 solve-seed7 solve --seed 7 --steps 256
 verify verify
 sweep-sigma0 sweep --parameter sigma0 --lo 0.01 --hi 2.0 --points 120
+sweep-gamma sweep --parameter gamma --lo 0.95 --hi 0.99 --points 5
 EOF
   done
 }
