@@ -326,21 +326,15 @@ class FlowModel:
         out = np.empty((dw0.shape[0], self.grid.n_steps + 1))
         return _build_paths(out, *self.index_rows, 0.0, dw0)
 
-    def along(self, w0_increments: NDArray) -> MeanFieldFlow:
-        w0 = np.asarray(w0_increments, dtype=float)
-        if w0.shape != (self.grid.n_steps,):
-            raise ValueError(f"need {self.grid.n_steps} increments, got {w0.shape}")
-        mu = self.mu_values(w0)
-        return MeanFieldFlow(
-            mu_hat=GridCurve(self.grid, mu),
-            nu_hat=GridCurve(self.grid, self.e_logc + mu),
-            w0_increments=w0,
-        )
-
 
 def mean_field_flow(pop: Population, sol: EquilibriumSolution, w0_increments) -> MeanFieldFlow:
     """Mean-field flow of the equilibrium along one common-noise path."""
-    return FlowModel(pop, sol).along(w0_increments)
+    model = FlowModel(pop, sol)
+    w0 = np.asarray(w0_increments, dtype=float)
+    if w0.shape != (model.grid.n_steps,):
+        raise ValueError(f"need {model.grid.n_steps} increments, got {w0.shape}")
+    mu = model.mu_values(w0)
+    return MeanFieldFlow(GridCurve(model.grid, mu), GridCurve(model.grid, model.e_logc + mu), w0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,22 +407,25 @@ def _payoffs(
     ``_folded_rows``, with trapezoid weights (al/g) dt plus exp(-off_T)/g on
     the last knot for the terminal term.
 
-    Each block takes one path build of the reference ``strategies[0]`` and
-    keeps R = exp(z_ref). Every strategy either reads R or takes its own
-    build. It reads R only if ``_step_window`` finds its folded noise rows to
-    be the reference's plus d times the unit-pi noise rows on the steps
-    [lo, hi) and equal elsewhere (d = 0 for a change of ``c`` alone; the
-    reference is the empty step of itself), and max|D| < ``_MAX_SHIFT``,
-    with D the deterministic difference of the two strategies' rows. As
-    sigma + sigma0 >= sigma_lb > 0, the rows move exactly where ``pi``
-    moves on a left knot. With N the unit-pi noise sum and E = exp(d N),
-    exp(z) = R e^D E[clip(q, lo, hi)] / E[lo]: e^D goes into the weights,
-    and per block exp(|d| N) is taken once per distinct |d| and
-    R exp(+-|d| N) once per size and sign. A step's payoff is three row
-    sums: R before lo, the product on [lo, hi] over E[lo], and R after hi
-    times E[hi] / E[lo]. A sample row with |d| max|N| at ``_MAX_SHIFT`` or
-    past it takes its own build of that step, so outputs do not depend on
-    the block size. Builds run after every read of R, into its buffer.
+    A strategy either reads R = exp(z_ref) of the reference
+    ``strategies[0]`` or takes its own build. It reads R only if
+    ``_step_window`` finds its folded noise rows to be the reference's plus
+    d times the unit-pi noise rows on the steps [lo, hi) and equal elsewhere,
+    and max|D| < ``_MAX_SHIFT``, D the deterministic difference of the two
+    exponents. As sigma + sigma0 >= sigma_lb > 0, the rows move exactly
+    where ``pi`` moves on a left knot. The plan holds ``reads``, the empty
+    steps (lo = hi: a change of ``c`` alone, and the reference itself);
+    ``sizes``, the other steps by |d| (equal up to the rounding of ``pi``)
+    and then by the sign of d; and ``own``. With N the unit-pi noise sum,
+    E = exp(|d| N) and F = E or 1 / E as d > 0 or d < 0, a step's exp(z) is
+    R e^D F[clip(q, lo, hi)] / F[lo]. e^D goes into the weights, so per
+    block E is taken once per size and R F once per sign, and a step's
+    payoff is three row sums: R before lo, R F on [lo, hi] over F[lo], and
+    R after hi times F[hi] / F[lo]. A sample row with |d| max|N| at
+    ``_MAX_SHIFT`` or past it cannot read R: its E is zeroed, and the row
+    is rebuilt from the reference's deterministic rows and the step's noise
+    rows, so outputs do not depend on the block size. These rebuilds and
+    the ``own`` builds run in one loop after every read of R, into R's buffer.
 
     Row blocks are as in the module docstring: ``draws(dw, dw0)``
     (``_utility_draws``) fills each block's increments into two
@@ -444,9 +441,9 @@ def _payoffs(
     # step sizes equal up to the rounding of pi share one exp(|d| N)
     top = max(float(np.abs(s.pi).max()) for s in strategies)
     tol = 4.0 * np.spacing(top)
-    sizes: list[float] = []
-    steps: list[tuple] = []  # (index of |d| in sizes or -1 for an empty step, d > 0, lo, hi, j, rows, weights)
-    own: list[tuple] = []  # (j, rows, weights)
+    reads: list[tuple] = []  # (j, weights) of the empty steps
+    sizes: dict[float, dict[bool, list[tuple]]] = {}  # |d| -> d > 0 -> [(lo, hi, j, far-row build rows, weights)]
+    own: list[tuple] = []  # (j, rows, weights, all sample rows)
     for j, s in enumerate(strategies):
         rows, off_t = _folded_rows(agent, s, flow)
         if j == 0:
@@ -459,14 +456,14 @@ def _payoffs(
         w = trapezoid * np.exp(dz)
         w[-1] += np.exp(dz[-1] - off_t) / g
         if step is None:
-            own.append((j, rows, w))
-            continue
-        lo, hi, d = step
-        k = -1 if lo == hi else next((k for k, size in enumerate(sizes) if abs(abs(d) - size) <= tol), len(sizes))
-        if k == len(sizes):
-            sizes.append(abs(d))
-        steps.append((k, d > 0, lo, hi, j, rows, w))
-    steps.sort(key=lambda step: step[:2])
+            own.append((j, rows, w, slice(None)))
+        elif step[0] == step[1]:
+            reads.append((j, w))
+        else:
+            lo, hi, d = step
+            size = next((size for size in sizes if abs(abs(d) - size) <= tol), abs(d))
+            # a far row keeps the reference's deterministic rows: the weights carry e^D
+            sizes.setdefault(size, {}).setdefault(d > 0, []).append((lo, hi, j, (*ref[:2], *rows[2:]), w))
 
     n_buf = 1 + 3 * bool(sizes)  # R, and N, E and R E^(+-1) when a step has a size
     blocks = _blocks(m, n, n_buf)
@@ -478,37 +475,32 @@ def _payoffs(
         dw, dw0, scratch = drawn[:, : b.stop - b.start]
         draws(dw, dw0)
         np.exp(_build_paths(r, *ref, dw, dw0, scratch), out=r)
+        for j, w in reads:
+            out[j, b] = _row_sum(r, w)
+        builds = []  # (j, rows, weights, sample rows) of the rows that cannot read R
         if sizes:
             noise, e, ez = views
             _build_paths(noise, 0.0, 0.0, *unit, dw, dw0, scratch)
             span = np.maximum(noise.max(axis=1), -noise.min(axis=1))
-            far = [np.flatnonzero(size * span >= _MAX_SHIFT) for size in sizes]
-        held = None  # the (size index, sign) whose R E^(+-1) ez holds
-        for k, up, lo, hi, j, _, w in steps:
-            if k < 0:
-                out[j, b] = _row_sum(r, w)
-                continue
-            if held is None or held[0] != k:
-                np.multiply(noise, sizes[k], out=e)
-                e[far[k]] = 0.0  # rows past the bound take their own build below
-                np.exp(e, out=e)
-            if held != (k, up):
+        for size, signs in sizes.items():
+            far = np.flatnonzero(size * span >= _MAX_SHIFT)
+            np.multiply(noise, size, out=e)
+            e[far] = 0.0  # rows past the bound take their own build below
+            np.exp(e, out=e)
+            for up, steps in signs.items():
                 (np.multiply if up else np.divide)(r, e, out=ez)
-                held = (k, up)
-            mid = _row_sum(ez[:, lo : hi + 1], w[lo : hi + 1])
-            after = _row_sum(r[:, hi + 1 :], w[hi + 1 :])
-            mid = (mid + after * e[:, hi]) / e[:, lo] if up else (mid + after / e[:, hi]) * e[:, lo]
-            out[j, b] = _row_sum(r[:, :lo], w[:lo]) + mid
-        for k, _, _, _, j, rows, w in steps:
-            if k >= 0 and far[k].size:
-                # the reference's deterministic rows: the weights carry e^D
-                rel = far[k]
-                z = r[: rel.size]
-                np.exp(_build_paths(z, *ref[:2], *rows[2:], dw[rel], dw0[rel], scratch[: rel.size]), out=z)
-                out[j, b.start + rel] = _row_sum(z, w)
-        for j, rows, w in own:
-            np.exp(_build_paths(r, *rows, dw, dw0, scratch), out=r)
-            out[j, b] = _row_sum(r, w)
+                for lo, hi, j, rows, w in steps:
+                    mid = _row_sum(ez[:, lo : hi + 1], w[lo : hi + 1])
+                    after = _row_sum(r[:, hi + 1 :], w[hi + 1 :])
+                    mid = (mid + after * e[:, hi]) / e[:, lo] if up else (mid + after / e[:, hi]) * e[:, lo]
+                    out[j, b] = _row_sum(r[:, :lo], w[:lo]) + mid
+                    if far.size:
+                        builds.append((j, rows, w, far))
+        for j, rows, w, rel in builds + own:
+            x, x0 = dw[rel], dw0[rel]
+            z = r[: len(x)]
+            np.exp(_build_paths(z, *rows, x, x0, scratch[: len(x)]), out=z)
+            out[j, b][rel] = _row_sum(z, w)
     return out
 
 

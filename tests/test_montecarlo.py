@@ -520,6 +520,13 @@ class TestPayoffs:
             pi[lo:hi] += d
             strategies.append(Strategy(grid, pi, eq.c))
             assert step_window(agent, flow, strategies[-1], eq)[:2] == (lo, hi)
+        # one call also mixes in an own build and a read of R: a local ramp is
+        # not a step, and a change of c alone is the empty step
+        ramp = eq.pi.copy()
+        ramp[200:210] += np.linspace(0.0, 0.05, 10)
+        strategies += [Strategy(grid, ramp, eq.c), Strategy(grid, eq.pi, eq.c * 1.1)]
+        assert step_window(agent, flow, strategies[-2], eq) is None
+        assert step_window(agent, flow, strategies[-1], eq) == (0, 0, 0.0)
         draws = lambda: montecarlo._utility_draws(grid, 4, 0)
         dw, dw0 = np.empty((2, m, grid.n_steps))
         draws()(dw, dw0)

@@ -3,45 +3,61 @@
 #
 #   tools/diff_artifacts.sh <rev>
 #
-# Runs nine CLI commands on demos/configs/reference.json at one and two
-# threads, once from the committed files of <rev> and once from the working
-# tree, and compares the two output trees with `diff -r`. Each run's exit
-# status is kept in its output directory beside its artifacts and
-# manifest.json, so a verdict or a crash that differs shows in the diff;
-# sweep-gamma ends in exit 3, so a manifest's `error` block is diffed too.
-# Outputs stay under out/diff_artifacts/ for inspection. Exits 0 when every
-# file is byte-identical, 1 when some file differs.
+# Runs nine CLI commands on demos/configs/reference.json and two `deviate`
+# runs on a steep config at one and two threads, once from the committed
+# files of <rev> and once from the working tree, and compares the two output
+# trees with `diff -r`. The steep config (a type with gamma -30) is written
+# to a temp file that both trees read: at probe type 0 thousands of its
+# sample rows pass the payoff's exponent bound `_MAX_SHIFT` and are rebuilt,
+# a path that the reference config never reaches. Each run's exit status is
+# kept in its output directory beside its artifacts and manifest.json, so a
+# verdict or a crash that differs shows in the diff; sweep-gamma ends in
+# exit 3, so a manifest's `error` block is diffed too, and deviate-steep-p0
+# in exit 1. Outputs stay under out/diff_artifacts/ for inspection. Exits 0
+# when every file is byte-identical, 1 when some file differs.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_artifacts.sh <rev>}
 root=$(git rev-parse --show-toplevel)
 name=$(git -C "$root" rev-parse --short "$rev")
 out=$root/out/diff_artifacts
-tree=$(mktemp -d)
-trap 'rm -rf "$tree"' EXIT
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+tree=$tmp/tree
+mkdir "$tree"
 git -C "$root" archive "$rev" | tar -x -C "$tree"  # <rev>'s files, without its untracked outputs
+ref=demos/configs/reference.json  # each tree reads its own copy
+steep=$tmp/steep.json
+cat > "$steep" <<'JSON'
+{"horizon": 4.0, "n_steps": 64, "mc": {"n_samples": 4096, "seed": 3},
+ "population": [
+  {"weight": 0.5, "gamma": -30.0, "theta": 0.5, "h": 0.1, "sigma": 0.5, "sigma0": 0.3},
+  {"weight": 0.5, "gamma": 0.4, "theta": 0.3, "h": 0.05, "sigma": 0.2, "sigma0": 0.1}]}
+JSON
 
 # run_all <source tree> <output tree>
 run_all() {
   rm -rf "$2"
   for threads in 1 2; do
-    while read -r run args; do
+    while read -r run config args; do
       dir=$2/t$threads/$run
       mkdir -p "$dir"
       status=0
       (cd "$1" && MFG_CONSUME_THREADS=$threads PYTHONPATH=src python -m mfgconsume.cli $args \
-          --config demos/configs/reference.json --out "$dir" < /dev/null > /dev/null) || status=$?
+          --config "$config" --out "$dir" < /dev/null > /dev/null) || status=$?
       echo "$status" > "$dir/exit_status"
-    done <<'EOF'
-deviate-256-p0 deviate --steps 256 --samples 8192 --probe-type 0
-deviate-256-p1 deviate --steps 256 --samples 8192 --probe-type 1
-deviate-10k-p1 deviate --samples 10000 --probe-type 1
-simulate simulate
-solve solve
-solve-seed7 solve --seed 7 --steps 256
-verify verify
-sweep-sigma0 sweep --parameter sigma0 --lo 0.01 --hi 2.0 --points 120
-sweep-gamma sweep --parameter gamma --lo 0.95 --hi 0.99 --points 5
+    done <<EOF
+deviate-256-p0 $ref deviate --steps 256 --samples 8192 --probe-type 0
+deviate-256-p1 $ref deviate --steps 256 --samples 8192 --probe-type 1
+deviate-10k-p1 $ref deviate --samples 10000 --probe-type 1
+deviate-steep-p0 $steep deviate --probe-type 0
+deviate-steep-p1 $steep deviate --probe-type 1
+simulate $ref simulate
+solve $ref solve
+solve-seed7 $ref solve --seed 7 --steps 256
+verify $ref verify
+sweep-sigma0 $ref sweep --parameter sigma0 --lo 0.01 --hi 2.0 --points 120
+sweep-gamma $ref sweep --parameter gamma --lo 0.95 --hi 0.99 --points 5
 EOF
   done
 }
