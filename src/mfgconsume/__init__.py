@@ -39,7 +39,6 @@ from .montecarlo import (
     DeviationReport,
     FlowModel,
     MeanFieldFlow,
-    NoiseBundle,
     Perturbation,
     Strategy,
     UtilityEstimate,

@@ -464,7 +464,7 @@ def sweep_sensitivity(
                 )
                 flagged = not validate(shifted).ok
                 pi0, c0 = tagged_policy_at0(population_aggregates(shifted), probe)
-        except (ValueError, SingularAggregateError, ExponentRangeError, ZeroDivisionError):
+        except (ValueError, SingularAggregateError, ExponentRangeError):
             # outside the validated region the closed form may not evaluate;
             # inside it, that is an error of its own and is not masked
             if not flagged:

@@ -58,8 +58,6 @@ _DOM_UTIL_W = 2
 _DOM_CONS_W0 = 3
 _DOM_CONS_TYPES = 4
 _DOM_CONS_W = 5
-_DOM_BUNDLE_W0 = 6
-_DOM_BUNDLE_W = 7
 _DOM_RELATION = 8
 
 
@@ -123,6 +121,8 @@ def _chunk_moments(n: int, rows: Callable[[int, tuple[int, int]], NDArray]) -> t
     spread is small next to the mean. A row whose min equals its max has a
     stderr of exactly 0.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     ranges = _chunks(n)
 
     def one(i: int) -> tuple[NDArray, ...]:
@@ -146,7 +146,7 @@ def _chunk_moments(n: int, rows: Callable[[int, tuple[int, int]], NDArray]) -> t
 
 
 # ---------------------------------------------------------------------------
-# strategies and noise
+# strategies
 # ---------------------------------------------------------------------------
 
 
@@ -194,28 +194,6 @@ def equilibrium_strategy(
     return Strategy(sol.grid, sol.pi_star[k], sol.c_star[k], pi_cap, c_min, c_max)
 
 
-@dataclass(frozen=True)
-class NoiseBundle:
-    """Brownian increments for a batch of samples: one shared common-noise
-    path ``w0_increments`` (n_steps,) and per-sample idiosyncratic increments
-    ``w_increments`` (n_samples, n_steps), each ~ N(0, dt) under the seeded
-    counter-based generator."""
-
-    w0_increments: NDArray
-    w_increments: NDArray
-    seed: int
-    n_samples: int
-
-    @classmethod
-    def generate(cls, grid: TimeGrid, n_samples: int, seed: int) -> "NoiseBundle":
-        if n_samples < 1:
-            raise ValueError(f"need n_samples >= 1, got {n_samples}")
-        sd = np.sqrt(grid.dt)
-        w0 = philox_stream(seed, _sid(_DOM_BUNDLE_W0)).normal(0.0, sd, grid.n_steps)
-        w = philox_stream(seed, _sid(_DOM_BUNDLE_W)).normal(0.0, sd, (n_samples, grid.n_steps))
-        return cls(w0, w, seed, n_samples)
-
-
 # ---------------------------------------------------------------------------
 # wealth simulation
 # ---------------------------------------------------------------------------
@@ -236,46 +214,33 @@ def _build_paths(
     """Log-wealth paths from one set of Euler coefficient rows and
     increments, written into ``out`` of shape (m, n+1). ``scratch``, shaped
     like ``out[:, 1:]``, takes the common-noise term; without it that term
-    is a new array."""
+    is a new array. A drift or start that is all zero is not added."""
     inc = out[:, 1:]
     np.multiply(vol_w, dw, out=inc)
-    inc += drift
+    if np.any(drift):
+        inc += drift
     inc += np.multiply(vol_w0, dw0, out=scratch)
     np.cumsum(inc, axis=1, out=inc)
     out[:, 0] = log_x0
-    out[:, 1:] += out[:, :1]
+    if np.any(log_x0):
+        out[:, 1:] += out[:, :1]
     return out
 
 
-def _logwealth_paths(
-    x0: float,
-    h: NDArray,
-    sigma: NDArray,
-    sigma0: NDArray,
-    pi: NDArray,
-    c: NDArray,
-    dw: NDArray,
-    dw0: NDArray,
-    dt: float,
-) -> NDArray:
-    """Euler log-wealth paths, shape (m, n+1); see ``_euler_rows``."""
-    m, n = np.broadcast_shapes(np.shape(dw), np.shape(dw0))
-    out = np.empty((m, n + 1))
-    return _build_paths(out, np.log(x0), *_euler_rows(h, sigma, sigma0, pi, c, dt), dw, dw0)
-
-
-def simulate_wealth(
-    agent: AgentType, strategy: Strategy, noise: NoiseBundle, sample_index: int = 0
-) -> GridCurve:
-    """Log-wealth path of one sample under the given bounded strategy."""
+def simulate_wealth(agent: AgentType, strategy: Strategy, dw, dw0) -> NDArray:
+    """Euler log-wealth paths of ``agent`` under ``strategy``, shape
+    (m, n_steps + 1), from idiosyncratic increments ``dw`` of shape
+    (m, n_steps) and common-noise increments ``dw0`` that broadcast to it;
+    see ``_euler_rows``. Path i reads row i of the increments alone."""
     grid = agent.grid
-    dw = noise.w_increments[sample_index][None, :]
-    dw0 = noise.w0_increments[None, :]
-    path = _logwealth_paths(
-        agent.x0, agent.h.values, agent.sigma.values, agent.sigma0.values,
-        strategy.pi, strategy.c, dw, dw0, grid.dt,
-    )
-    return GridCurve(grid, path[0])
+    if strategy.grid != grid:
+        raise ValueError("the strategy must be on the agent's time grid")
+    dw, dw0 = np.asarray(dw, dtype=float), np.asarray(dw0, dtype=float)
+    fits = dw.ndim == 2 and dw.shape[1] == grid.n_steps and dw0.ndim <= 2
+    if not (fits and all(a in (1, b) for a, b in zip(dw0.shape[::-1], dw.shape[::-1]))):
+        raise ValueError(f"need dw (m, {grid.n_steps}) and a dw0 that broadcasts to it, got {dw.shape} and {dw0.shape}")
+    rows = _euler_rows(agent.h.values, agent.sigma.values, agent.sigma0.values, strategy.pi, strategy.c, grid.dt)
+    return _build_paths(np.empty((dw.shape[0], grid.n_steps + 1)), np.log(agent.x0), *rows, dw, dw0)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +501,6 @@ def estimate_utility(
     common-noise path is folded into the payoff's Euler rows (``_payoffs``),
     so no flow is built per sample.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     mean, stderr = _chunk_moments(
         n, lambda i, chunk: _payoffs(agent, [strategy], flow, chunk[1] - chunk[0], _utility_draws(agent.grid, seed, i))
     )
@@ -645,8 +608,6 @@ def deviation_test(
     """Paired common-random-number comparison of the equilibrium against each
     perturbation: every sample reuses identical (W, W0) draws for all
     strategies, so delta estimates carry only the strategy difference."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     agent = pop.types[k]
     flow = FlowModel(pop, sol)
     strategies = [equilibrium_strategy(sol, k, pi_cap, c_min, c_max), *(p.strategy for p in perturbations)]

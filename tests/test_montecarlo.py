@@ -8,7 +8,6 @@ from conftest import make_random_population
 
 from mfgconsume import (
     FlowModel,
-    NoiseBundle,
     Perturbation,
     Population,
     Strategy,
@@ -27,7 +26,7 @@ from mfgconsume import (
     value_function,
 )
 from mfgconsume import montecarlo
-from mfgconsume.montecarlo import _logwealth_paths, consistency_w0
+from mfgconsume.montecarlo import consistency_w0
 from mfgconsume.odequad import cumtrapz_left
 
 
@@ -64,40 +63,57 @@ class TestStrategy:
             Strategy(grid, np.zeros(5), np.full(5, 0.5))
 
 
-class TestNoise:
-    def test_reproducible(self, grid):
-        a = NoiseBundle.generate(grid, 10, seed=3)
-        b = NoiseBundle.generate(grid, 10, seed=3)
-        assert np.array_equal(a.w_increments, b.w_increments)
-        assert np.array_equal(a.w0_increments, b.w0_increments)
-
-    def test_prefix_stable_in_sample_count(self, grid):
-        # sample i's noise does not depend on how many samples were asked for
-        a = NoiseBundle.generate(grid, 4, seed=3)
-        b = NoiseBundle.generate(grid, 9, seed=3)
-        assert np.array_equal(a.w_increments, b.w_increments[:4])
-
-    def test_increment_variance(self):
-        grid = TimeGrid(2.0, 50)
-        nb = NoiseBundle.generate(grid, 4000, seed=1)
-        v = nb.w_increments.var()
-        assert abs(v - grid.dt) < 0.05 * grid.dt
-
-    def test_rejects_empty(self, grid):
-        with pytest.raises(ValueError):
-            NoiseBundle.generate(grid, 0, seed=1)
-
-
 class TestSimulateWealth:
     def test_deterministic_drift(self, grid):
         # pi = 0, c = 0.3: log-wealth decays linearly, no noise enters
         pop = single(grid)
         n = grid.n_steps + 1
         strat = Strategy(grid, np.zeros(n), np.full(n, 0.3))
-        noise = NoiseBundle.generate(grid, 1, seed=5)
-        path = simulate_wealth(pop.types[0], strat, noise)
+        dw = philox_stream(5, 0).normal(0.0, np.sqrt(grid.dt), (3, grid.n_steps))
+        path = simulate_wealth(pop.types[0], strat, dw, dw[:1])
         want = np.log(1.0) - 0.3 * grid.times
-        assert np.abs(path.values - want).max() <= 1e-12
+        assert path.shape == (3, n)
+        assert np.abs(path - want).max() <= 1e-12
+
+    def test_rejects_another_grid_and_malformed_increments(self, grid):
+        agent = single(grid).types[0]
+        n = grid.n_steps
+        strat = Strategy(grid, np.ones(n + 1), np.full(n + 1, 0.3))
+        other = TimeGrid(2.0, n)
+        with pytest.raises(ValueError, match="time grid"):
+            simulate_wealth(agent, Strategy(other, strat.pi, strat.c), np.zeros((2, n)), np.zeros(n))
+        for dw, dw0 in [
+            (np.zeros(n), np.zeros(n)),              # dw not (m, n_steps)
+            (np.zeros((2, n + 1)), np.zeros(n + 1)),
+            (np.zeros((2, n, 1)), np.zeros(n)),
+            (np.zeros((2, n)), np.zeros(n - 1)),     # dw0 does not broadcast to dw
+            (np.zeros((2, n)), np.zeros((3, n))),
+            (np.zeros((2, n)), np.zeros((2, 1, n))),
+        ]:
+            with pytest.raises(ValueError, match="broadcasts"):
+                simulate_wealth(agent, strat, dw, dw0)
+
+    def test_row_of_a_batch_equals_its_one_row_call(self, grid):
+        # path i reads row i of the increments alone, whatever the batch size
+        pop = make_random_population(6, grid, n_types=1)
+        sol = solve_equilibrium(pop)
+        agent, strat = pop.types[0], equilibrium_strategy(sol, 0)
+        sd = np.sqrt(grid.dt)
+        dw = philox_stream(3, 1).normal(0.0, sd, (9, grid.n_steps))
+        dw0 = philox_stream(3, 2).normal(0.0, sd, (9, grid.n_steps))
+        paths = simulate_wealth(agent, strat, dw, dw0)
+        for i in range(9):
+            assert np.array_equal(paths[i], simulate_wealth(agent, strat, dw[i : i + 1], dw0[i : i + 1])[0])
+
+    def test_shared_common_noise_row_equals_its_repeats(self, grid):
+        agent = single(grid).types[0]
+        n = grid.n_steps + 1
+        strat = Strategy(grid, np.linspace(0.5, 1.5, n), np.full(n, 0.3))
+        sd = np.sqrt(grid.dt)
+        dw = philox_stream(4, 1).normal(0.0, sd, (5, grid.n_steps))
+        dw0 = philox_stream(4, 2).normal(0.0, sd, (1, grid.n_steps))
+        shared = simulate_wealth(agent, strat, dw, dw0)
+        assert np.array_equal(shared, simulate_wealth(agent, strat, dw, np.repeat(dw0, 5, axis=0)))
 
     def test_gaussian_moment_oracle(self):
         # pi = 1, c = c_min, constant h = 0.1, sigma = 0.2, no common noise:
@@ -110,9 +126,8 @@ class TestSimulateWealth:
         n = 100_000
         sd = np.sqrt(grid.dt)
         dw = philox_stream(17, 0).normal(0.0, sd, (n, grid.n_steps))
-        x = _logwealth_paths(1.0, tp.h.values, tp.sigma.values, tp.sigma0.values,
-                             np.ones(grid.n_steps + 1), np.full(grid.n_steps + 1, c_min),
-                             dw, np.zeros((1, grid.n_steps)), grid.dt)
+        strat = Strategy(grid, np.ones(grid.n_steps + 1), np.full(grid.n_steps + 1, c_min))
+        x = simulate_wealth(tp, strat, dw, np.zeros((1, grid.n_steps)))
         xT = x[:, -1]
         mean_oracle = 0.1 - 0.5 * 0.04 - c_min
         se = xT.std(ddof=1) / math.sqrt(n)
@@ -130,9 +145,8 @@ class TestSimulateWealth:
             tp = pop.types[0]
             n = 50_000
             dw = philox_stream(23, n_steps).normal(0.0, np.sqrt(grid.dt), (n, grid.n_steps))
-            x = _logwealth_paths(1.0, tp.h.values, tp.sigma.values, tp.sigma0.values,
-                                 np.ones(grid.n_steps + 1), np.full(grid.n_steps + 1, c0),
-                                 dw, np.zeros((1, grid.n_steps)), grid.dt)
+            strat = Strategy(grid, np.ones(grid.n_steps + 1), np.full(grid.n_steps + 1, c0))
+            x = simulate_wealth(tp, strat, dw, np.zeros((1, grid.n_steps)))
             payoff = np.exp(g * x[:, -1])
             m = 0.1 - 0.5 * 0.04 - c0
             oracle = math.exp(g * m + g * g * 0.04 / 2)
@@ -248,8 +262,10 @@ class TestEstimateUtility:
     def test_rejects_empty(self, grid):
         pop = single(grid)
         sol = solve_equilibrium(pop)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need n >= 1"):
             estimate_utility(pop.types[0], equilibrium_strategy(sol, 0), FlowModel(pop, sol), 0, 1)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            deviation_test(pop, 0, sol, [], 0, 1)
 
     @pytest.mark.parametrize("estimator", ["estimate_utility", "deviation_test"])
     def test_rejects_a_strategy_on_another_grid(self, grid, estimator):
@@ -361,8 +377,7 @@ def _oracle_payoffs(agent, strategies, flow, dw, dw0):
     mu = flow.mu_batch(dw0)
     out = []
     for s in strategies:
-        x = _logwealth_paths(agent.x0, agent.h.values, agent.sigma.values, agent.sigma0.values,
-                             s.pi, s.c, dw, dw0, dt)
+        x = simulate_wealth(agent, s, dw, dw0)
         terminal = np.exp(g * (x[:, -1] - th * mu[:, -1])) / g
         integrand = al / g * np.exp(g * (np.log(s.c) + x - th * (flow.e_logc + mu)))
         out.append(terminal + np.trapezoid(integrand, dx=dt, axis=1))
@@ -668,9 +683,8 @@ class TestConsistency:
         for p in range(2):
             w0 = consistency_w0(grid, seed, p)[None, :]
             paths = np.vstack([
-                _logwealth_paths(tp.x0, tp.h.values, tp.sigma.values, tp.sigma0.values,
-                                 sol.pi_star[k], sol.c_star[k],
-                                 rng.normal(0.0, np.sqrt(grid.dt), (m, grid.n_steps)), w0, grid.dt)
+                simulate_wealth(tp, equilibrium_strategy(sol, k),
+                                rng.normal(0.0, np.sqrt(grid.dt), (m, grid.n_steps)), w0)
                 for k, (tp, m) in enumerate(zip(pop.types, counts))
             ])
             for row, q in zip(rep.rows[p * len(knots):], knots):
