@@ -6,13 +6,13 @@ Run:  python demos/02_verification_identities.py
 import numpy as np
 
 from mfgconsume import (
+    FlowModel,
     MopState,
     Population,
     TimeGrid,
     bsde_residual,
     constant_type,
     drift_check,
-    mean_field_flow,
     mop_drift,
     philox_stream,
     relation_check,
@@ -44,13 +44,14 @@ print(f"Riccati sweep vs quadrature closed form: sup rel err {ric.max():.3e}")
 
 # 4. Drift bracket: zero at the solved controls, negative elsewhere.
 w0 = philox_stream(0, 1).normal(0, np.sqrt(grid.dt), grid.n_steps)
-flow = mean_field_flow(pop, sol, w0)
+flow = FlowModel(pop, sol)
+mu_hat = flow.mu_values(w0)
 i = grid.n_steps // 2
 k = 0
 tp = pop.types[k]
 state = MopState(
-    Y=sol.y_tilde[k, i] - tp.theta * tp.gamma * flow.mu_hat.values[i],
-    nu_hat=flow.nu_hat.values[i],
+    Y=sol.y_tilde[k, i] - tp.theta * tp.gamma * mu_hat[i],
+    nu_hat=flow.e_logc[i] + mu_hat[i],
     h=tp.h(grid.times[i]), sigma=tp.sigma(grid.times[i]), sigma0=tp.sigma0(grid.times[i]),
     gamma=tp.gamma, theta=tp.theta, alpha=tp.alpha,
     Z=0.0, Z0=-tp.theta * tp.gamma * sol.phi[i] / (1 + sol.psi[i]),

@@ -33,12 +33,11 @@ from .errors import (
     SingularAggregateError,
     StructuralError,
 )
-from .grid import GridCurve, ParamCurve, TimeGrid
+from .grid import GridCurve, TimeGrid
 from .montecarlo import (
     ConsistencyReport,
     DeviationReport,
     FlowModel,
-    MeanFieldFlow,
     Perturbation,
     Strategy,
     UtilityEstimate,
@@ -47,7 +46,6 @@ from .montecarlo import (
     deviation_test,
     equilibrium_strategy,
     estimate_utility,
-    mean_field_flow,
     philox_stream,
     simulate_wealth,
 )
@@ -56,12 +54,10 @@ from .population import (
     Population,
     ValidationReport,
     constant_type,
-    expect,
     sample_agents,
     validate,
 )
 from .verify import (
-    DriverInput,
     MopState,
     RelationReport,
     ResidualReport,

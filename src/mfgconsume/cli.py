@@ -384,9 +384,9 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path, manifest: RunManifest) -> None:
 def _cmd_simulate(cfg: ScenarioConfig, out: Path, manifest: RunManifest) -> None:
     pop = cfg.population
     sol = solve_equilibrium(pop)
-    flow = montecarlo.mean_field_flow(pop, sol, montecarlo.consistency_w0(pop.grid, cfg.mc.seed, 0))
-    manifest.write_csv(out / "flow.csv",
-                       {"t": pop.grid.times, "mu_hat": flow.mu_hat.values, "nu_hat": flow.nu_hat.values})
+    flow = montecarlo.FlowModel(pop, sol)
+    mu = flow.mu_values(montecarlo.consistency_w0(pop.grid, cfg.mc.seed, 0))
+    manifest.write_csv(out / "flow.csv", {"t": pop.grid.times, "mu_hat": mu, "nu_hat": flow.e_logc + mu})
 
     rep = montecarlo.consistency_test(pop, sol, cfg.mc.n_agents, cfg.mc.n_w0_paths, cfg.mc.seed,
                                       stratified=cfg.mc.stratified)
@@ -433,7 +433,7 @@ def sweep_sensitivity(
     The swept parameter is treated as deterministic. ``individual`` perturbs
     a tagged agent carrying the probe type's parameters while population
     aggregates stay fixed; ``population`` sets the parameter for every type
-    and re-solves the aggregates, the tagged probe keeping her original
+    and re-solves the aggregates, the tagged probe keeping its original
     parameters. Rows whose perturbed inputs leave the validated region are
     flagged rather than dropped, with NaN rates where the closed form does
     not evaluate there.

@@ -219,14 +219,6 @@ class EquilibriumSolution:
     psi: NDArray
     z0_common: NDArray
 
-    def curve(self, name: str, k: int | None = None) -> GridCurve:
-        vals = getattr(self, name)
-        if vals.ndim == 2:
-            if k is None:
-                raise ValueError(f"{name} is per-type; pass a type index")
-            vals = vals[k]
-        return GridCurve(self.grid, vals)
-
 
 def solve_equilibrium(pop: Population) -> EquilibriumSolution:
     """Compute the full closed-form equilibrium for a validated population."""
@@ -307,13 +299,13 @@ def optimal_consumption(pop: Population, k: int, t: float) -> float:
     """Equilibrium consumption rate of type ``k`` at time ``t`` via the
     quadrature form ``D e^{-I(t)} / (1 + D G(t))``; strictly positive, and
     exactly D at t = T."""
-    return float(solve_equilibrium(pop).curve("c_star", k)(t))
+    return float(GridCurve(pop.grid, solve_equilibrium(pop).c_star[k])(t))
 
 
 def tilde_Y(pop: Population, k: int, t: float) -> float:
     """Log-certainty-equivalent curve of type ``k`` at time ``t``;
     terminal value 0."""
-    return float(solve_equilibrium(pop).curve("y_tilde", k)(t))
+    return float(GridCurve(pop.grid, solve_equilibrium(pop).y_tilde[k])(t))
 
 
 def common_noise_z0(pop: Population, t: float, k: int | None = None) -> float:
@@ -370,18 +362,16 @@ def log_utility_ne(
 # ---------------------------------------------------------------------------
 
 
-def solve_riccati_numeric(pop: Population, k: int | None = None):
+def solve_riccati_numeric(pop: Population) -> NDArray:
     """Backward RK4 sweep of the consumption Riccati equation
-    ``y' = B(t) y + y^2`` from ``y(T) = D``.
+    ``y' = B(t) y + y^2`` from ``y(T) = D``, all types jointly: the (K, n+1)
+    matrix of consumption rates.
 
     Independent of the quadrature form of ``c*``; agreement between the two
-    is the primary internal consistency check. Returns a :class:`GridCurve`
-    for one type, or the (K, n+1) matrix when ``k`` is None (all types are
-    swept jointly either way).
+    is the primary internal consistency check.
     """
     co = _at_knots(pop)
-    values = riccati_sweep(co.b, co.d, pop.grid.dt)
-    return values if k is None else GridCurve(pop.grid, values[k])
+    return riccati_sweep(co.b, co.d, pop.grid.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +424,7 @@ def tagged_policy_at0(agg: Aggregates, agent: AgentType) -> tuple[float, float]:
     This is the object the monotonicity statements talk about: an individual
     perturbation changes the agent's own parameters while the aggregates
     stay put; a population perturbation changes the aggregates while the
-    tagged agent keeps her parameters.
+    tagged agent keeps its parameters.
     """
     if agent.gamma == 0.0 or agent.gamma >= 1.0:
         raise ValueError(f"gamma must lie in (-inf, 1) excluding 0, got {agent.gamma}")

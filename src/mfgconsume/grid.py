@@ -7,6 +7,7 @@ interpolation error between modules; resolution is a single knob.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,9 @@ class TimeGrid:
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0):
             raise StructuralError(f"horizon must be positive and finite, got {self.T!r}")
-        if int(self.n_steps) < 1:
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+            raise StructuralError(f"step count must be an integer, got {self.n_steps!r}")
+        if self.n_steps < 1:
             raise StructuralError(f"grid needs at least one step, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
         t = np.linspace(0.0, float(self.T), self.n_steps + 1)
@@ -98,6 +101,3 @@ class GridCurve:
         """Evaluate at time(s) ``t`` by linear interpolation between knots."""
         return np.interp(self.grid.clip_time(t), self.grid.times, self.values)[()]
 
-
-# a market-parameter curve is structurally just a grid curve
-ParamCurve = GridCurve

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .closedform import EquilibriumSolution
-from .grid import GridCurve, TimeGrid
+from .grid import TimeGrid
 from .population import AgentType, Population, sample_agents
 
 CHUNK = 4096
@@ -248,17 +248,6 @@ def simulate_wealth(agent: AgentType, strategy: Strategy, dw, dw0) -> NDArray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeanFieldFlow:
-    """Log-geometric-mean processes conditional on one common-noise path:
-    ``mu_hat(t) = E[log X* | common noise]`` and
-    ``nu_hat(t) = E[log c*] + mu_hat(t)``; ``mu_hat(0) = E[log x0]``."""
-
-    mu_hat: GridCurve
-    nu_hat: GridCurve
-    w0_increments: NDArray
-
-
 class FlowModel:
     """Mean-field flow of a solved equilibrium: the population mean of the
     Euler log-wealth step. The step is linear in its rows, so along one
@@ -283,23 +272,19 @@ class FlowModel:
         self.e_logc = pop.mean(np.log(sol.c_star))
 
     def mu_values(self, w0_increments: NDArray) -> NDArray:
-        """mu_hat at every knot for one common-noise path, shape (n+1,)."""
-        return self.mu_batch(np.asarray(w0_increments)[None, :])[0]
+        """``mu_hat(t) = E[log X* | common noise]`` at every knot for one
+        common-noise path of ``n_steps`` increments, shape (n+1,), with
+        ``mu_hat(0) = E[log x0]``. The log consumption index along the same
+        path is ``nu_hat = e_logc + mu_hat``, ``e_logc = E[log c*]``."""
+        w0 = np.asarray(w0_increments, dtype=float)
+        if w0.shape != (self.grid.n_steps,):
+            raise ValueError(f"need {self.grid.n_steps} increments, got {w0.shape}")
+        return self.mu_batch(w0[None, :])[0]
 
     def mu_batch(self, dw0: NDArray) -> NDArray:
         """mu_hat curves for a batch of common-noise paths, shape (m, n+1)."""
         out = np.empty((dw0.shape[0], self.grid.n_steps + 1))
         return _build_paths(out, *self.index_rows, 0.0, dw0)
-
-
-def mean_field_flow(pop: Population, sol: EquilibriumSolution, w0_increments) -> MeanFieldFlow:
-    """Mean-field flow of the equilibrium along one common-noise path."""
-    model = FlowModel(pop, sol)
-    w0 = np.asarray(w0_increments, dtype=float)
-    if w0.shape != (model.grid.n_steps,):
-        raise ValueError(f"need {model.grid.n_steps} increments, got {w0.shape}")
-    mu = model.mu_values(w0)
-    return MeanFieldFlow(GridCurve(model.grid, mu), GridCurve(model.grid, model.e_logc + mu), w0)
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +672,8 @@ def consistency_test(
     times = grid.times
     if probe_times is None:
         probe_times = np.linspace(0.2 * grid.T, grid.T, 5)
+    if len(probe_times) == 0:
+        raise ValueError("need at least one probe time")
     probe_idx = [int(round(t / grid.dt)) for t in probe_times]
     for t in probe_times:
         grid.check_time(t)

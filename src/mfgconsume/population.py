@@ -5,8 +5,8 @@ preference parameters (risk aversion ``gamma``, competition weight ``theta``,
 consumption weight ``alpha``), an initial wealth, and three deterministic
 market-parameter curves: return rate ``h``, idiosyncratic volatility
 ``sigma`` and common-noise volatility ``sigma0``. Population-level
-expectations are exact finite sums, which keeps every downstream formula
-free of sampling error.
+expectations (:meth:`Population.mean`) are exact finite sums, which keeps
+every downstream formula free of sampling error.
 
 Standing requirements on a usable population (checked by :func:`validate`):
 
@@ -23,13 +23,12 @@ and ``|gamma|`` of the closed-form expressions away from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import StructuralError
-from .grid import GridCurve, ParamCurve, TimeGrid
+from .grid import GridCurve, TimeGrid
 
 DEFAULT_GAMMA_LB = 1e-3
 DEFAULT_SIGMA_LB = 1e-3
@@ -49,9 +48,9 @@ class AgentType:
     gamma: float
     theta: float
     alpha: float
-    h: ParamCurve
-    sigma: ParamCurve
-    sigma0: ParamCurve
+    h: GridCurve
+    sigma: GridCurve
+    sigma0: GridCurve
 
     def __post_init__(self):
         for name in ("weight", "x0", "gamma", "theta", "alpha"):
@@ -230,22 +229,6 @@ def validate(pop: Population) -> ValidationReport:
     for i, tp in enumerate(pop.types):
         out.extend(type_violations(i, tp, pop.gamma_lb, pop.sigma_lb))
     return ValidationReport(tuple(out))
-
-
-def expect(pop: Population, f: Callable[[AgentType, float], float], t: float) -> float:
-    """Population expectation E[f] at time ``t``: the exact weighted sum
-    ``sum_k weight_k * f(type_k, t)``.
-
-    Under deterministic market parameters this also realises the conditional
-    expectation given the common-noise history, which is how it is used by
-    the closed-form formulas.
-    """
-    pop.grid.check_time(t)
-    vals = np.array([f(tp, t) for tp in pop.types], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(f"integrand not finite on type {bad}")
-    return float(np.dot(pop.weights, vals))
 
 
 def sample_agents(pop: Population, n: int, rng: np.random.Generator) -> NDArray[np.int64]:

@@ -22,14 +22,13 @@ consumption terms. It calls nothing from ``closedform._coefficients``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .closedform import _EXP_CAP, EquilibriumSolution, _check_finite, _check_one_plus, _params_at
 from .errors import ExponentRangeError
-from .grid import GridCurve
 from .montecarlo import FlowModel, relation_w0
 from .population import Population
 
@@ -102,26 +101,6 @@ def _j_at_zero(pop: Population) -> NDArray:
     return _kernel(pop, pop.h_mat, pop.sigma_mat, pop.sigma0_mat).j
 
 
-@dataclass(frozen=True)
-class DriverInput:
-    """Arguments of the backward-equation driver at one (type, time) point.
-
-    ``y_tilde`` carries the candidate values for *all* types at ``t`` (the
-    driver couples them through a population expectation). When
-    ``c_population`` is given it is used directly for the population
-    consumption term; otherwise both exponential terms are computed from
-    ``y_tilde``.
-    """
-
-    population: Population
-    type_index: int
-    t: float
-    y_tilde: NDArray
-    z_tilde: float = 0.0
-    z0_tilde: float = 0.0
-    c_population: Optional[NDArray] = None
-
-
 def _consumption_means(pop: Population) -> tuple[float, float]:
     """The aggregates E[theta*gamma/(1-gamma)] and E[log(alpha)/(1-gamma)]."""
     omg = 1.0 - pop.gammas
@@ -155,18 +134,24 @@ def _driver(pop: Population, j: NDArray, y: NDArray, c_population: NDArray | Non
     return j + (1.0 - pop.gammas)[:, None] * terms + (pop.thetas * pop.gammas)[:, None] * pop_term
 
 
-def bsde_driver(inp: DriverInput) -> float:
-    """Full driver value: quadratic part plus
-    ``(1-gamma) * exp_term_own + theta*gamma * E[exp_term]``."""
-    pop = inp.population
-    y = np.asarray(inp.y_tilde, dtype=float)
+def bsde_driver(pop: Population, k: int, t: float, y_tilde: ArrayLike, z_tilde: float = 0.0,
+                z0_tilde: float = 0.0, c_population: ArrayLike | None = None) -> float:
+    """Full driver value of type ``k`` at time ``t``: quadratic part plus
+    ``(1-gamma) * exp_term_own + theta*gamma * E[exp_term]``.
+
+    ``y_tilde`` carries the candidate values of *all* types at ``t`` (the
+    driver couples them through a population expectation). When
+    ``c_population`` is given it replaces the exponential terms inside that
+    expectation; otherwise both are computed from ``y_tilde``.
+    """
+    y = np.asarray(y_tilde, dtype=float)
     if y.shape != (pop.n_types,):
         raise ValueError(f"y_tilde must have one entry per type, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("y_tilde must be finite")
-    c = None if inp.c_population is None else np.asarray(inp.c_population, dtype=float)[:, None]
-    j = _kernel_at(pop, inp.t, inp.z_tilde, inp.z0_tilde).j
-    return float(_driver(pop, j, y[:, None], c)[inp.type_index, 0])
+    c = None if c_population is None else np.asarray(c_population, dtype=float)[:, None]
+    j = _kernel_at(pop, t, z_tilde, z0_tilde).j
+    return float(_driver(pop, j, y[:, None], c)[k, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +171,6 @@ class ResidualReport:
     residuals: NDArray     # (K, n+1)
     sup_norm: float
     n_steps: int
-
-    def curve(self, grid, k: int) -> GridCurve:
-        return GridCurve(grid, self.residuals[k])
 
 
 def bsde_residual(

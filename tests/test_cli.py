@@ -210,6 +210,20 @@ class TestSimulateAndDeviate:
         assert len(rows) == 10  # 2 paths x 5 probes
         assert all(float(r["deviation_units"]) <= 3.0 for r in rows)
 
+    def test_flow_csv_is_the_flow_model_bit_for_bit(self, tmp_path):
+        from mfgconsume import FlowModel, solve_equilibrium
+        from mfgconsume.montecarlo import consistency_w0
+
+        cfg = load_config(write_config(tmp_path), out_dir=str(tmp_path / "out"))
+        assert run("simulate", cfg) == 0
+        pop = cfg.population
+        flow = FlowModel(pop, solve_equilibrium(pop))
+        mu = flow.mu_values(consistency_w0(pop.grid, cfg.mc.seed, 0))
+        rows = read_csv(tmp_path / "out" / "flow.csv")
+        assert np.array_equal([float(r["t"]) for r in rows], pop.grid.times)
+        assert np.array_equal([float(r["mu_hat"]) for r in rows], mu)
+        assert np.array_equal([float(r["nu_hat"]) for r in rows], flow.e_logc + mu)
+
     def test_deviate(self, tmp_path):
         path = write_config(tmp_path, mc={"n_samples": 30000, "seed": 99})
         cfg = load_config(path, out_dir=str(tmp_path / "out"))

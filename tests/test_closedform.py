@@ -266,8 +266,8 @@ class TestRiccati:
     def test_pure_quadratic(self, grid):
         # sigma = 0 worked scenario: B = 0, D = 1 -> y' = y^2, y(0) = 1/2
         pop = sigma_zero_pop(grid)
-        curve = solve_riccati_numeric(pop, 0)
-        assert abs(curve.values[0] - 0.5) < 1e-8
+        curve = solve_riccati_numeric(pop)[0]
+        assert abs(curve[0] - 0.5) < 1e-8
 
     def test_matches_closed_form(self):
         grid = TimeGrid(1.0, 2000)
@@ -281,7 +281,7 @@ class TestRiccati:
         # theta = 0, constant coefficients: closed form is
         # constant_consumption with B = -A/(1-gamma)
         pop = single(grid, theta=0.0, h=0.1, sigma=0.2, sigma0=0.0, gamma=0.5)
-        curve = solve_riccati_numeric(pop, 0).values
+        curve = solve_riccati_numeric(pop)[0]
         want = np.array([constant_consumption(0.25, 1.0, 1.0, t) for t in grid.times])
         assert np.abs(curve - want).max() <= 1e-9
 

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from mfgconsume import (
     GridCurve,
@@ -9,7 +7,6 @@ from mfgconsume import (
     StructuralError,
     TimeGrid,
     constant_type,
-    expect,
     philox_stream,
     sample_agents,
     validate,
@@ -63,6 +60,16 @@ class TestCurves:
         with pytest.raises(StructuralError):
             GridCurve(grid, [0.0, 1.0])
 
+    @pytest.mark.parametrize("n_steps", [2.5, True, "4", np.int64(4)], ids=["float", "bool", "str", "int64"])
+    def test_step_count_must_be_an_integer(self, n_steps):
+        if isinstance(n_steps, np.integer):
+            grid = TimeGrid(1.0, n_steps)
+            assert grid.n_steps == 4 and type(grid.n_steps) is int
+            assert grid == TimeGrid(1.0, 4)
+        else:
+            with pytest.raises(StructuralError, match="integer"):
+                TimeGrid(1.0, n_steps)
+
     def test_values_read_only(self):
         c = GridCurve.constant(TimeGrid(1.0, 5), 2.0)
         with pytest.raises(ValueError):
@@ -106,54 +113,6 @@ class TestValidate:
     def test_report_describe(self, grid200):
         assert validate(single(grid200)).describe() == "ok"
         assert "gamma_nonzero" in validate(single(grid200, gamma=0.0)).describe()
-
-
-class TestExpect:
-    def test_single_type_value(self, grid200):
-        pop = single(grid200, gamma=0.5, theta=1.0)
-        got = expect(pop, lambda tp, t: tp.theta * tp.gamma / (1 - tp.gamma), 0.3)
-        assert got == pytest.approx(1.0, abs=1e-15)
-
-    def test_unit_integrand(self, grid200):
-        pop = single(grid200)
-        assert expect(pop, lambda tp, t: 1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_two_type_mean(self, grid200):
-        t1 = constant_type(grid200, weight=0.5, gamma=0.5, theta=0.0, h=0.1, sigma=0.2, sigma0=0.0)
-        t2 = constant_type(grid200, weight=0.5, gamma=-1.0, theta=0.0, h=0.1, sigma=0.2, sigma0=0.0)
-        pop = Population((t1, t2))
-        vals = {0.5: 0.25, -1.0: 1.0}
-        assert expect(pop, lambda tp, t: vals[tp.gamma], 0.5) == pytest.approx(0.625, abs=1e-15)
-
-    def test_domain_error(self, grid200):
-        pop = single(grid200)
-        with pytest.raises(ValueError):
-            expect(pop, lambda tp, t: 1.0, 1.5)
-
-    def test_nonfinite_integrand(self, grid200):
-        pop = single(grid200)
-        with pytest.raises(ValueError):
-            expect(pop, lambda tp, t: float("nan"), 0.5)
-
-    @given(
-        a=st.floats(-5, 5, allow_nan=False),
-        b=st.floats(-5, 5, allow_nan=False),
-        f0=st.floats(-3, 3, allow_nan=False),
-        f1=st.floats(-3, 3, allow_nan=False),
-        g0=st.floats(-3, 3, allow_nan=False),
-        g1=st.floats(-3, 3, allow_nan=False),
-        w=st.floats(0.05, 0.95),
-    )
-    def test_linearity(self, a, b, f0, f1, g0, g1, w):
-        grid = TimeGrid(1.0, 4)
-        t1 = constant_type(grid, weight=w, gamma=0.5, theta=0.0, h=0.1, sigma=0.2, sigma0=0.0)
-        t2 = constant_type(grid, weight=1 - w, gamma=-0.5, theta=0.0, h=0.1, sigma=0.2, sigma0=0.0)
-        pop = Population((t1, t2))
-        f = lambda tp, t: f0 if tp.gamma > 0 else f1
-        g = lambda tp, t: g0 if tp.gamma > 0 else g1
-        lhs = expect(pop, lambda tp, t: a * f(tp, t) + b * g(tp, t), 0.5)
-        rhs = a * expect(pop, f, 0.5) + b * expect(pop, g, 0.5)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
 class TestSampleAgents:

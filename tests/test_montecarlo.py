@@ -18,7 +18,6 @@ from mfgconsume import (
     deviation_test,
     equilibrium_strategy,
     estimate_utility,
-    mean_field_flow,
     philox_stream,
     relation_check,
     simulate_wealth,
@@ -159,29 +158,29 @@ class TestFlow:
         pop = single(grid, x0=1.7)
         sol = solve_equilibrium(pop)
         w0 = philox_stream(1, 2).normal(0, np.sqrt(grid.dt), grid.n_steps)
-        flow = mean_field_flow(pop, sol, w0)
-        assert flow.mu_hat.values[0] == math.log(1.7)
+        assert FlowModel(pop, sol).mu_values(w0)[0] == math.log(1.7)
 
     def test_deterministic_without_common_noise(self, grid):
         pop = single(grid, sigma0=0.0)
         sol = solve_equilibrium(pop)
         w0 = philox_stream(1, 2).normal(0, np.sqrt(grid.dt), grid.n_steps)
-        f1 = mean_field_flow(pop, sol, w0)
-        f2 = mean_field_flow(pop, sol, np.zeros(grid.n_steps))
-        assert np.array_equal(f1.mu_hat.values, f2.mu_hat.values)
+        flow = FlowModel(pop, sol)
+        mu = flow.mu_values(w0)
+        assert np.array_equal(mu, flow.mu_values(np.zeros(grid.n_steps)))
         # and equals the deterministic quadrature directly
         sig2 = pop.sigma_mat**2 + pop.sigma0_mat**2
         gbar = pop.mean(sol.pi_star * pop.h_mat - sol.c_star - 0.5 * sol.pi_star**2 * sig2)
         want = math.log(1.0) + cumtrapz_left(gbar, grid.dt)
-        assert np.abs(f1.mu_hat.values - want).max() <= 1e-15
+        assert np.abs(mu - want).max() <= 1e-15
 
     def test_nu_is_logc_plus_mu(self, grid):
         pop = single(grid)
         sol = solve_equilibrium(pop)
         w0 = philox_stream(4, 2).normal(0, np.sqrt(grid.dt), grid.n_steps)
-        flow = mean_field_flow(pop, sol, w0)
-        want = pop.mean(np.log(sol.c_star)) + flow.mu_hat.values
-        assert np.abs(flow.nu_hat.values - want).max() <= 1e-15
+        flow = FlowModel(pop, sol)
+        mu = flow.mu_values(w0)
+        want = pop.mean(np.log(sol.c_star)) + mu
+        assert np.abs(flow.e_logc + mu - want).max() <= 1e-15
 
     @pytest.mark.parametrize("drift_rule", ["trapezoid", "left-endpoint"])
     def test_flow_is_population_mean_of_euler_paths(self, monkeypatch, drift_rule):
@@ -200,11 +199,15 @@ class TestFlow:
         paths = montecarlo._build_paths(np.empty((3, grid.n_steps + 1)), np.log(pop.x0s), *rows, 0.0, w0)
         assert np.abs(FlowModel(pop, sol).mu_values(w0) - pop.mean(paths)).max() <= 1e-12
 
-    def test_wrong_increment_count(self, grid):
+    @pytest.mark.parametrize("caller", ["mu_values", "relation_check"])
+    def test_wrong_increment_count(self, grid, caller):
         pop = single(grid)
         sol = solve_equilibrium(pop)
-        with pytest.raises(ValueError):
-            mean_field_flow(pop, sol, np.zeros(5))
+        with pytest.raises(ValueError, match="increments"):
+            if caller == "mu_values":
+                FlowModel(pop, sol).mu_values(np.zeros(5))
+            else:
+                relation_check(pop, sol, np.zeros(5))
 
     @pytest.mark.parametrize("caller", ["FlowModel", "consistency_test", "relation_check"])
     def test_rejects_an_equilibrium_on_another_grid(self, grid, caller):
@@ -638,6 +641,12 @@ class TestConsistency:
         sol = solve_equilibrium(pop)
         with pytest.raises(ValueError):
             consistency_test(pop, sol, 0, 1, seed=1)
+
+    def test_rejects_no_probe_times(self, grid):
+        pop = single(grid)
+        sol = solve_equilibrium(pop)
+        with pytest.raises(ValueError, match="need at least one probe time"):
+            consistency_test(pop, sol, 100, 1, seed=1, probe_times=[])
 
     def test_no_idiosyncratic_noise_reproduces_flow_exactly(self, grid):
         # sigma = 0 (valid, as sigma + sigma0 >= sigma_lb): every agent's

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfgconsume import (
-    DriverInput,
+    FlowModel,
     MopState,
     Population,
     TimeGrid,
@@ -14,7 +14,6 @@ from mfgconsume import (
     constant_type,
     drift_check,
     eval_J,
-    mean_field_flow,
     mop_drift,
     mop_maximizer,
     philox_stream,
@@ -94,9 +93,8 @@ class TestDriver:
         # driver = gamma h^2/(2(1-gamma) st2) + (1-gamma)
         h, s, s0, g = 0.1, 0.2, 0.1, 0.5
         pop = single(grid, theta=0.0, alpha=1.0, h=h, sigma=s, sigma0=s0, gamma=g)
-        inp = DriverInput(pop, 0, 0.5, np.zeros(1))
         oracle = g * h * h / (2 * (1 - g) * (s * s + s0 * s0)) + (1 - g)
-        assert bsde_driver(inp) == pytest.approx(oracle, rel=1e-14)
+        assert bsde_driver(pop, 0, 0.5, np.zeros(1)) == pytest.approx(oracle, rel=1e-14)
 
     def test_driver_equals_negative_y_slope_at_equilibrium(self, grid):
         pop = make_random_population(2, grid, n_types=2)
@@ -106,21 +104,21 @@ class TestDriver:
         dt = grid.dt
         for k in range(pop.n_types):
             slope = (sol.y_tilde[k, i + 1] - sol.y_tilde[k, i - 1]) / (2 * dt)
-            drv = bsde_driver(DriverInput(pop, k, t, sol.y_tilde[:, i]))
+            drv = bsde_driver(pop, k, t, sol.y_tilde[:, i])
             assert abs(slope + drv) <= 1e-5
 
     def test_explicit_population_consumption_term(self, grid):
         pop = make_random_population(4, grid, n_types=2)
         sol = solve_equilibrium(pop)
         y = sol.y_tilde[:, 100]
-        a = bsde_driver(DriverInput(pop, 0, grid.times[100], y))
-        b = bsde_driver(DriverInput(pop, 0, grid.times[100], y, c_population=sol.c_star[:, 100]))
+        a = bsde_driver(pop, 0, grid.times[100], y)
+        b = bsde_driver(pop, 0, grid.times[100], y, c_population=sol.c_star[:, 100])
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_rejects_wrong_shape(self, grid):
         pop = make_random_population(4, grid, n_types=2)
         with pytest.raises(ValueError):
-            bsde_driver(DriverInput(pop, 0, 0.0, np.zeros(3)))
+            bsde_driver(pop, 0, 0.0, np.zeros(3))
 
 
 class TestResidual:
@@ -158,13 +156,15 @@ def equilibrium_states(pop, sol, seed=0):
     matching equilibrium controls."""
     rng = philox_stream(seed, 99)
     w0 = rng.normal(0.0, np.sqrt(pop.grid.dt), pop.grid.n_steps)
-    flow = mean_field_flow(pop, sol, w0)
+    flow = FlowModel(pop, sol)
+    mu_hat = flow.mu_values(w0)
+    nu_hat = flow.e_logc + mu_hat
     omg = 1.0 - pop.gammas
     out = []
     for i in (0, pop.grid.n_steps // 2, pop.grid.n_steps - 1):
         t = pop.grid.times[i]
-        mu = flow.mu_hat.values[i]
-        nu = flow.nu_hat.values[i]
+        mu = mu_hat[i]
+        nu = nu_hat[i]
         for k, tp in enumerate(pop.types):
             y = sol.y_tilde[k, i] - tp.theta * tp.gamma * mu
             state = MopState(

@@ -13,8 +13,11 @@
 # kept in its output directory beside its artifacts and manifest.json, so a
 # verdict or a crash that differs shows in the diff; sweep-gamma ends in
 # exit 3, so a manifest's `error` block is diffed too, and deviate-steep-p0
-# in exit 1. Outputs stay under out/diff_artifacts/ for inspection. Exits 0
-# when every file is byte-identical, 1 when some file differs.
+# in exit 1. The four demos/*.py scripts run once per tree as well; their
+# stdout and exit status go to demos/ in the output tree, so a library
+# change that moves a printed number shows in the same diff. Outputs stay
+# under out/diff_artifacts/ for inspection. Exits 0 when every file is
+# byte-identical, 1 when some file differs.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_artifacts.sh <rev>}
@@ -59,6 +62,13 @@ verify $ref verify
 sweep-sigma0 $ref sweep --parameter sigma0 --lo 0.01 --hi 2.0 --points 120
 sweep-gamma $ref sweep --parameter gamma --lo 0.95 --hi 0.99 --points 5
 EOF
+  done
+  mkdir "$2/demos"
+  for demo in "$1"/demos/*.py; do
+    base=$(basename "$demo" .py)
+    status=0
+    (cd "$1" && PYTHONPATH=src python "demos/$base.py" < /dev/null > "$2/demos/$base.out") || status=$?
+    echo "$status" > "$2/demos/$base.exit_status"
   done
 }
 
