@@ -16,7 +16,6 @@ from .closedform import (
     coeff_D,
     common_noise_z0,
     constant_consumption,
-    log_utility_ne,
     optimal_consumption,
     optimal_investment,
     phi_psi,

@@ -76,7 +76,6 @@ class McSettings:
     n_agents: int = 20000
     n_w0_paths: int = 3
     seed: int = 12345
-    stratified: bool = False
 
 
 @dataclass(frozen=True)
@@ -120,19 +119,16 @@ def _section(raw: dict, key: str, cls: type, **overrides):
     the key's kind. Returns the ``cls`` instance of the typed values of the
     raw keys over the defaults, with the ``overrides`` that are not None on
     top. A float must be finite and positive, an int integral (both by the
-    rule of ``_number``), a bool a JSON boolean."""
+    rule of ``_number``)."""
     merged = {f.name: f.default for f in fields(cls)}
     merged.update(_keys(raw.get(key, {}), merged, f"'{key}'"))
     merged.update((k, v) for k, v in overrides.items() if v is not None)
-    values = {}
     for name, kind in get_type_hints(cls).items():
         v, where = merged[name], f"{key}.{name}"
-        if kind is bool and not isinstance(v, bool):
-            raise ConfigError(f"{where} must be true or false, got {v!r}")
-        values[name] = v if kind is bool else _number(kind, v, where)
-        if kind is float and not 0 < values[name] < math.inf:
+        merged[name] = _number(kind, v, where)
+        if kind is float and not 0 < merged[name] < math.inf:
             raise ConfigError(f"{where} must be finite and positive, got {v}")
-    return cls(**values)
+    return cls(**merged)
 
 
 def _number(kind: type, value, where: str):
@@ -388,8 +384,7 @@ def _cmd_simulate(cfg: ScenarioConfig, out: Path, manifest: RunManifest) -> None
     mu = flow.mu_values(montecarlo.consistency_w0(pop.grid, cfg.mc.seed, 0))
     manifest.write_csv(out / "flow.csv", {"t": pop.grid.times, "mu_hat": mu, "nu_hat": flow.e_logc + mu})
 
-    rep = montecarlo.consistency_test(pop, sol, cfg.mc.n_agents, cfg.mc.n_w0_paths, cfg.mc.seed,
-                                      stratified=cfg.mc.stratified)
+    rep = montecarlo.consistency_test(pop, sol, cfg.mc.n_agents, cfg.mc.n_w0_paths, cfg.mc.seed)
     manifest.write_csv(out / "consistency.csv", _report_columns(
         rep.rows, ("path", "t", "empirical_mean", "flow_mu", "stderr", "deviation_units")))
     manifest.check("consistency_max_units", rep.max_deviation_units, 3.0, rep.max_deviation_units <= 3.0)

@@ -41,6 +41,10 @@ with Ytilde(T) = 0. All population expectations are exact finite sums; the
 only numerical error sources are the trapezoid quadrature for I and G and
 the RK4 cross-check of the Riccati equation.
 
+gamma = 0 is the decoupled log-utility game: theta*gamma, z0, A and B vanish
+and D = alpha, so ``pi* = h/(sigma^2+sigma0^2)`` and ``c* = alpha/(1+alpha(T-t))``.
+:func:`solve_equilibrium` runs it without a validated population.
+
 Each of phi, psi, pi*, z0, A, B and D is written once, in the kernel
 :func:`_coefficients`. The solve evaluates it on every knot, the tagged
 agent with the aggregates held fixed, and the scalar API on the (K, 1)
@@ -221,7 +225,7 @@ class EquilibriumSolution:
 
 
 def solve_equilibrium(pop: Population) -> EquilibriumSolution:
-    """Compute the full closed-form equilibrium for a validated population."""
+    """Compute the full closed-form equilibrium; a gamma = 0 type is log utility."""
     co = _at_knots(pop)
     c, ib, g = _consumption_from_b(co.b, co.d, pop.grid.dt)
 
@@ -341,22 +345,6 @@ def constant_consumption(b: float, d: float, horizon: float, t: float) -> float:
     return 1.0 / (math.exp(b * tau) / d + math.expm1(b * tau) / b)
 
 
-def log_utility_ne(
-    alpha: float, h: float, sigma: float, sigma0: float, t: float, horizon: float
-) -> tuple[float, float]:
-    """Equilibrium of the logarithmic-utility game, which decouples from the
-    population: ``pi* = h / (sigma^2 + sigma0^2)``,
-    ``c* = alpha / (1 + alpha (T - t))``."""
-    sig_tot2 = sigma**2 + sigma0**2
-    if sig_tot2 <= 0.0:
-        raise ValueError("need sigma^2 + sigma0^2 > 0")
-    if alpha <= 0.0:
-        raise ValueError(f"need alpha > 0, got {alpha}")
-    if not 0.0 <= t <= horizon:
-        raise ValueError(f"time {t} outside [0, {horizon}]")
-    return h / sig_tot2, alpha / (1.0 + alpha * (horizon - t))
-
-
 # ---------------------------------------------------------------------------
 # Riccati cross-check
 # ---------------------------------------------------------------------------
@@ -426,8 +414,8 @@ def tagged_policy_at0(agg: Aggregates, agent: AgentType) -> tuple[float, float]:
     stay put; a population perturbation changes the aggregates while the
     tagged agent keeps its parameters.
     """
-    if agent.gamma == 0.0 or agent.gamma >= 1.0:
-        raise ValueError(f"gamma must lie in (-inf, 1) excluding 0, got {agent.gamma}")
+    if agent.gamma >= 1.0:
+        raise ValueError(f"gamma must lie below 1, got {agent.gamma}")
     if agent.alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {agent.alpha}")
     co = _at_knots(Population((agent,)), agg)

@@ -45,10 +45,10 @@ class TimeGrid:
         return self.T / self.n_steps
 
     def check_time(self, t) -> None:
-        """Raise ValueError if any entry of ``t`` lies outside [0, T]."""
+        """Raise ValueError unless every entry of ``t`` lies in [0, T] (NaN does not)."""
         t = np.asarray(t, dtype=float)
         slack = _DOMAIN_RTOL * max(1.0, self.T)
-        if np.any(t < -slack) or np.any(t > self.T + slack):
+        if not np.all((t >= -slack) & (t <= self.T + slack)):
             raise ValueError(f"time {t!r} outside [0, {self.T}]")
 
     def clip_time(self, t):

@@ -648,7 +648,6 @@ def consistency_test(
     n_w0_paths: int,
     seed: int,
     probe_times: Sequence[float] | None = None,
-    stratified: bool = False,
 ) -> ConsistencyReport:
     """Fixed-point check: per common-noise path, the empirical mean
     log-wealth of ``n_agents`` simulated agents (types drawn by weight,
@@ -663,8 +662,7 @@ def consistency_test(
 
     Agent noise streams are keyed independently of the common-noise values,
     so with no common-noise exposure the report does not depend on the
-    common-noise path. ``stratified=True`` allocates agents to types by
-    exact proportion instead of sampling, as a variance-reduction option.
+    common-noise path.
     """
     if n_agents < 1 or n_w0_paths < 1:
         raise ValueError("need n_agents >= 1 and n_w0_paths >= 1")
@@ -674,9 +672,8 @@ def consistency_test(
         probe_times = np.linspace(0.2 * grid.T, grid.T, 5)
     if len(probe_times) == 0:
         raise ValueError("need at least one probe time")
+    grid.check_time(probe_times)
     probe_idx = [int(round(t / grid.dt)) for t in probe_times]
-    for t in probe_times:
-        grid.check_time(t)
     knots = np.unique(probe_idx)
     rank = np.searchsorted(knots, probe_idx)  # sorted row of each caller probe
 
@@ -693,12 +690,7 @@ def consistency_test(
         mu = flow.mu_values(w0)
         # the per-type part: Euler paths with the idiosyncratic increments set to 0
         base = _build_paths(np.empty_like(var), log_x0, drift, vol_w, vol_w0, 0.0, w0)[:, knots].T
-        if stratified:
-            counts = np.floor(pop.weights * n_agents).astype(int)
-            counts[0] += n_agents - counts.sum()
-            types = np.repeat(np.arange(pop.n_types), counts)
-        else:
-            types = sample_agents(pop, n_agents, philox_stream(seed, _sid(_DOM_CONS_TYPES, p)))
+        types = sample_agents(pop, n_agents, philox_stream(seed, _sid(_DOM_CONS_TYPES, p)))
 
         def probes(i: int, chunk: tuple[int, int]) -> NDArray:
             ti = types[slice(*chunk)]

@@ -16,8 +16,9 @@ Standing requirements on a usable population (checked by :func:`validate`):
 * ``sigma(t) + sigma0(t)`` bounded below by ``sigma_lb > 0`` at every knot,
   with both volatilities nonnegative.
 
-These bounds keep the denominators ``(1 - gamma) * (sigma^2 + sigma0^2)``
-and ``|gamma|`` of the closed-form expressions away from zero.
+``gamma < 1`` and the volatility bound keep ``(1 - gamma) * (sigma^2 + sigma0^2)``
+away from zero. The closed form takes gamma = 0 (log utility); ``gamma_lb`` is
+there because the power-utility value function and Monte-Carlo payoffs divide by gamma.
 """
 
 from __future__ import annotations
@@ -203,25 +204,7 @@ def type_violations(i: int, tp: AgentType, gamma_lb: float, sigma_lb: float) -> 
 
 
 def validate(pop: Population) -> ValidationReport:
-    """Check every standing assumption; report all violations, mutate nothing.
-
-    Structural defects (non-finite entries, mismatched grids) raise
-    :class:`StructuralError`; assumption violations are collected in the
-    returned report instead.
-    """
-    for mat, name in (
-        (pop.weights, "weights"),
-        (pop.gammas, "gamma"),
-        (pop.thetas, "theta"),
-        (pop.alphas, "alpha"),
-        (pop.x0s, "x0"),
-        (pop.h_mat, "h"),
-        (pop.sigma_mat, "sigma"),
-        (pop.sigma0_mat, "sigma0"),
-    ):
-        if not np.all(np.isfinite(mat)):
-            raise StructuralError(f"non-finite entries in {name}")
-
+    """Report every violated standing assumption; structure is checked at construction."""
     out: list[Violation] = []
     wsum = float(pop.weights.sum())
     if abs(wsum - 1.0) > 1e-12:

@@ -22,7 +22,6 @@ from mfgconsume import (
     drift_check,
     equilibrium_strategy,
     estimate_utility,
-    log_utility_ne,
     population_aggregates,
     sigma0_thresholds,
     solve_equilibrium,
@@ -250,13 +249,21 @@ def test_09_monotonicity_and_thresholds():
 
 
 def test_10_log_utility_equilibrium():
+    # gamma = 0 through the one closed-form kernel
     t0 = time.perf_counter()
-    pi, c = log_utility_ne(1.0, 0.1, 0.2, 0.0, 0.0, 1.0)
+    grid = TimeGrid(1.0, 64)
+
+    def log_type(alpha, sigma0):
+        return Population((constant_type(grid, gamma=0.0, theta=0.5, alpha=alpha, h=0.1, sigma=0.2,
+                                         sigma0=sigma0),))
+
+    sol = solve_equilibrium(log_type(1.0, 0.0))
+    pi, c = sol.pi_star[0, 0], sol.c_star[0, 0]
     ok = pi == 0.1 / (0.2**2 + 0.0**2) and c == 1.0 / (1.0 + 1.0 * 1.0)
     # terminal consumption equals the weight parameter, mirroring the
     # power-utility terminal value D
     for alpha in (0.3, 1.0, 2.5):
-        _, cT = log_utility_ne(alpha, 0.1, 0.2, 0.1, 1.0, 1.0)
+        cT = solve_equilibrium(log_type(alpha, 0.1)).c_star[0, -1]
         ok = ok and cT == alpha
     report(10, "logarithmic-utility equilibrium", 1.0, t0, ok,
            f"pi = {pi:g}, c(0) = {c:g}, c(T) = alpha exact")

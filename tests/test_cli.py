@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -260,10 +260,10 @@ class TestSweep:
 
     def test_out_of_assumption_rows_flagged_not_dropped(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        rows = sweep_sensitivity(cfg, "gamma", np.linspace(-0.5, 0.5, 11), "individual")
+        rows = sweep_sensitivity(cfg, "gamma", np.linspace(-0.5, 1.5, 11), "individual")
         assert len(rows) == 11
         flagged = [r for r in rows if r[3]]
-        assert flagged  # gamma = 0 sits in the range
+        assert flagged  # gamma >= 1 sits in the range
         assert any(math.isnan(r[1]) for r in flagged)
 
     def test_individual_flags_are_the_standing_assumptions(self, tmp_path):
@@ -401,7 +401,6 @@ class TestConfigErrorsExitTwo:
         pytest.param("simulate", [], lambda raw: raw["mc"].update(n_agents=0), id="n_agents-0"),
         pytest.param("simulate", [], lambda raw: raw["mc"].update(n_w0_paths=0), id="n_w0_paths-0"),
         pytest.param("deviate", [], lambda raw: raw["mc"].update(n_samples="many"), id="n_samples-string"),
-        pytest.param("simulate", [], lambda raw: raw["mc"].update(stratified="false"), id="stratified-string"),
         pytest.param("solve", [], lambda raw: raw["population"][0].update(gamma="x"), id="gamma-string"),
         pytest.param("solve", [], lambda raw: raw["population"][0].update(weight=None), id="weight-null"),
         pytest.param("verify", [], lambda raw: raw.update(tolerances={"drift_tol": "tight"}),
@@ -462,7 +461,7 @@ class TestSchema:
     def test_every_section_field_loads_as_given(self, tmp_path):
         sections = {
             "bounds": (Bounds, {"gamma_lb": 2e-3, "sigma_lb": 3e-3, "c_min": 4e-3, "c_max": 5.0, "pi_cap": 6.0}),
-            "mc": (McSettings, {"n_samples": 111, "n_agents": 222, "n_w0_paths": 4, "seed": 5, "stratified": True}),
+            "mc": (McSettings, {"n_samples": 111, "n_agents": 222, "n_w0_paths": 4, "seed": 5}),
             "tolerances": (Tolerances, {"riccati_tol": 2e-6, "residual_tol": 3e-4, "drift_tol": 4e-12}),
         }
         for cls, values in sections.values():
@@ -472,6 +471,18 @@ class TestSchema:
         cfg = load_config(path)
         for key, (cls, values) in sections.items():
             assert getattr(cfg, key) == cls(**values)
+
+    def test_readme_scenario_config_loads_as_shown(self, tmp_path):
+        # the README's example is the documented schema: it must load, and
+        # each section must come back key for key as written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Scenario config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.json"
+        path.write_text(block)
+        cfg = load_config(path)
+        raw = json.loads(block)
+        for key in ("bounds", "mc", "tolerances"):
+            assert asdict(getattr(cfg, key)) == raw[key]
 
     @pytest.mark.parametrize("where", ["top level", "bounds", "mc", "tolerances", "population[0]"])
     def test_unknown_key_exits_two_naming_its_path(self, tmp_path, capsys, where):
@@ -490,9 +501,9 @@ class TestSchema:
         assert where in err and "'extra'" in err
 
     @pytest.mark.parametrize("flags, digest", [
-        ([], "4b24675e02e23c4c0695847a1a77506fe73bedaaea88ccc22290f115ea4d911b"),
+        ([], "faa89ccb7ac776de369d343848bcb4911990ff94f494b95d11f0dbb9b3dd9c6c"),
         (["--seed", "7", "--steps", "256", "--samples", "8192"],
-         "f1986ca5c57ff39550449d29a86d6144053a97ea0b2de01c2409089703603b31"),
+         "7318d54c068260d9ace5a84b3ccfa822717a5af3f248245576335d80a2f4a162"),
     ], ids=["reference", "reference-overrides"])
     def test_config_hash_is_pinned(self, tmp_path, flags, digest):
         out = tmp_path / "o"
@@ -540,13 +551,13 @@ class TestArtifactFloats:
         cfg = load_config(path)
         runs = {"verify": ({}, "residuals.csv"), "simulate": ({}, "flow.csv consistency.csv"),
                 "deviate": ({}, "deviations.csv"),
-                "sweep": ({"parameter": "gamma", "lo": -0.5, "hi": 0.5, "points": 11}, "sweep.csv")}
+                "sweep": ({"parameter": "gamma", "lo": -0.5, "hi": 1.5, "points": 11}, "sweep.csv")}
         for command, (kwargs, names) in runs.items():
             out = tmp_path / command
             run(command, replace(cfg, out_dir=str(out)), **kwargs)
             for name in names.split():
                 _cells_round_trip(out / name)
-        # the sweep crosses gamma = 0, where the closed form gives NaN
+        # the sweep crosses gamma >= 1, where the closed form gives NaN
         assert "nan" in (tmp_path / "sweep" / "sweep.csv").read_text()
 
 

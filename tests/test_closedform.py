@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from mfgconsume import (
     common_noise_z0,
     constant_consumption,
     constant_type,
-    log_utility_ne,
     optimal_consumption,
     optimal_investment,
     phi_psi,
@@ -26,6 +26,7 @@ from mfgconsume import (
     tilde_Y,
 )
 from mfgconsume.errors import SingularAggregateError
+from mfgconsume.verify import bsde_residual, relation_check
 
 from conftest import make_random_population
 
@@ -244,22 +245,56 @@ class TestConstantConsumption:
 
 
 class TestLogUtility:
+    """gamma = 0 is the log-utility game of the one kernel: on a 64-step
+    grid its closed form holds exactly."""
+
     def test_investment(self):
-        pi, _ = log_utility_ne(1.0, 0.1, 0.2, 0.0, 0.0, 1.0)
-        assert pi == 0.1 / (0.2**2 + 0.0**2)
-        assert pi == pytest.approx(2.5, rel=1e-15)
+        sol = solve_equilibrium(single(TimeGrid(1.0, 64), gamma=0.0, alpha=1.0, h=0.1, sigma=0.2, sigma0=0.0))
+        assert np.all(sol.pi_star == 0.1 / (0.2**2 + 0.0**2))
+        assert sol.pi_star[0, 0] == pytest.approx(2.5, rel=1e-15)
 
     def test_consumption(self):
-        _, c = log_utility_ne(1.0, 0.1, 0.2, 0.0, 0.0, 1.0)
-        assert c == 0.5
+        grid = TimeGrid(1.0, 64)
+        sol = solve_equilibrium(single(grid, gamma=0.0, alpha=1.0, h=0.1, sigma=0.2, sigma0=0.0))
+        assert sol.c_star[0, 0] == 0.5
+        assert np.all(sol.c_star[0] == 1.0 / (1.0 + 1.0 * (1.0 - grid.times)))
 
     def test_terminal_consumption_is_alpha(self):
-        _, c = log_utility_ne(0.7, 0.1, 0.2, 0.1, 1.0, 1.0)
-        assert c == 0.7
+        sol = solve_equilibrium(single(TimeGrid(1.0, 64), gamma=0.0, alpha=0.7, h=0.1, sigma=0.2, sigma0=0.1))
+        assert sol.c_star[0, -1] == 0.7
 
-    def test_rejects_degenerate(self):
+    def test_fine_grid_within_rounding(self):
+        grid = TimeGrid(1.0, 2000)
+        sol = solve_equilibrium(single(grid, gamma=0.0, alpha=0.7, h=0.1, sigma=0.2, sigma0=0.1))
+        want = 0.7 / (1.0 + 0.7 * (1.0 - grid.times))
+        assert np.all(sol.pi_star == 0.1 / (0.2**2 + 0.1**2))
+        assert np.abs(sol.c_star[0] / want - 1.0).max() <= 1e-13
+
+    def test_decouples_from_a_power_utility_type(self):
+        # theta*gamma = 0 takes the aggregates out of the log type's pi*, A,
+        # B and D, so its rows do not depend on the other type; pytest's
+        # filterwarnings turns a RuntimeWarning in any call below into a failure
+        grid = TimeGrid(1.0, 64)
+        log_type = constant_type(grid, weight=0.4, gamma=0.0, theta=0.7, alpha=1.5, h=0.1, sigma=0.2, sigma0=0.1)
+        power = constant_type(grid, weight=0.6, gamma=-2.0, theta=0.5, alpha=0.8, h=0.08, sigma=0.3, sigma0=0.15)
+        pop = Population((log_type, power))
+        sol = solve_equilibrium(pop)
+        alone = solve_equilibrium(Population((log_type,)))
+        assert np.array_equal(sol.pi_star[0], alone.pi_star[0])
+        assert np.array_equal(sol.c_star[0], alone.c_star[0])
+        agg = population_aggregates(pop)
+        for k in range(2):
+            assert tagged_policy_at0(agg, pop.types[k]) == (sol.pi_star[k, 0], sol.c_star[k, 0])
+        assert bsde_residual(pop, sol).sup_norm <= 1e-3  # O(dt^2) differencing at 64 steps
+        assert max(astuple(relation_check(pop, sol))) <= 1e-12
+        assert np.abs(solve_riccati_numeric(pop) - sol.c_star).max() <= 1e-6
+
+    @pytest.mark.parametrize("gamma, alpha", [(1.0, 1.0), (1.5, 1.0), (0.5, 0.0), (0.0, -1.0)])
+    def test_tagged_agent_refuses_gamma_from_one_and_nonpositive_alpha(self, grid, gamma, alpha):
+        agg = population_aggregates(single(grid))
         with pytest.raises(ValueError):
-            log_utility_ne(1.0, 0.1, 0.0, 0.0, 0.0, 1.0)
+            tagged_policy_at0(agg, constant_type(grid, gamma=gamma, theta=0.5, alpha=alpha,
+                                                 h=0.1, sigma=0.2, sigma0=0.1))
 
 
 class TestRiccati:

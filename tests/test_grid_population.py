@@ -6,9 +6,13 @@ from mfgconsume import (
     Population,
     StructuralError,
     TimeGrid,
+    coeff_B,
+    consistency_test,
     constant_type,
+    optimal_consumption,
     philox_stream,
     sample_agents,
+    solve_equilibrium,
     validate,
 )
 
@@ -70,10 +74,34 @@ class TestCurves:
             with pytest.raises(StructuralError, match="integer"):
                 TimeGrid(1.0, n_steps)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call", ["curve", "coeff_B", "optimal_consumption", "consistency_test"])
+    def test_non_finite_time_is_a_domain_error(self, t, call):
+        grid = TimeGrid(1.0, 16)
+        pop = single(grid)
+        calls = {
+            "curve": lambda: GridCurve.constant(grid, 1.0)(t),
+            "coeff_B": lambda: coeff_B(pop, 0, t),
+            "optimal_consumption": lambda: optimal_consumption(pop, 0, t),
+            "consistency_test": lambda: consistency_test(pop, solve_equilibrium(pop), 100, 1, seed=1,
+                                                         probe_times=[0.5, t]),
+        }
+        with pytest.raises(ValueError, match="outside"):
+            calls[call]()
+
     def test_values_read_only(self):
         c = GridCurve.constant(TimeGrid(1.0, 5), 2.0)
         with pytest.raises(ValueError):
             c.values[0] = 3.0
+
+
+class TestAgentType:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["weight", "x0", "gamma", "theta", "alpha"])
+    def test_non_finite_scalar_is_structural(self, grid200, field, value):
+        base = dict(gamma=0.5, theta=0.5, alpha=1.0, x0=1.0, h=0.1, sigma=0.2, sigma0=0.0)
+        with pytest.raises(StructuralError, match=f"agent field {field} is not finite"):
+            constant_type(grid200, **{**base, field: value})
 
 
 class TestValidate:

@@ -20,6 +20,7 @@ from mfgconsume import (
     estimate_utility,
     philox_stream,
     relation_check,
+    sample_agents,
     simulate_wealth,
     solve_equilibrium,
     value_function,
@@ -628,14 +629,6 @@ class TestConsistency:
         for r in ratios:
             assert abs(r - math.sqrt(2.0)) <= 0.2 * math.sqrt(2.0)
 
-    def test_stratified_mode(self, grid):
-        t1 = constant_type(grid, weight=0.5, gamma=0.5, theta=0.5, h=0.1, sigma=0.2, sigma0=0.1)
-        t2 = constant_type(grid, weight=0.5, gamma=-0.5, theta=0.2, h=0.08, sigma=0.25, sigma0=0.05)
-        pop = Population((t1, t2))
-        sol = solve_equilibrium(pop)
-        rep = consistency_test(pop, sol, 10_000, 1, seed=6, stratified=True)
-        assert rep.max_deviation_units <= 3.0
-
     def test_rejects_bad_counts(self, grid):
         pop = single(grid)
         sol = solve_equilibrium(pop)
@@ -684,12 +677,12 @@ class TestConsistency:
         sol = solve_equilibrium(pop)
         n, seed = 20_000, 11
         probe_times = [0.75, 0.0, 0.25, 1.0, 0.5]
-        rep = consistency_test(pop, sol, n, 2, seed=seed, probe_times=probe_times, stratified=True)
-        counts = np.floor(pop.weights * n).astype(int)
-        counts[0] += n - counts.sum()
+        rep = consistency_test(pop, sol, n, 2, seed=seed, probe_times=probe_times)
         knots = [round(t / grid.dt) for t in probe_times]
         rng = philox_stream(seed, 99)
         for p in range(2):
+            types = sample_agents(pop, n, philox_stream(seed, montecarlo._sid(montecarlo._DOM_CONS_TYPES, p)))
+            counts = np.bincount(types, minlength=pop.n_types)
             w0 = consistency_w0(grid, seed, p)[None, :]
             paths = np.vstack([
                 simulate_wealth(tp, equilibrium_strategy(sol, k),
