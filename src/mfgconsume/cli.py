@@ -24,11 +24,11 @@ caps simulation parallelism without changing any output.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import numbers
+import re
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
@@ -241,6 +241,13 @@ def load_config(
 
 
 _CSV_BLOCK = 256  # rows per block: bounds the Python objects a write holds at once
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_text(cell: str) -> str:
+    """A text cell as ``csv.QUOTE_MINIMAL`` writes it: in quotes, with each
+    quote doubled, when it holds a comma, a quote or a line break."""
+    return '"' + cell.replace('"', '""') + '"' if _CSV_SPECIAL.search(cell) else cell
 
 
 def _type_record(t: AgentType) -> dict:
@@ -278,15 +285,17 @@ class RunManifest:
 
     def write_csv(self, path: Path, columns: dict[str, ArrayLike]) -> None:
         """Write ``{header: column}`` to ``path`` as CSV and record it as an
-        artifact. Cells are the columns' ``tolist()`` values, so the csv
-        module writes each float as its shortest round-trip ``repr``;
-        booleans are written as 0/1."""
+        artifact. Numeric cells are the ``repr`` of the columns' ``tolist()``
+        values, so each float is its shortest round-trip form and booleans
+        are 0/1; text cells are quoted by ``_csv_text``. Each block of
+        ``_CSV_BLOCK`` rows is joined into one string and written at once."""
         cols = [c.astype(int) if c.dtype == bool else c for c in map(np.asarray, columns.values())]
+        cells = [_csv_text if c.dtype.kind == "U" else repr for c in cols]
         with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(columns)
+            f.write(",".join(map(_csv_text, columns)) + "\n")
             for i in range(0, len(cols[0]), _CSV_BLOCK):
-                w.writerows(zip(*(c[i:i + _CSV_BLOCK].tolist() for c in cols)))
+                block = zip(*(map(cell, c[i:i + _CSV_BLOCK].tolist()) for cell, c in zip(cells, cols)))
+                f.write("\n".join(map(",".join, block)) + "\n")
         self.artifact(path.name)
 
     def check(self, name: str, value: float, tolerance: float, passed: bool) -> None:

@@ -15,6 +15,14 @@ row is computed by the same operations in any block, and reduced by one
 ``einsum`` pass along the row (no BLAS), so outputs depend on neither the
 block size nor the thread count.
 
+The utility estimate and the deviation test draw antithetic pairs: each
+drawn row prices the path on (dW, dW0) and its mirror on (-dW, -dW0), so
+``n`` paths take ceil(n / 2) draws, and a report's ``n_samples`` is the
+paths used, twice the pairs. A pair's mean is one i.i.d. sample, so the
+stderr is that of the pair means. The mirror is read off the drawn path:
+the noise part of an Euler path is linear in the increments, so the
+mirrored exponent is 2m - z, m the noise-free path.
+
 Simulation is Euler in log-wealth coordinates: volatilities at the left
 endpoint, matching the Ito integral, and the drift by the trapezoid rule.
 ``_euler_rows`` is the one statement of the step. ``FlowModel`` is the
@@ -22,8 +30,8 @@ population mean of its rows, and payoffs fold that index into each
 strategy's rows (``_folded_rows``), so no index is built per block. A
 block builds the reference strategy's path once. A strategy whose folded
 noise rows step off the reference's by a multiple of the unit-pi rows
-reads that build and one unit-pi noise sum; any other takes its own. For
-constant coefficients the scheme is exact in distribution.
+reads that build, its mirror and one unit-pi noise sum; any other takes
+its own. For constant coefficients the scheme is exact in distribution.
 """
 
 from __future__ import annotations
@@ -294,8 +302,9 @@ class FlowModel:
 
 @dataclass(frozen=True)
 class UtilityEstimate:
-    """Monte-Carlo mean, standard error and sample count of an expected
-    utility; ``stderr`` is exactly zero iff the payoff is degenerate."""
+    """Monte-Carlo mean, standard error and sample count (paths, twice the
+    antithetic pairs) of an expected utility; ``stderr`` is exactly zero iff
+    every pair mean is the same."""
 
     mean: float
     stderr: float
@@ -343,6 +352,27 @@ def _row_sum(z: NDArray, w: NDArray) -> NDArray | float:
     return np.einsum("ij,j->i", z, w) if w.size else 0.0
 
 
+def _pair_exp(z: NDArray, twice_mean: NDArray, mirror: NDArray, out: NDArray) -> NDArray:
+    """exp(z) + exp(z'), into ``out``, with z' = 2m - z the exponent on the
+    mirrored increments (-dW, -dW0), m the noise-free path: the noise part
+    of an Euler path is linear in the increments. ``mirror`` takes exp(z')
+    and ``z`` exp(z); z' is taken before either exp, so no exp that
+    underflowed is divided by."""
+    np.subtract(twice_mean, z, out=mirror)
+    np.exp(z, out=z)
+    np.exp(mirror, out=mirror)
+    return np.add(z, mirror, out=out)
+
+
+def _step_part(ez: NDArray, r: NDArray, e: NDArray, lo: int, hi: int, w: NDArray, up: bool) -> NDArray:
+    """One path's payoff of a step on [lo, hi] past lo: R F on [lo, hi] over
+    F[lo], and R after hi times F[hi] / F[lo], with ``ez`` = R F and F = E
+    or 1 / E as ``up``."""
+    mid = _row_sum(ez[:, lo : hi + 1], w[lo : hi + 1])
+    after = _row_sum(r[:, hi + 1 :], w[hi + 1 :])
+    return (mid + after * e[:, hi]) / e[:, lo] if up else (mid + after / e[:, hi]) * e[:, lo]
+
+
 def _payoffs(
     agent: AgentType,
     strategies: Sequence[Strategy],
@@ -350,32 +380,39 @@ def _payoffs(
     m: int,
     draws: Callable[[NDArray, NDArray], None],
 ) -> NDArray:
-    """Per-sample utility of each strategy on the same draws, shape
-    (strategies, m): terminal power utility of wealth relative to the
-    population index, plus the time integral of the consumption utility
+    """Antithetic pair means of the utility of each strategy on the same
+    draws, shape (strategies, m): row i of the draws prices the path on
+    (dW, dW0) and its mirror on (-dW, -dW0), and the pair's mean is one
+    sample. The utility is terminal power utility of wealth relative to
+    the population index, plus the time integral of the consumption utility
     (trapezoid in time): one weighted row sum of exp(z), z the exponent of
     ``_folded_rows``, with trapezoid weights (al/g) dt plus exp(-off_T)/g on
-    the last knot for the terminal term.
+    the last knot for the terminal term, each halved for the pair mean.
 
-    A strategy either reads R = exp(z_ref) of the reference
-    ``strategies[0]`` or takes its own build. It reads R only if
+    The mirror takes no draw and no build: z' = 2m - z (``_pair_exp``), m
+    the noise-free path of z's rows, built once per call. A strategy either
+    reads R = exp(z_ref) and R' = exp(z'_ref) of the reference
+    ``strategies[0]`` or takes its own build. It reads them only if
     ``_step_window`` finds its folded noise rows to be the reference's plus
     d times the unit-pi noise rows on the steps [lo, hi) and equal elsewhere,
     and max|D| < ``_MAX_SHIFT``, D the deterministic difference of the two
     exponents. As sigma + sigma0 >= sigma_lb > 0, the rows move exactly
     where ``pi`` moves on a left knot. The plan holds ``reads``, the empty
-    steps (lo = hi: a change of ``c`` alone, and the reference itself);
-    ``sizes``, the other steps by |d| (equal up to the rounding of ``pi``)
-    and then by the sign of d; and ``own``. With N the unit-pi noise sum,
-    E = exp(|d| N) and F = E or 1 / E as d > 0 or d < 0, a step's exp(z) is
-    R e^D F[clip(q, lo, hi)] / F[lo]. e^D goes into the weights, so per
-    block E is taken once per size and R F once per sign, and a step's
-    payoff is three row sums: R before lo, R F on [lo, hi] over F[lo], and
-    R after hi times F[hi] / F[lo]. A sample row with |d| max|N| at
-    ``_MAX_SHIFT`` or past it cannot read R: its E is zeroed, and the row
-    is rebuilt from the reference's deterministic rows and the step's noise
-    rows, so outputs do not depend on the block size. These rebuilds and
-    the ``own`` builds run in one loop after every read of R, into R's buffer.
+    steps (lo = hi: a change of ``c`` alone, and the reference itself), one
+    row sum of R + R' each; ``sizes``, the other steps by |d| (equal up to
+    the rounding of ``pi``) and then by the sign of d; and ``own``. With N
+    the unit-pi noise sum, E = exp(|d| N) and F = E or 1 / E as d > 0 or
+    d < 0, a step's exp(z) is R e^D F[clip(q, lo, hi)] / F[lo]. On the
+    mirror N is -N, so E is 1 / E and the step reads R' with the sign of d
+    flipped. e^D goes into the weights, so per block E is taken once per
+    size and R F and R' / F once per sign, and a step's pair payoff is five
+    row sums: R + R' before lo, and for each path ``_step_part``. A sample
+    row with |d| max|N| at ``_MAX_SHIFT`` or past it (the same rows on the
+    mirror: its span is the same) cannot read R: its E is zeroed, and the
+    row is rebuilt from the reference's deterministic rows and the step's
+    noise rows, so outputs do not depend on the block size. These rebuilds
+    and the ``own`` builds, each with its mirror, run in one loop after
+    every read of R, into the buffers of R and R'.
 
     Row blocks are as in the module docstring: ``draws(dw, dw0)``
     (``_utility_draws``) fills each block's increments into two
@@ -386,27 +423,28 @@ def _payoffs(
     g, dt, n = agent.gamma, agent.grid.dt, agent.grid.n_steps
     market = (agent.h.values, agent.sigma.values, agent.sigma0.values)
     unit = tuple(g * u for u in _euler_rows(*market, np.ones(n + 1), 0.0, dt)[1:])  # g times the noise rows at pi = 1
-    trapezoid = np.full(n + 1, agent.alpha / g * dt)
+    trapezoid = np.full(n + 1, agent.alpha / g * dt / 2)  # halved: a pair mean
     trapezoid[[0, -1]] /= 2
+    twice_mean = lambda rows: 2.0 * _build_paths(np.empty((1, n + 1)), *rows, 0.0, 0.0)[0]
     # step sizes equal up to the rounding of pi share one exp(|d| N)
     top = max(float(np.abs(s.pi).max()) for s in strategies)
     tol = 4.0 * np.spacing(top)
     reads: list[tuple] = []  # (j, weights) of the empty steps
     sizes: dict[float, dict[bool, list[tuple]]] = {}  # |d| -> d > 0 -> [(lo, hi, j, far-row build rows, weights)]
-    own: list[tuple] = []  # (j, rows, weights, all sample rows)
+    own: list[tuple] = []  # (j, rows, weights, all sample rows, 2m)
     for j, s in enumerate(strategies):
         rows, off_t = _folded_rows(agent, s, flow)
         if j == 0:
-            ref = rows
+            ref, ref_twice = rows, twice_mean(rows)
         # D: z - z_ref less its noise terms, which a step's weights carry
         dz = rows[0] - ref[0] + np.concatenate(([0.0], np.cumsum(rows[1] - ref[1])))
         step = _step_window(rows[2:], ref[2:], unit, s.pi - strategies[0].pi, top, tol)
         if j and (step is None or np.abs(dz).max() >= _MAX_SHIFT):
             step, dz = None, np.zeros_like(dz)
         w = trapezoid * np.exp(dz)
-        w[-1] += np.exp(dz[-1] - off_t) / g
+        w[-1] += np.exp(dz[-1] - off_t) / g / 2
         if step is None:
-            own.append((j, rows, w, slice(None)))
+            own.append((j, rows, w, slice(None), twice_mean(rows)))
         elif step[0] == step[1]:
             reads.append((j, w))
         else:
@@ -415,21 +453,21 @@ def _payoffs(
             # a far row keeps the reference's deterministic rows: the weights carry e^D
             sizes.setdefault(size, {}).setdefault(d > 0, []).append((lo, hi, j, (*ref[:2], *rows[2:]), w))
 
-    n_buf = 1 + 3 * bool(sizes)  # R, and N, E and R E^(+-1) when a step has a size
+    n_buf = 3 + 4 * bool(sizes)  # R, R' and R + R', and N, E, R F and R' / F when a step has a size
     blocks = _blocks(m, n, n_buf)
     buf = np.empty((n_buf, blocks[0].stop, n + 1))
     drawn = np.empty((3, blocks[0].stop, n))  # dW, dW0 and a build's common-noise term
     out = np.empty((len(strategies), m))
     for b in blocks:
-        r, *views = buf[:, : b.stop - b.start]
+        r, rm, pair, *views = buf[:, : b.stop - b.start]
         dw, dw0, scratch = drawn[:, : b.stop - b.start]
         draws(dw, dw0)
-        np.exp(_build_paths(r, *ref, dw, dw0, scratch), out=r)
+        _pair_exp(_build_paths(r, *ref, dw, dw0, scratch), ref_twice, rm, pair)
         for j, w in reads:
-            out[j, b] = _row_sum(r, w)
-        builds = []  # (j, rows, weights, sample rows) of the rows that cannot read R
+            out[j, b] = _row_sum(pair, w)
+        builds = []  # (j, rows, weights, sample rows, 2m) of the rows that cannot read R
         if sizes:
-            noise, e, ez = views
+            noise, e, ez, ezm = views
             _build_paths(noise, 0.0, 0.0, *unit, dw, dw0, scratch)
             span = np.maximum(noise.max(axis=1), -noise.min(axis=1))
         for size, signs in sizes.items():
@@ -439,17 +477,16 @@ def _payoffs(
             np.exp(e, out=e)
             for up, steps in signs.items():
                 (np.multiply if up else np.divide)(r, e, out=ez)
+                (np.divide if up else np.multiply)(rm, e, out=ezm)
                 for lo, hi, j, rows, w in steps:
-                    mid = _row_sum(ez[:, lo : hi + 1], w[lo : hi + 1])
-                    after = _row_sum(r[:, hi + 1 :], w[hi + 1 :])
-                    mid = (mid + after * e[:, hi]) / e[:, lo] if up else (mid + after / e[:, hi]) * e[:, lo]
-                    out[j, b] = _row_sum(r[:, :lo], w[:lo]) + mid
+                    mirror = _step_part(ezm, rm, e, lo, hi, w, not up)
+                    out[j, b] = _row_sum(pair[:, :lo], w[:lo]) + _step_part(ez, r, e, lo, hi, w, up) + mirror
                     if far.size:
-                        builds.append((j, rows, w, far))
-        for j, rows, w, rel in builds + own:
+                        builds.append((j, rows, w, far, ref_twice))
+        for j, rows, w, rel, twice in builds + own:
             x, x0 = dw[rel], dw0[rel]
-            z = r[: len(x)]
-            np.exp(_build_paths(z, *rows, x, x0, scratch[: len(x)]), out=z)
+            z, zm = r[: len(x)], rm[: len(x)]
+            _pair_exp(_build_paths(z, *rows, x, x0, scratch[: len(x)]), twice, zm, z)
             out[j, b][rel] = _row_sum(z, w)
     return out
 
@@ -479,17 +516,22 @@ def _utility_draws(grid: TimeGrid, seed: int, i: int) -> Callable[[NDArray, NDAr
 def estimate_utility(
     agent: AgentType, strategy: Strategy, flow: FlowModel, n: int, seed: int
 ) -> UtilityEstimate:
-    """Estimate the expected utility of ``strategy`` for one agent type.
+    """Estimate the expected utility of ``strategy`` for one agent type
+    from ``n`` paths, rounded up to whole antithetic pairs.
 
-    Both noises are integrated out: every sample draws a fresh common-noise
-    path and a fresh idiosyncratic path. The population index along each
-    common-noise path is folded into the payoff's Euler rows (``_payoffs``),
-    so no flow is built per sample.
+    Both noises are integrated out: every pair draws a fresh common-noise
+    path and a fresh idiosyncratic path and prices them and their mirror
+    (-dW, -dW0). The mean and stderr are those of the i.i.d. pair means
+    (``_payoffs``), and ``n_samples`` is the paths used, twice the pairs.
+    The population index along each common-noise path is folded into the
+    payoff's Euler rows, so no flow is built per sample.
     """
+    pairs = (n + 1) // 2
     mean, stderr = _chunk_moments(
-        n, lambda i, chunk: _payoffs(agent, [strategy], flow, chunk[1] - chunk[0], _utility_draws(agent.grid, seed, i))
+        pairs,
+        lambda i, chunk: _payoffs(agent, [strategy], flow, chunk[1] - chunk[0], _utility_draws(agent.grid, seed, i)),
     )
-    return UtilityEstimate(float(mean[0]), float(stderr[0]), n)
+    return UtilityEstimate(float(mean[0]), float(stderr[0]), 2 * pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +554,7 @@ class Perturbation:
 class DeviationRow:
     name: str
     delta: float          # J(equilibrium) - J(perturbation), paired estimate
-    stderr: float         # paired standard error
+    stderr: float         # paired standard error, over the pair means
     large: bool
     flagged: bool         # delta < -2 * stderr: profitable deviation found
 
@@ -520,7 +562,7 @@ class DeviationRow:
 @dataclass(frozen=True)
 class DeviationReport:
     rows: tuple[DeviationRow, ...]
-    n_samples: int
+    n_samples: int        # paths: twice the antithetic pairs
 
     @property
     def margin(self) -> float:
@@ -591,8 +633,11 @@ def deviation_test(
     c_max: float = DEFAULT_C_MAX,
 ) -> DeviationReport:
     """Paired common-random-number comparison of the equilibrium against each
-    perturbation: every sample reuses identical (W, W0) draws for all
-    strategies, so delta estimates carry only the strategy difference."""
+    perturbation on ``n`` paths, rounded up to whole antithetic pairs: every
+    pair reuses identical (W, W0) draws, and their mirror, for all
+    strategies, so delta estimates carry only the strategy difference. Each
+    delta and stderr is that of the i.i.d. differences of pair means
+    (``_payoffs``), and the report's ``n_samples`` is the paths used."""
     agent = pop.types[k]
     flow = FlowModel(pop, sol)
     strategies = [equilibrium_strategy(sol, k, pi_cap, c_min, c_max), *(p.strategy for p in perturbations)]
@@ -601,12 +646,13 @@ def deviation_test(
         pay = _payoffs(agent, strategies, flow, chunk[1] - chunk[0], _utility_draws(pop.grid, seed, i))
         return pay[0] - pay[1:]
 
-    delta, stderr = _chunk_moments(n, diffs)
+    pairs = (n + 1) // 2
+    delta, stderr = _chunk_moments(pairs, diffs)
     rows = [
         DeviationRow(p.name, float(d), float(e), p.large, bool(d < -2.0 * e))
         for p, d, e in zip(perturbations, delta, stderr)
     ]
-    return DeviationReport(tuple(rows), n)
+    return DeviationReport(tuple(rows), 2 * pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -560,6 +560,29 @@ class TestArtifactFloats:
         # the sweep crosses gamma >= 1, where the closed form gives NaN
         assert "nan" in (tmp_path / "sweep" / "sweep.csv").read_text()
 
+    def test_text_cells_are_quoted_and_round_trip(self, tmp_path):
+        names = ["plain", "a,b", 'say "hi"', '"', "", "line\nbreak", "cr\rhere"]
+        columns = {"name": names, "x": np.linspace(0.1, 1.0, len(names)), "flagged": np.arange(len(names)) % 2 == 1,
+                   'odd, "header"': np.arange(len(names))}
+        man = RunManifest("deviate", load_config(write_config(tmp_path)))
+        man.write_csv(tmp_path / "names.csv", columns)
+        with open(tmp_path / "names.csv", newline="", encoding="utf-8") as f:
+            header, *rows = csv.reader(f)
+        assert header == list(columns)
+        assert [r[0] for r in rows] == names
+        assert [float(r[1]) for r in rows] == columns["x"].tolist()
+        assert [r[2] for r in rows] == ["0", "1"] * 3 + ["0"]
+        # the csv module's writer gives the same bytes where it quotes the
+        # same cells: it leaves a bare carriage return unquoted
+        plain = {k: v[:-1] for k, v in columns.items()}
+        man.write_csv(tmp_path / "plain.csv", plain)
+        with open(tmp_path / "oracle.csv", "w", newline="", encoding="utf-8") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(plain)
+            w.writerows(zip(*(np.asarray(c).astype(int).tolist() if np.asarray(c).dtype == bool
+                              else np.asarray(c).tolist() for c in plain.values())))
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
 
 _NUMERICAL = {"ExponentRangeError", "SingularAggregateError", "IntegrationBlowUpError"}
 

@@ -1,6 +1,9 @@
+import dataclasses
+import json
 import math
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +29,20 @@ from mfgconsume import (
     value_function,
 )
 from mfgconsume import montecarlo
+from mfgconsume.cli import load_config
 from mfgconsume.montecarlo import consistency_w0
 from mfgconsume.odequad import cumtrapz_left
+
+REFERENCE = Path(__file__).resolve().parents[1] / "demos" / "configs" / "reference.json"
+# the steep scenario of tools/diff_artifacts.sh: at type 0 (gamma -30) many
+# sample rows pass the payoff's step bound `_MAX_SHIFT`
+STEEP = {
+    "horizon": 4.0, "n_steps": 64, "mc": {"n_samples": 4096, "seed": 3},
+    "population": [
+        {"weight": 0.5, "gamma": -30.0, "theta": 0.5, "h": 0.1, "sigma": 0.5, "sigma0": 0.3},
+        {"weight": 0.5, "gamma": 0.4, "theta": 0.3, "h": 0.05, "sigma": 0.2, "sigma0": 0.1},
+    ],
+}
 
 
 def single(grid, **kw):
@@ -359,6 +374,66 @@ class TestDeviation:
         assert sum(p.large for p in perts) == 12
         assert len({p.name for p in perts}) == 20
 
+    def test_planted_profitable_deviation_is_flagged(self, grid, monkeypatch):
+        # the library around a reference shifted off the equilibrium by
+        # pi + 1: each move back toward the equilibrium pays
+        pop = single(grid)
+        sol = solve_equilibrium(pop)
+        shifted = dataclasses.replace(sol, pi_star=sol.pi_star + 1.0)
+        monkeypatch.setattr(montecarlo, "equilibrium_strategy", lambda *a: equilibrium_strategy(shifted, 0))
+        rep = deviation_test(pop, 0, sol, default_perturbations(shifted, 0), 10_000, seed=3)
+        back = {r.name: r for r in rep.rows if r.name in ("pi-0.5", "pi-1")}
+        assert all(r.flagged and r.delta < -2 * r.stderr for r in back.values())
+        assert len(back) == 2 and not rep.passed
+
+    def test_planted_payoff_bias_is_caught(self, grid, monkeypatch):
+        # a bias of three plain-sampling stderrs, at the same path count,
+        # planted on the payoff of a step too small to move the utility
+        pop = single(grid)
+        sol = solve_equilibrium(pop)
+        flow = FlowModel(pop, sol)
+        eq = equilibrium_strategy(sol, 0)
+        tiny = Strategy(grid, eq.pi + 1e-3, eq.c)
+        n = 4000
+        rng = philox_stream(21, 0)
+        dw, dw0 = rng.normal(0.0, np.sqrt(grid.dt), (2, n, grid.n_steps))
+        plain = _oracle_payoffs(pop.types[0], [eq, tiny], flow, dw, dw0)
+        se_plain = (plain[0] - plain[1]).std(ddof=1) / math.sqrt(n)
+        bias = 3.0 * se_plain
+        real = montecarlo._payoffs
+
+        def biased(*a):
+            out = real(*a)
+            out[1] += bias
+            return out
+
+        monkeypatch.setattr(montecarlo, "_payoffs", biased)
+        row = deviation_test(pop, 0, sol, [Perturbation("tiny", tiny, False)], n, seed=21).rows[0]
+        assert row.stderr < se_plain
+        assert row.flagged and row.delta < -2 * row.stderr
+
+    @pytest.mark.parametrize("n", [1, 99, 2 * montecarlo.CHUNK + 1])
+    def test_odd_sample_count_rounds_up_to_whole_pairs(self, monkeypatch, n):
+        grid = TimeGrid(1.0, 16)
+        pop = single(grid)
+        sol = solve_equilibrium(pop)
+        eq = equilibrium_strategy(sol, 0)
+        perts = default_perturbations(sol, 0)[:3]
+        drawn = []
+        real = montecarlo._utility_draws
+
+        def counted(*a):
+            fill = real(*a)
+            return lambda dw, dw0: drawn.append(len(dw)) or fill(dw, dw0)
+
+        monkeypatch.setattr(montecarlo, "_utility_draws", counted)
+        odd = deviation_test(pop, 0, sol, perts, n, seed=4)
+        assert odd.n_samples == n + 1 == 2 * sum(drawn)  # pairs of paths, one draw row each
+        assert odd == deviation_test(pop, 0, sol, perts, n + 1, seed=4)
+        est = estimate_utility(pop.types[0], eq, FlowModel(pop, sol), n, seed=4)
+        assert est.n_samples == n + 1
+        assert est == estimate_utility(pop.types[0], eq, FlowModel(pop, sol), n + 1, seed=4)
+
     def test_verdicts_follow_the_two_margins(self):
         row = montecarlo.DeviationRow
         edge = row("at -2 stderr", -2.0, 1.0, False, False)
@@ -386,6 +461,12 @@ def _oracle_payoffs(agent, strategies, flow, dw, dw0):
         integrand = al / g * np.exp(g * (np.log(s.c) + x - th * (flow.e_logc + mu)))
         out.append(terminal + np.trapezoid(integrand, dx=dt, axis=1))
     return np.array(out)
+
+
+def _oracle_pairs(agent, strategies, flow, dw, dw0):
+    """Antithetic pair means from the definition: the oracle's payoffs on
+    (dw, dw0) and on the explicit mirror (-dw, -dw0), averaged."""
+    return (_oracle_payoffs(agent, strategies, flow, dw, dw0) + _oracle_payoffs(agent, strategies, flow, -dw, -dw0)) / 2
 
 
 def _two_knot_rows(h, sigma, sigma0, pi, c, dt):
@@ -442,21 +523,53 @@ class TestPayoffs:
         draws = lambda: montecarlo._utility_draws(grid, 9, 0)  # a fresh copy of one chunk's streams
         dw, dw0 = np.empty((2, m, grid.n_steps))
         draws()(dw, dw0)
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 1 << 30)  # one block
         builds = []
         build = montecarlo._build_paths
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
         got = montecarlo._payoffs(agent, strategies, flow, m, draws())
-        # the reference, the unit-pi noise sum and the four strategies that
-        # are not steps of the reference; the 20 perturbations take none, or
-        # one each and no noise sum is built when no step may read exp(z_ref).
+        # the reference and its noise-free path, the unit-pi noise sum, and
+        # the four strategies that are not steps of the reference, each a
+        # build and a noise-free path; the 20 perturbations take none, or two
+        # each and no noise sum is built when no step may read exp(z_ref).
         # Under the two-knot rule a step's boundary increments load half of
-        # it, so the six thirds, which do not span the grid, take one each
-        assert len(builds) == {True: 2, False: 1 + len(library), "two-knot": 2 + 6}[shared] + len(non_steps)
-        want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
+        # it, so the six thirds, which do not span the grid, take two each
+        assert len(builds) == {True: 3, False: 2 + 2 * len(library), "two-knot": 3 + 2 * 6}[shared] + 2 * len(non_steps)
+        want = _oracle_pairs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         for j, s in enumerate(strategies):
             alone = montecarlo._payoffs(agent, [s], flow, m, draws())[0]
             assert np.all(np.abs(got[j] - alone) <= 1e-12 * np.abs(alone))
+
+    @pytest.mark.parametrize("config, k", [("reference", 0), ("reference", 1), ("steep", 0)])
+    def test_pair_means_are_the_oracle_on_both_signs_of_the_draws(self, tmp_path, monkeypatch, config, k):
+        # the reference scenario at 256 steps, and the steep gamma = -30
+        # scenario whose type 0 has rows past the step bound, rebuilt with
+        # their mirror
+        if config == "reference":
+            cfg = load_config(REFERENCE, steps=256)
+        else:
+            path = tmp_path / "steep.json"
+            path.write_text(json.dumps(STEEP))
+            cfg = load_config(path)
+        pop, m = cfg.population, 400
+        grid = pop.grid
+        sol = solve_equilibrium(pop)
+        flow = FlowModel(pop, sol)
+        agent = pop.types[k]
+        strategies = [equilibrium_strategy(sol, k), *(p.strategy for p in default_perturbations(sol, k))]
+        draws = lambda: montecarlo._utility_draws(grid, 8, 0)
+        dw, dw0 = np.empty((2, m, grid.n_steps))
+        draws()(dw, dw0)
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 1 << 30)  # one block
+        rows = []
+        build = montecarlo._build_paths
+        monkeypatch.setattr(montecarlo, "_build_paths", lambda out, *a: rows.append(len(out)) or build(out, *a))
+        got = montecarlo._payoffs(agent, strategies, flow, m, draws())
+        rebuilt = sum(r for r in rows if 1 < r < m)  # far rows: not the block, not a noise-free path
+        assert (rebuilt > 0) == (config == "steep")
+        want = _oracle_pairs(agent, strategies, flow, dw, dw0)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_strategies_off_the_step_rule_take_their_own_build(self, monkeypatch):
         grid = TimeGrid(1.0, 64)
@@ -478,14 +591,16 @@ class TestPayoffs:
         draws = lambda: montecarlo._utility_draws(grid, 6, 0)
         dw, dw0 = np.empty((2, m, grid.n_steps))
         draws()(dw, dw0)
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 1 << 30)  # one block
         builds = []
         build = montecarlo._build_paths
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
         got = montecarlo._payoffs(agent, strategies, flow, m, draws())
-        # the reference, which the empty step reads; one build each for the
-        # rescaling and the two strategies with the ramp; no noise sum
-        assert len(builds) == 4
-        want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
+        # the reference, which the empty step reads, and its noise-free path;
+        # a build and a noise-free path each for the rescaling and the two
+        # strategies with the ramp; no noise sum
+        assert len(builds) == 2 + 2 * 3
+        want = _oracle_pairs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     @pytest.mark.parametrize("rule", ["left-endpoint", "two-knot"])
@@ -513,14 +628,16 @@ class TestPayoffs:
         draws = lambda: montecarlo._utility_draws(grid, 5, 0)
         dw, dw0 = np.empty((2, m, grid.n_steps))
         draws()(dw, dw0)
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 1 << 30)  # one block
         builds = []
         build = montecarlo._build_paths
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
         got = montecarlo._payoffs(agent, strategies, flow, m, draws())
-        # the reference and N; under the two-knot rule, one build each for
-        # the two strategies that move at knot n
-        assert len(builds) == {"left-endpoint": 2, "two-knot": 4}[rule]
-        want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
+        # the reference, its noise-free path and N; under the two-knot rule,
+        # a build and a noise-free path each for the two strategies that
+        # move at knot n
+        assert len(builds) == {"left-endpoint": 3, "two-knot": 3 + 2 * 2}[rule]
+        want = _oracle_pairs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_rows_past_the_step_bound_take_their_own_build(self, monkeypatch):
@@ -553,11 +670,11 @@ class TestPayoffs:
         span = np.abs(noise).max(axis=1)
         assert 0 < np.sum(0.05 * span >= montecarlo._MAX_SHIFT) < m
         assert np.any(span > np.log(np.finfo(float).max))
-        want = _oracle_payoffs(agent, strategies, flow, dw, dw0)
+        want = _oracle_pairs(agent, strategies, flow, dw, dw0)
         row_bytes = 8 * (grid.n_steps + 1)
         got = []
         # one row per block, ragged 7-row blocks, one block for all rows
-        for block_bytes in (1, 7 * 4 * row_bytes, m * 4 * row_bytes):
+        for block_bytes in (1, 7 * 7 * row_bytes, m * 7 * row_bytes):
             monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_bytes)
             got.append(montecarlo._payoffs(agent, strategies, flow, m, draws()))
             assert np.all(np.abs(got[-1] - want) <= 1e-12 * np.abs(want))
@@ -576,20 +693,25 @@ class TestPayoffs:
         montecarlo._payoffs(pop.types[0], strategies, flow, 10, montecarlo._utility_draws(grid, 2, 0))
         assert len(calls) <= len(strategies) + 1
 
-    # 100 samples in 7-row blocks; two chunks of one block each
-    @pytest.mark.parametrize("block_rows, n, blocks", [(7, 100, 15), (montecarlo.CHUNK, montecarlo.CHUNK + 10, 2)])
-    def test_one_strategy_takes_one_build_per_block(self, monkeypatch, block_rows, n, blocks):
-        # a single strategy has no step to serve, so no unit-pi noise sum is built
+    # 100 pairs in 7-row blocks; two chunks of one block each
+    @pytest.mark.parametrize("block_rows, n, blocks, chunks", [
+        (7, 200, 15, 1),
+        (montecarlo.CHUNK, 2 * montecarlo.CHUNK + 20, 2, 2),
+    ])
+    def test_one_strategy_takes_one_build_per_block(self, monkeypatch, block_rows, n, blocks, chunks):
+        # a single strategy has no step to serve, so no unit-pi noise sum is
+        # built; its mirror takes none either, only the noise-free path once
+        # per chunk; a block holds R, R' and R + R'
         grid = TimeGrid(1.0, 64)
         pop = make_random_population(3, grid, n_types=2)
         sol = solve_equilibrium(pop)
         flow = FlowModel(pop, sol)
-        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_rows * 8 * (grid.n_steps + 1))
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_rows * 3 * 8 * (grid.n_steps + 1))
         builds = []
         build = montecarlo._build_paths
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
         estimate_utility(pop.types[0], equilibrium_strategy(sol, 0), flow, n, seed=3)
-        assert len(builds) == blocks
+        assert len(builds) == blocks + chunks
 
 
 class TestConsistency:
@@ -767,15 +889,16 @@ class TestRowBlocks:
         library = default_perturbations(sol, 0)
         perts = [*library[::5], library[12], library[13]]
         assert [p.name for p in perts[-2:]] == ["pi+1.0@third1", "pi-1.0@third1"]
-        n = 2 * montecarlo.CHUNK + 100  # three chunks, the last one short
+        n = 4 * montecarlo.CHUNK + 200  # paths: three chunks of pairs, the last one short
         run = {
             "estimate_utility": lambda: estimate_utility(pop.types[0], eq, flow, n, seed=5),
             "deviation_test": lambda: deviation_test(pop, 0, sol, perts, n, seed=5),
             "consistency_test": lambda: consistency_test(pop, sol, n, 1, seed=5, probe_times=[0.0, 0.5, 1.0]),
         }[estimator]
         want = run()
-        # the path buffers a block holds: R alone, or R, N, E and R E^(+-1)
-        row_bytes = 8 * (grid.n_steps + 1) * (4 if estimator == "deviation_test" else 1)
+        # the path buffers a block holds: R, R' and R + R', and with steps
+        # also N, E, R E^(+-1) and R' E^(-+1)
+        row_bytes = 8 * (grid.n_steps + 1) * (7 if estimator == "deviation_test" else 3)
         seen = []  # (samples, rows of the first block) per chunk; the consistency test takes no blocks
         real = montecarlo._blocks
         monkeypatch.setattr(montecarlo, "_blocks", lambda m, *a: seen.append((m, real(m, *a)[0].stop)) or real(m, *a))

@@ -3,7 +3,7 @@
 #
 #   tools/diff_artifacts.sh <rev>
 #
-# Runs nine CLI commands on demos/configs/reference.json and two `deviate`
+# Runs ten CLI commands on demos/configs/reference.json and two `deviate`
 # runs on a steep config at one and two threads, once from the committed
 # files of <rev> and once from the working tree, and compares the two output
 # trees with `diff -r`. The steep config (a type with gamma -30) is written
@@ -13,11 +13,12 @@
 # kept in its output directory beside its artifacts and manifest.json, so a
 # verdict or a crash that differs shows in the diff; sweep-gamma ends in
 # exit 3, so a manifest's `error` block is diffed too, and deviate-steep-p0
-# in exit 1. The four demos/*.py scripts run once per tree as well; their
-# stdout and exit status go to demos/ in the output tree, so a library
-# change that moves a printed number shows in the same diff. Outputs stay
-# under out/diff_artifacts/ for inspection. Exits 0 when every file is
-# byte-identical, 1 when some file differs.
+# in exit 1. deviate-4097 asks for an odd sample count, which `deviate`
+# rounds up to whole antithetic pairs. The four demos/*.py scripts run once
+# per tree as well; their stdout and exit status go to demos/ in the output
+# tree, so a library change that moves a printed number shows in the same
+# diff. Outputs stay under out/diff_artifacts/ for inspection. Exits 0 when
+# every file is byte-identical, 1 when some file differs.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_artifacts.sh <rev>}
@@ -53,6 +54,7 @@ run_all() {
 deviate-256-p0 $ref deviate --steps 256 --samples 8192 --probe-type 0
 deviate-256-p1 $ref deviate --steps 256 --samples 8192 --probe-type 1
 deviate-10k-p1 $ref deviate --samples 10000 --probe-type 1
+deviate-4097 $ref deviate --steps 256 --samples 4097
 deviate-steep-p0 $steep deviate --probe-type 0
 deviate-steep-p1 $steep deviate --probe-type 1
 simulate $ref simulate
