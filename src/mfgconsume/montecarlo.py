@@ -3,9 +3,11 @@ estimation, no-profitable-deviation and fixed-point consistency tests.
 
 Determinism contract: every stochastic routine takes an integer seed and
 derives independent counter-based streams (Philox) from (seed, purpose,
-chunk). Samples are processed in fixed-size chunks and reduced in chunk
-order, so results are bit-identical for any thread count; the
-``MFG_CONSUME_THREADS`` environment variable only sizes the worker pool.
+chunk), or, in the consistency test, (seed, purpose, path). Samples are
+processed in fixed-size chunks and reduced in chunk order, so results are
+bit-identical for any thread count; the ``MFG_CONSUME_THREADS``
+environment variable only sizes the worker pool, which the consistency
+test does not use.
 Within a chunk, payoff paths are built and reduced in row blocks sized to
 stay in L2 cache. Each block draws its own increments, in row order, from
 the chunk's two streams into buffers reused across blocks: a counter-based
@@ -47,7 +49,7 @@ from numpy.typing import NDArray
 
 from .closedform import EquilibriumSolution
 from .grid import TimeGrid
-from .population import AgentType, Population, sample_agents
+from .population import AgentType, Population
 
 CHUNK = 4096
 # bytes of one row block's (rows, n_steps + 1) float64 path buffers; the block's
@@ -64,7 +66,6 @@ _MASK64 = (1 << 64) - 1
 _DOM_UTIL_W0 = 1
 _DOM_UTIL_W = 2
 _DOM_CONS_W0 = 3
-_DOM_CONS_TYPES = 4
 _DOM_CONS_W = 5
 _DOM_RELATION = 8
 
@@ -687,6 +688,43 @@ def relation_w0(grid: TimeGrid, seed: int) -> NDArray:
     return philox_stream(seed, _sid(_DOM_RELATION)).normal(0.0, np.sqrt(grid.dt), grid.n_steps)
 
 
+def _crowd_moments(
+    rng: np.random.Generator, n_agents: int, weights: NDArray, base: NDArray, sd: NDArray
+) -> tuple[NDArray, NDArray]:
+    """Mean and standard error, at each of P probe knots, of ``n_agents``
+    agents whose types are i.i.d. by ``weights`` and whose type-k probe
+    values are base[k] + cumsum(sd[k] * xi), xi ~ N(0, I_P) per agent;
+    ``base`` and ``sd`` are (K, P). Drawn from the exact joint law of the
+    agents' sufficient statistics, with K P (P + 1) normals for any
+    ``n_agents``.
+
+    The type counts are n ~ Multinomial(n_agents, weights). Given them, a
+    type's mean xi is N(0, I / n_k) and its scatter of xi about that mean
+    is W ~ Wishart(n_k - 1, I), independent of it. W = L L' with L the
+    Bartlett factor: L_ii^2 ~ chi^2(n_k - 1 - i) and L_ij ~ N(0, 1) below
+    the diagonal, on the first min(n_k - 1, P) columns, zero elsewhere
+    (rank n_k - 1 when that is below P). A type's scatter of probe values
+    is then the squared row norms of cumsum(sd[k] * L), and the pooled one
+    adds n_k (mean_k - mean)^2. Every type draws, present or not, so the
+    stream's use does not depend on the counts. A knot where no type
+    spreads and every present type has one mean (every agent's value
+    equal) has a stderr of exactly 0; with one type present the mean is
+    that type's mean exactly."""
+    k, p = base.shape
+    n = rng.multinomial(n_agents, weights)
+    xbar = base + np.cumsum(sd * rng.standard_normal((k, p)) / np.sqrt(np.maximum(n, 1))[:, None], axis=1)
+    df = n[:, None] - 1 - np.arange(p)  # (K, P): L_ii's chi^2 degrees of freedom; column j of L is 0 unless df_j > 0
+    bartlett = rng.standard_normal((k, p, p)) * (np.tri(p, k=-1) * (df > 0)[:, None, :])
+    bartlett[:, np.arange(p), np.arange(p)] = np.sqrt(2.0 * rng.standard_gamma(np.maximum(df, 0) / 2.0))
+    within = np.square(np.cumsum(sd[:, :, None] * bartlett, axis=1)).sum(axis=2)
+    mean = np.einsum("k,kp->p", n / n_agents, xbar)
+    m2 = (within + n[:, None] * np.square(xbar - mean)).sum(axis=0)
+    present = n[:, None] > 0
+    one_value = np.where(present, xbar, -np.inf).max(axis=0) == np.where(present, xbar, np.inf).min(axis=0)
+    flat = (within.sum(axis=0) == 0.0) & one_value
+    return mean, np.where(flat, 0.0, np.sqrt(m2 / max(1, n_agents - 1) / n_agents))
+
+
 def consistency_test(
     pop: Population,
     sol: EquilibriumSolution,
@@ -700,15 +738,26 @@ def consistency_test(
     independent idiosyncratic noise, equilibrium controls) is compared with
     the semi-analytic flow, in units of the empirical standard error.
 
-    Agents are simulated at the probe knots only, exactly in distribution
-    for the Euler scheme: with deterministic controls and curves, log-wealth
-    at knot q is a per-type constant plus sum_{i<q} vol_w dW_i, and between
-    two probes that sum gains an independent N(0, sum vol_w^2 dt). So each
-    agent draws one normal per probe segment, in sorted probe order.
+    What it checks: the agent sampler and the linearity of the flow, not
+    the equilibrium. ``FlowModel`` is by construction the mean of the same
+    Euler rows the agents are drawn from, so an error in the equilibrium
+    controls moves the crowd and the flow alike.
+
+    No agent is simulated. With deterministic controls and curves, a
+    type-k agent's log-wealth at the sorted probe knots, given the
+    common-noise path, is base_k + cumsum(s_k * xi): base_k the type's
+    Euler path with the idiosyncratic increments set to 0, s_k the standard
+    deviation of sum vol_w dW over each probe segment, sqrt(sum vol_w^2 dt),
+    and xi ~ N(0, I) per agent. The report reads only each knot's sample
+    mean and variance, which are functions of the type counts and each
+    type's sample mean and scatter matrix of xi. Those are drawn from their
+    exact joint law (``_crowd_moments``), so the report has the law of
+    ``n_agents`` Euler paths read at the probes, at a cost that does not
+    grow with ``n_agents``. Path ``p`` draws from one stream, (seed, p).
 
     Agent noise streams are keyed independently of the common-noise values,
     so with no common-noise exposure the report does not depend on the
-    common-noise path.
+    common-noise path. Permuting the probe times permutes the rows.
     """
     if n_agents < 1 or n_w0_paths < 1:
         raise ValueError("need n_agents >= 1 and n_w0_paths >= 1")
@@ -728,25 +777,16 @@ def consistency_test(
     log_x0 = np.log(pop.x0s)
     var = np.zeros((pop.n_types, grid.n_steps + 1))
     np.cumsum(vol_w**2 * grid.dt, axis=1, out=var[:, 1:])
-    seg_sd = np.sqrt(np.diff(var[:, knots].T, axis=0, prepend=0.0))  # (probes, K)
+    seg_sd = np.sqrt(np.diff(var[:, knots], axis=1, prepend=0.0))  # (K, probes)
+    weights = pop.weights / pop.weights.sum()  # the multinomial sees no stray rounding of the sum
 
     rows: list[ConsistencyRow] = []
     for p in range(n_w0_paths):
         w0 = consistency_w0(grid, seed, p)
         mu = flow.mu_values(w0)
         # the per-type part: Euler paths with the idiosyncratic increments set to 0
-        base = _build_paths(np.empty_like(var), log_x0, drift, vol_w, vol_w0, 0.0, w0)[:, knots].T
-        types = sample_agents(pop, n_agents, philox_stream(seed, _sid(_DOM_CONS_TYPES, p)))
-
-        def probes(i: int, chunk: tuple[int, int]) -> NDArray:
-            ti = types[slice(*chunk)]
-            z = philox_stream(seed, _sid(_DOM_CONS_W, p, i)).standard_normal((len(knots), ti.size))
-            z *= seg_sd[:, ti]
-            np.cumsum(z, axis=0, out=z)
-            z += base[:, ti]
-            return z
-
-        means, stderrs = _chunk_moments(n_agents, probes)
+        base = _build_paths(np.empty_like(var), log_x0, drift, vol_w, vol_w0, 0.0, w0)[:, knots]
+        means, stderrs = _crowd_moments(philox_stream(seed, _sid(_DOM_CONS_W, p)), n_agents, weights, base, seg_sd)
         for idx, mean, stderr in zip(probe_idx, means[rank], stderrs[rank]):
             diff = abs(mean - mu[idx])
             if stderr == 0.0:

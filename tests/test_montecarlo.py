@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -803,7 +804,7 @@ class TestConsistency:
         knots = [round(t / grid.dt) for t in probe_times]
         rng = philox_stream(seed, 99)
         for p in range(2):
-            types = sample_agents(pop, n, philox_stream(seed, montecarlo._sid(montecarlo._DOM_CONS_TYPES, p)))
+            types = sample_agents(pop, n, rng)
             counts = np.bincount(types, minlength=pop.n_types)
             w0 = consistency_w0(grid, seed, p)[None, :]
             paths = np.vstack([
@@ -829,8 +830,9 @@ class TestConsistency:
             assert b.rows[4 * p: 4 * p + 4] == tuple(rows_a[j] for j in perm)
         assert a.max_deviation_units == b.max_deviation_units
 
-    def test_one_idiosyncratic_normal_per_agent_and_probe(self, grid, monkeypatch):
-        # drawing whole Euler paths would take n_steps normals per agent
+    def test_normals_per_path_do_not_grow_with_the_crowd(self, monkeypatch):
+        # a per-agent draw would take one normal per agent and probe; the
+        # crowd's sufficient statistics take K P (P + 1) a path at any size
         real = montecarlo.philox_stream
         drawn: dict[int, int] = {}
 
@@ -841,7 +843,8 @@ class TestConsistency:
             def __getattr__(self, name):
                 def draw(*args, **kwargs):
                     out = getattr(self.gen, name)(*args, **kwargs)
-                    drawn[self.path] = drawn.get(self.path, 0) + np.size(out)
+                    if name == "standard_normal":
+                        drawn[self.path] = drawn.get(self.path, 0) + np.size(out)
                     return out
                 return draw
 
@@ -852,12 +855,68 @@ class TestConsistency:
             return Counted(gen, (stream_id >> 28) & ((1 << 28) - 1))
 
         monkeypatch.setattr(montecarlo, "philox_stream", stream)
-        monkeypatch.setenv("MFG_CONSUME_THREADS", "1")  # the counter is not locked
-        pop = single(grid)
+        pop = make_random_population(2, TimeGrid(1.0, 64), n_types=3)
         sol = solve_equilibrium(pop)
-        n, probe_times = 9000, [0.0, 0.3, 1.0]
-        consistency_test(pop, sol, n, 3, seed=2, probe_times=probe_times)
-        assert drawn == {p: len(probe_times) * n for p in range(3)}
+        counts = []
+        for n in (100, 100_000):
+            drawn.clear()
+            consistency_test(pop, sol, n, 3, seed=2, probe_times=[0.0, 0.3, 1.0])
+            counts.append(dict(drawn))
+        assert counts[0] == counts[1] == {p: 3 * 3 * 4 for p in range(3)}
+
+    def test_a_thousand_types_cost_milliseconds(self):
+        grid = TimeGrid(1.0, 64)
+        pop = make_random_population(5, grid, n_types=1000, time_varying=False)
+        sol = solve_equilibrium(pop)
+        elapsed = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            rep = consistency_test(pop, sol, 100_000, 1, seed=4)
+            elapsed.append(time.perf_counter() - t0)
+        assert len(rep.rows) == 5 and all(r.stderr > 0.0 for r in rep.rows)
+        assert min(elapsed) < 0.05
+
+    @pytest.mark.parametrize("n_agents", [2, 40, 2000])
+    def test_crowd_statistics_match_a_per_agent_oracle_in_law(self, n_agents):
+        # oracle: every agent drawn, its type by `sample_agents` and one
+        # normal per probe segment. Type 0 has weight 0.02, so empty and
+        # one-agent types, and fewer agents of a type than probes, occur.
+        # A two-sample KS test per probe on mean - flow, stderr and units
+        # over 1000 paths each, at a family-wise level of about 1e-3.
+        grid = TimeGrid(1.0, 64)
+        drawn = make_random_population(6, grid, n_types=3).types
+        pop = Population(tuple(dataclasses.replace(tp, weight=w) for tp, w in zip(drawn, (0.02, 0.49, 0.49))))
+        sol = solve_equilibrium(pop)
+        flow = FlowModel(pop, sol)
+        paths, probes = 1000, 5
+        rep = consistency_test(pop, sol, n_agents, paths, seed=17)
+        got = np.array([(r.empirical_mean - r.flow_mu, r.stderr, r.deviation_units) for r in rep.rows])
+
+        knots = np.round(np.linspace(0.2, 1.0, probes) / grid.dt).astype(int)
+        strategies = [equilibrium_strategy(sol, k) for k in range(pop.n_types)]
+        var = np.cumsum([(s.pi * tp.sigma.values)[:-1] ** 2 * grid.dt for s, tp in zip(strategies, pop.types)], axis=1)
+        sd = np.sqrt(np.diff(var[:, knots - 1], axis=1, prepend=0.0)).T  # (probes, K)
+        rng = philox_stream(17, 1 << 40)
+        want = np.empty((paths, probes, 3))
+        for p in range(paths):
+            w0 = rng.normal(0.0, np.sqrt(grid.dt), grid.n_steps)
+            base = np.array([simulate_wealth(tp, s, np.zeros((1, grid.n_steps)), w0)[0, knots]
+                             for tp, s in zip(pop.types, strategies)]).T
+            types = sample_agents(pop, n_agents, rng)
+            x = base[:, types] + np.cumsum(rng.standard_normal((probes, n_agents)) * sd[:, types], axis=0)
+            gap = x.mean(axis=1) - flow.mu_values(w0)[knots]
+            se = x.std(axis=1, ddof=1) / math.sqrt(n_agents)
+            want[p] = np.column_stack([gap, se, np.abs(gap) / se])
+
+        def ks(a, b):
+            both = np.concatenate([a, b])
+            cdf = lambda x: np.searchsorted(np.sort(x), both, "right") / x.size
+            return np.abs(cdf(a) - cdf(b)).max()
+
+        bound = 2.4 * math.sqrt(2.0 / paths)  # sqrt(-ln(a / 2) / 2) at a = 2e-5 per test, 45 tests
+        for j in range(probes):
+            for stat in range(3):
+                assert ks(got[j::probes, stat], want[:, j, stat]) < bound
 
 
 class TestRowBlocks:

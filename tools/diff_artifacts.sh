@@ -3,22 +3,26 @@
 #
 #   tools/diff_artifacts.sh <rev>
 #
-# Runs ten CLI commands on demos/configs/reference.json and two `deviate`
-# runs on a steep config at one and two threads, once from the committed
-# files of <rev> and once from the working tree, and compares the two output
-# trees with `diff -r`. The steep config (a type with gamma -30) is written
-# to a temp file that both trees read: at probe type 0 thousands of its
-# sample rows pass the payoff's exponent bound `_MAX_SHIFT` and are rebuilt,
-# a path that the reference config never reaches. Each run's exit status is
-# kept in its output directory beside its artifacts and manifest.json, so a
-# verdict or a crash that differs shows in the diff; sweep-gamma ends in
-# exit 3, so a manifest's `error` block is diffed too, and deviate-steep-p0
-# in exit 1. deviate-4097 asks for an odd sample count, which `deviate`
-# rounds up to whole antithetic pairs. The four demos/*.py scripts run once
-# per tree as well; their stdout and exit status go to demos/ in the output
-# tree, so a library change that moves a printed number shows in the same
-# diff. Outputs stay under out/diff_artifacts/ for inspection. Exits 0 when
-# every file is byte-identical, 1 when some file differs.
+# Runs ten CLI commands on demos/configs/reference.json, two `deviate`
+# runs on a steep config and one `simulate` run on a small-crowd config, at
+# one and two threads, once from the committed files of <rev> and once from
+# the working tree, and compares the two output trees with `diff -r`. The
+# steep and small-crowd configs are written to temp files that both trees
+# read. In the steep one (a type with gamma -30), at probe type 0 thousands
+# of sample rows pass the payoff's exponent bound `_MAX_SHIFT` and are
+# rebuilt, a path that the reference config never reaches. The small-crowd
+# one (simulate-crowd3) has 3 agents, fewer than the consistency test's 5
+# probes, and a type of weight 1e-6, so empty and one-agent types occur.
+# Each run's exit status is kept in its output directory beside its
+# artifacts and manifest.json, so a verdict or a crash that differs shows in
+# the diff; sweep-gamma ends in exit 3, so a manifest's `error` block is
+# diffed too, and deviate-steep-p0 in exit 1. deviate-4097 asks for an odd
+# sample count, which `deviate` rounds up to whole antithetic pairs. The
+# four demos/*.py scripts run once per tree as well; their stdout and exit
+# status go to demos/ in the output tree, so a library change that moves a
+# printed number shows in the same diff. Outputs stay under
+# out/diff_artifacts/ for inspection. Exits 0 when every file is
+# byte-identical, 1 when some file differs.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_artifacts.sh <rev>}
@@ -36,6 +40,14 @@ cat > "$steep" <<'JSON'
 {"horizon": 4.0, "n_steps": 64, "mc": {"n_samples": 4096, "seed": 3},
  "population": [
   {"weight": 0.5, "gamma": -30.0, "theta": 0.5, "h": 0.1, "sigma": 0.5, "sigma0": 0.3},
+  {"weight": 0.5, "gamma": 0.4, "theta": 0.3, "h": 0.05, "sigma": 0.2, "sigma0": 0.1}]}
+JSON
+crowd=$tmp/crowd.json
+cat > "$crowd" <<'JSON'
+{"horizon": 1.0, "n_steps": 64, "mc": {"n_agents": 3, "n_w0_paths": 4, "seed": 5},
+ "population": [
+  {"weight": 1e-6, "gamma": 0.5, "theta": 0.5, "h": 0.1, "sigma": 0.2, "sigma0": 0.1},
+  {"weight": 0.499999, "gamma": -1.0, "theta": 0.8, "x0": 2.0, "h": 0.08, "sigma": 0.3, "sigma0": 0.05},
   {"weight": 0.5, "gamma": 0.4, "theta": 0.3, "h": 0.05, "sigma": 0.2, "sigma0": 0.1}]}
 JSON
 
@@ -58,6 +70,7 @@ deviate-4097 $ref deviate --steps 256 --samples 4097
 deviate-steep-p0 $steep deviate --probe-type 0
 deviate-steep-p1 $steep deviate --probe-type 1
 simulate $ref simulate
+simulate-crowd3 $crowd simulate
 solve $ref solve
 solve-seed7 $ref solve --seed 7 --steps 256
 verify $ref verify
