@@ -18,7 +18,8 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error
 (a value of the wrong type or out of range, such as an MC size below 1),
 3 a numerical error, named in the manifest's ``error`` block (``"ok": false``).
 All randomness flows from the single config seed; ``MFG_CONSUME_THREADS``
-caps simulation parallelism without changing any output.
+sizes the worker pool that runs ``deviate``'s chunks (``simulate`` runs in
+the calling thread) without changing any output.
 """
 
 from __future__ import annotations

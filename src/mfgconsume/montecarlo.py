@@ -4,10 +4,10 @@ estimation, no-profitable-deviation and fixed-point consistency tests.
 Determinism contract: every stochastic routine takes an integer seed and
 derives independent counter-based streams (Philox) from (seed, purpose,
 chunk), or, in the consistency test, (seed, purpose, path). Samples are
-processed in fixed-size chunks and reduced in chunk order, so results are
-bit-identical for any thread count; the ``MFG_CONSUME_THREADS``
-environment variable only sizes the worker pool, which the consistency
-test does not use.
+processed in fixed-size chunks and pooled in chunk order, so results are
+bit-identical for any thread count; ``MFG_CONSUME_THREADS`` only sizes the
+worker pool that one estimator call opens for its chunks. Both Monte-Carlo
+checks pool their groups, chunks or agent types, by ``_pooled_moments``.
 Within a chunk, payoff paths are built and reduced in row blocks sized to
 stay in L2 cache. Each block draws its own increments, in row order, from
 the chunk's two streams into buffers reused across blocks: a counter-based
@@ -39,7 +39,6 @@ its own. For constant coefficients the scheme is exact in distribution.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -88,35 +87,26 @@ def _n_threads() -> int:
         return 1
 
 
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-_pool_lock = threading.Lock()
-
-
-def _map_ordered(fn: Callable[[int], object], count: int) -> list:
-    """Apply fn to 0..count-1, in order; thread count never changes results.
-    Every call shares one worker pool, rebuilt only when the thread count changes."""
-    global _pool
-    threads = _n_threads()
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with _pool_lock:
-        if _pool is None or _pool[0] != threads:
-            if _pool is not None:
-                _pool[1].shutdown()
-            _pool = (threads, ThreadPoolExecutor(max_workers=threads))
-        pool = _pool[1]
-    return list(pool.map(fn, range(count)))
-
-
-def _chunks(n: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
-
-
 def _blocks(m: int, n_steps: int, buffers: int) -> list[slice]:
     """Row slices of ``m`` samples, each block's ``buffers`` path buffers
     together about ``_BLOCK_BYTES``."""
     size = max(1, _BLOCK_BYTES // (8 * buffers * (n_steps + 1)))
     return [slice(lo, min(lo + size, m)) for lo in range(0, m, size)]
+
+
+def _pooled_moments(n: NDArray, xbar: NDArray, m2: NDArray, flat: NDArray) -> tuple[NDArray, NDArray]:
+    """Mean and standard error of each column over G groups of samples, from
+    the group counts ``n`` (G,), the group means ``xbar`` and the groups'
+    sums of squared deviations from them ``m2`` (G, P). With N = sum n_g,
+    the mean is sum (n_g / N) xbar_g and the sum of squared deviations
+    M2 = sum M2_g + n_g (xbar_g - mean)^2 (Chan, Golub & LeVeque 1983), so
+    the variance does not cancel when the spread is small next to the mean,
+    and a group of count 0 adds nothing. The stderr is
+    sqrt(M2 / max(1, N - 1) / N), exactly 0 where ``flat`` holds."""
+    total = n.sum()
+    mean = np.einsum("g,gp->p", n / total, xbar)
+    m2 = (m2 + n[:, None] * np.square(xbar - mean)).sum(axis=0)
+    return mean, np.where(flat, 0.0, np.sqrt(m2 / max(1, total - 1) / total))
 
 
 def _chunk_moments(n: int, rows: Callable[[int, tuple[int, int]], NDArray]) -> tuple[NDArray, NDArray]:
@@ -125,14 +115,14 @@ def _chunk_moments(n: int, rows: Callable[[int, tuple[int, int]], NDArray]) -> t
     ``rows(i, chunk)`` returns chunk ``i``'s samples, shape (rows, chunk
     size). Each chunk is reduced where it is drawn to its per-row mean and
     sum of squared deviations from that mean (two passes), and the chunks
-    are merged in chunk order by Chan et al.'s update. The result does not
-    depend on the thread count, and the variance does not cancel when the
-    spread is small next to the mean. A row whose min equals its max has a
-    stderr of exactly 0.
+    are pooled in chunk order by ``_pooled_moments``. Past one thread and
+    one chunk, the chunks run in a worker pool opened for this call; the
+    result does not depend on the thread count. A row whose min equals its
+    max has a stderr of exactly 0.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    ranges = _chunks(n)
+    ranges = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
 
     def one(i: int) -> tuple[NDArray, ...]:
         x = rows(i, ranges[i])
@@ -140,18 +130,14 @@ def _chunk_moments(n: int, rows: Callable[[int, tuple[int, int]], NDArray]) -> t
         d = x - mean[:, None]
         return mean, (d * d).sum(axis=1), x.min(axis=1), x.max(axis=1)
 
-    parts = _map_ordered(one, len(ranges))
-    count, mean, m2 = 0, 0.0, 0.0
-    for (a, b), (mean_b, m2_b, _, _) in zip(ranges, parts):
-        n_b = b - a
-        total = count + n_b
-        delta = mean_b - mean
-        mean = mean + delta * (n_b / total)
-        m2 = m2 + m2_b + delta * delta * (count * n_b / total)
-        count = total
-    lo = np.min([p[2] for p in parts], axis=0)
-    hi = np.max([p[3] for p in parts], axis=0)
-    return mean, np.where(lo == hi, 0.0, np.sqrt(m2 / max(1, n - 1) / n))
+    workers = min(_n_threads(), len(ranges))
+    if workers <= 1:
+        parts = [one(i) for i in range(len(ranges))]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(one, range(len(ranges))))
+    mean, m2, lo, hi = (np.stack(p) for p in zip(*parts))
+    return _pooled_moments(np.array([b - a for a, b in ranges]), mean, m2, lo.min(axis=0) == hi.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +277,11 @@ class FlowModel:
         return self.mu_batch(w0[None, :])[0]
 
     def mu_batch(self, dw0: NDArray) -> NDArray:
-        """mu_hat curves for a batch of common-noise paths, shape (m, n+1)."""
+        """mu_hat curves, shape (m, n+1), of m common-noise paths, ``dw0``
+        of shape (m, n_steps)."""
+        dw0 = np.asarray(dw0, dtype=float)
+        if dw0.ndim != 2 or dw0.shape[1] != self.grid.n_steps:
+            raise ValueError(f"need (m, {self.grid.n_steps}) increments, got {dw0.shape}")
         out = np.empty((dw0.shape[0], self.grid.n_steps + 1))
         return _build_paths(out, *self.index_rows, 0.0, dw0)
 
@@ -704,12 +694,12 @@ def _crowd_moments(
     Bartlett factor: L_ii^2 ~ chi^2(n_k - 1 - i) and L_ij ~ N(0, 1) below
     the diagonal, on the first min(n_k - 1, P) columns, zero elsewhere
     (rank n_k - 1 when that is below P). A type's scatter of probe values
-    is then the squared row norms of cumsum(sd[k] * L), and the pooled one
-    adds n_k (mean_k - mean)^2. Every type draws, present or not, so the
-    stream's use does not depend on the counts. A knot where no type
-    spreads and every present type has one mean (every agent's value
-    equal) has a stderr of exactly 0; with one type present the mean is
-    that type's mean exactly."""
+    is then the squared row norms of cumsum(sd[k] * L). Every type draws,
+    present or not, so the stream's use does not depend on the counts. The
+    types are pooled as groups by ``_pooled_moments``, the kernel of the
+    chunked estimators, so with one type present the mean is that type's
+    mean exactly. A knot where no type spreads and every present type has
+    one mean (every agent's value equal) has a stderr of exactly 0."""
     k, p = base.shape
     n = rng.multinomial(n_agents, weights)
     xbar = base + np.cumsum(sd * rng.standard_normal((k, p)) / np.sqrt(np.maximum(n, 1))[:, None], axis=1)
@@ -717,12 +707,9 @@ def _crowd_moments(
     bartlett = rng.standard_normal((k, p, p)) * (np.tri(p, k=-1) * (df > 0)[:, None, :])
     bartlett[:, np.arange(p), np.arange(p)] = np.sqrt(2.0 * rng.standard_gamma(np.maximum(df, 0) / 2.0))
     within = np.square(np.cumsum(sd[:, :, None] * bartlett, axis=1)).sum(axis=2)
-    mean = np.einsum("k,kp->p", n / n_agents, xbar)
-    m2 = (within + n[:, None] * np.square(xbar - mean)).sum(axis=0)
     present = n[:, None] > 0
     one_value = np.where(present, xbar, -np.inf).max(axis=0) == np.where(present, xbar, np.inf).min(axis=0)
-    flat = (within.sum(axis=0) == 0.0) & one_value
-    return mean, np.where(flat, 0.0, np.sqrt(m2 / max(1, n_agents - 1) / n_agents))
+    return _pooled_moments(n, xbar, within, (within.sum(axis=0) == 0.0) & one_value)
 
 
 def consistency_test(

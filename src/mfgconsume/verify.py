@@ -271,6 +271,8 @@ def drift_check(seed: int, n_draws: int = 10_000, regime: str = "positive") -> t
     gamma_range = {"positive": (0.1, 0.7), "negative": (-2.0, -0.1)}.get(regime)
     if gamma_range is None:
         raise ValueError(f"regime must be 'positive' or 'negative', got {regime!r}")
+    if n_draws < 1:
+        raise ValueError(f"need n_draws >= 1, got {n_draws}")
     rng = np.random.default_rng(seed)
     gammas = rng.uniform(*gamma_range, n_draws)
     # then per draw one uniform(lo, hi) = lo + (hi - lo) * random() per MopState field but gamma, then pi, c
@@ -278,8 +280,8 @@ def drift_check(seed: int, n_draws: int = 10_000, regime: str = "positive") -> t
                        [1.0, 1.0, 0.4, 0.6, 0.5, 1.0, 2.0, 1.0, 1.0, 10.0, 10.0]])
     u = lo[:, None] + (hi - lo)[:, None] * rng.random((n_draws, lo.size)).T
     state = MopState(*u[:5], gammas, *u[5:9])
-    worst = mop_drift(state, u[9], u[10]).max(initial=-np.inf)
-    worst_opt = np.abs(mop_drift(state, *mop_maximizer(state))).max(initial=0.0)
+    worst = mop_drift(state, u[9], u[10]).max()
+    worst_opt = np.abs(mop_drift(state, *mop_maximizer(state))).max()
     return float(worst), float(worst_opt)
 
 

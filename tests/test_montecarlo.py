@@ -216,15 +216,21 @@ class TestFlow:
         paths = montecarlo._build_paths(np.empty((3, grid.n_steps + 1)), np.log(pop.x0s), *rows, 0.0, w0)
         assert np.abs(FlowModel(pop, sol).mu_values(w0) - pop.mean(paths)).max() <= 1e-12
 
-    @pytest.mark.parametrize("caller", ["mu_values", "relation_check"])
+    @pytest.mark.parametrize("caller", ["mu_values", "relation_check", "mu_batch-one-path", "mu_batch-one-step"])
     def test_wrong_increment_count(self, grid, caller):
+        # mu_batch takes (m, n_steps): a bare path would give n_steps copies
+        # of it, and an (m, 1) column would broadcast one increment over the steps
         pop = single(grid)
         sol = solve_equilibrium(pop)
         with pytest.raises(ValueError, match="increments"):
             if caller == "mu_values":
                 FlowModel(pop, sol).mu_values(np.zeros(5))
-            else:
+            elif caller == "relation_check":
                 relation_check(pop, sol, np.zeros(5))
+            elif caller == "mu_batch-one-path":
+                FlowModel(pop, sol).mu_batch(np.zeros(grid.n_steps))
+            else:
+                FlowModel(pop, sol).mu_batch(np.zeros((3, 1)))
 
     @pytest.mark.parametrize("caller", ["FlowModel", "consistency_test", "relation_check"])
     def test_rejects_an_equilibrium_on_another_grid(self, grid, caller):
@@ -314,31 +320,55 @@ class TestEstimateUtility:
         sol = solve_equilibrium(pop)
         flow = FlowModel(pop, sol)
         eq = equilibrium_strategy(sol, 0)
-        n = 9000  # spans multiple chunks
+        n = 2 * (3 * montecarlo.CHUNK + 100)  # four chunks of pairs, the last one short
         run = {
             "estimate_utility": lambda: estimate_utility(pop.types[0], eq, flow, n, seed=7),
             "deviation_test": lambda: deviation_test(pop, 0, sol, default_perturbations(sol, 0), n, seed=7),
             "consistency_test": lambda: consistency_test(pop, sol, n, 2, seed=7),
         }[estimator]
-        monkeypatch.setenv("MFG_CONSUME_THREADS", "1")
-        a = run()
-        monkeypatch.setenv("MFG_CONSUME_THREADS", "4")
-        b = run()
-        assert a == b
+        outs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MFG_CONSUME_THREADS", threads)
+            outs.append(run())
+        assert outs[0] == outs[1] == outs[2]
 
 
 class TestThreadPool:
-    def test_repeated_calls_reuse_one_pool(self, monkeypatch):
+    def test_a_call_runs_its_chunks_on_its_own_workers_and_stops_them(self, monkeypatch):
         monkeypatch.setenv("MFG_CONSUME_THREADS", "2")
-        barrier = threading.Barrier(2, timeout=10)
-        montecarlo._map_ordered(lambda i: barrier.wait(), 2)  # both workers started
-        names, counts = set(), []
-        for _ in range(5):
-            got = montecarlo._map_ordered(lambda i: names.add(threading.current_thread().name) or i, 16)
-            assert got == list(range(16))
-            counts.append(threading.active_count())
-        assert len(set(counts)) == 1
-        assert len(names) <= 2
+        grid = TimeGrid(1.0, 16)
+        pop = single(grid)
+        sol = solve_equilibrium(pop)
+        threads = set()
+        real = montecarlo._utility_draws
+        monkeypatch.setattr(montecarlo, "_utility_draws", lambda *a: threads.add(threading.get_ident()) or real(*a))
+        before = threading.active_count()
+        estimate_utility(pop.types[0], equilibrium_strategy(sol, 0), FlowModel(pop, sol), 6 * montecarlo.CHUNK, 2)
+        assert threading.active_count() == before
+        assert 1 <= len(threads) <= 2 and threading.get_ident() not in threads
+
+
+class TestPooledMoments:
+    @pytest.mark.parametrize("loc, scale", [(1.0, 1.0), (1e8, 1e-3)])
+    def test_matches_two_pass_over_the_concatenated_samples(self, loc, scale):
+        # ragged groups and one of count 0 (an absent agent type), whose mean
+        # would move the result were it weighted; row 1 is constant. At
+        # 1e8 + N(0, 1e-3), E[x^2] - E[x]^2 would lose every digit.
+        rng = np.random.default_rng(5)
+        groups = [loc + rng.normal(0.0, scale, (2, size)) for size in (1, 7, 300)]
+        for g in groups:
+            g[1] = loc + 0.123
+        n = np.array([1, 7, 300, 0])
+        xbar = np.stack([g.sum(axis=1) / g.shape[1] for g in groups] + [np.full(2, -loc)])
+        m2 = np.stack([np.square(g - m[:, None]).sum(axis=1) for g, m in zip(groups, xbar)] + [np.zeros(2)])
+        x = np.concatenate(groups, axis=1)
+        mean, stderr = montecarlo._pooled_moments(n, xbar, m2, x.min(axis=1) == x.max(axis=1))
+        assert mean == pytest.approx(x.mean(axis=1), rel=1e-12, abs=0.0)
+        # each group mean is a float64 within an ulp or two of loc, which
+        # moves the pooled M2 at first order: about ulp(loc) / scale relative
+        rel = max(1e-12, 4.0 * np.spacing(loc) / scale)
+        assert stderr[0] == pytest.approx(x[0].std(ddof=1) / np.sqrt(x.shape[1]), rel=rel, abs=0.0)
+        assert stderr[1] == 0.0
 
 
 class TestDeviation:

@@ -198,6 +198,12 @@ class TestMopDrift:
         assert worst <= 1e-12
         assert worst_opt <= 1e-10
 
+    @pytest.mark.parametrize("n_draws", [0, -1])
+    def test_drift_check_rejects_counts_below_one(self, n_draws):
+        # no draw would pass both bounds vacuously: max -inf, max |.| 0
+        with pytest.raises(ValueError, match="need n_draws >= 1"):
+            drift_check(2024, n_draws)
+
     @pytest.mark.parametrize("gamma", [0.4, -1.2])
     def test_maximiser_first_order_condition(self, gamma):
         state = MopState(Y=0.3, nu_hat=-0.2, h=0.1, sigma=0.25, sigma0=0.1,

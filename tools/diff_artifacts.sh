@@ -3,10 +3,12 @@
 #
 #   tools/diff_artifacts.sh <rev>
 #
-# Runs ten CLI commands on demos/configs/reference.json, two `deviate`
+# Runs eleven CLI commands on demos/configs/reference.json, two `deviate`
 # runs on a steep config and one `simulate` run on a small-crowd config, at
 # one and two threads, once from the committed files of <rev> and once from
-# the working tree, and compares the two output trees with `diff -r`. The
+# the working tree, and compares the two output trees with `diff -r`. It
+# then compares the working tree's one-thread outputs with its two-thread
+# ones, which must be identical whatever <rev> gives. The
 # steep and small-crowd configs are written to temp files that both trees
 # read. In the steep one (a type with gamma -30), at probe type 0 thousands
 # of sample rows pass the payoff's exponent bound `_MAX_SHIFT` and are
@@ -17,12 +19,14 @@
 # artifacts and manifest.json, so a verdict or a crash that differs shows in
 # the diff; sweep-gamma ends in exit 3, so a manifest's `error` block is
 # diffed too, and deviate-steep-p0 in exit 1. deviate-4097 asks for an odd
-# sample count, which `deviate` rounds up to whole antithetic pairs. The
+# sample count, which `deviate` rounds up to whole antithetic pairs.
+# deviate-15k-pairs spans four chunks, the last one short, so at two
+# threads its chunks run on two workers. The
 # four demos/*.py scripts run once per tree as well; their stdout and exit
 # status go to demos/ in the output tree, so a library change that moves a
 # printed number shows in the same diff. Outputs stay under
-# out/diff_artifacts/ for inspection. Exits 0 when every file is
-# byte-identical, 1 when some file differs.
+# out/diff_artifacts/ for inspection. Exits 0 when every file of both
+# comparisons is byte-identical, 1 when some file differs.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_artifacts.sh <rev>}
@@ -67,6 +71,7 @@ deviate-256-p0 $ref deviate --steps 256 --samples 8192 --probe-type 0
 deviate-256-p1 $ref deviate --steps 256 --samples 8192 --probe-type 1
 deviate-10k-p1 $ref deviate --samples 10000 --probe-type 1
 deviate-4097 $ref deviate --steps 256 --samples 4097
+deviate-15k-pairs $ref deviate --steps 64 --samples 30000
 deviate-steep-p0 $steep deviate --probe-type 0
 deviate-steep-p1 $steep deviate --probe-type 1
 simulate $ref simulate
@@ -89,4 +94,10 @@ EOF
 
 run_all "$tree" "$out/$name"
 run_all "$root" "$out/worktree"
-diff -r "$out/$name" "$out/worktree" && echo "no difference: $rev and the working tree, 1 and 2 threads"
+status=0
+diff -r "$out/$name" "$out/worktree" || status=1
+diff -r "$out/worktree/t1" "$out/worktree/t2" || status=1
+if [ "$status" = 0 ]; then
+  echo "no difference: $rev and the working tree, 1 and 2 threads; the working tree's 1 and 2 threads"
+fi
+exit "$status"
