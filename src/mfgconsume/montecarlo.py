@@ -3,19 +3,20 @@ estimation, no-profitable-deviation and fixed-point consistency tests.
 
 Determinism contract: every stochastic routine takes an integer seed and
 derives independent counter-based streams (Philox) from (seed, purpose,
-chunk), or, in the consistency test, (seed, purpose, path). Samples are
-processed in fixed-size chunks and pooled in chunk order, so results are
-bit-identical for any thread count; ``MFG_CONSUME_THREADS`` only sizes the
-worker pool that one estimator call opens for its chunks. Both Monte-Carlo
-checks pool their groups, chunks or agent types, by ``_pooled_moments``.
-Within a chunk, payoff paths are built and reduced in row blocks sized to
-stay in L2 cache. Each block draws its own increments, in row order, from
-the chunk's two streams into buffers reused across blocks: a counter-based
-stream fills row after row, so these draws equal one chunk-sized draw per
-stream bit for bit, and no chunk-sized draw array is held. Every sample
-row is computed by the same operations in any block, and reduced by one
-``einsum`` pass along the row (no BLAS), so outputs depend on neither the
-block size nor the thread count.
+chunk), or, in the consistency test, (seed, purpose, path);
+``consistency_w0`` alone draws a common-noise path. Samples are processed in
+fixed-size chunks and pooled in chunk order, so results are bit-identical
+for any thread count; ``MFG_CONSUME_THREADS`` only sizes the worker pool
+that one estimator call opens for its chunks. Both Monte-Carlo checks pool
+their groups, chunks or agent types, by ``_pooled_moments``. Within a chunk,
+payoff paths are built and reduced in row blocks sized to stay in L2 cache.
+Each block draws its own increments, in row order, from the chunk's two
+streams into buffers reused across blocks: a counter-based stream fills row
+after row, so these draws equal one chunk-sized draw per stream bit for bit,
+and no chunk-sized draw array is held. Every sample row is computed by the
+same operations in any block, and reduced by one ``einsum`` pass along the
+row (no BLAS), so outputs depend on neither the block size nor the thread
+count.
 
 The utility estimate and the deviation test draw antithetic pairs: each
 drawn row prices the path on (dW, dW0) and its mirror on (-dW, -dW0), so
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,16 +62,15 @@ DEFAULT_C_MAX = 10.0
 
 _MASK64 = (1 << 64) - 1
 
-# stream-id namespaces; (domain, a, b) -> one 64-bit id
+# stream-id namespaces; (domain, index) -> one 64-bit id
 _DOM_UTIL_W0 = 1
 _DOM_UTIL_W = 2
 _DOM_CONS_W0 = 3
 _DOM_CONS_W = 5
-_DOM_RELATION = 8
 
 
-def _sid(domain: int, a: int = 0, b: int = 0) -> int:
-    return ((domain << 56) | (a << 28) | b) & _MASK64
+def _sid(domain: int, index: int) -> int:
+    return ((domain << 56) | (index << 28)) & _MASK64
 
 
 def philox_stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -94,18 +94,19 @@ def _blocks(m: int, n_steps: int, buffers: int) -> list[slice]:
     return [slice(lo, min(lo + size, m)) for lo in range(0, m, size)]
 
 
-def _pooled_moments(n: NDArray, xbar: NDArray, m2: NDArray, flat: NDArray) -> tuple[NDArray, NDArray]:
+def _pooled_moments(n: NDArray, xbar: NDArray, m2: NDArray, r: NDArray, flat: NDArray) -> tuple[NDArray, NDArray]:
     """Mean and standard error of each column over G groups of samples, from
-    the group counts ``n`` (G,), the group means ``xbar`` and the groups'
-    sums of squared deviations from them ``m2`` (G, P). With N = sum n_g,
-    the mean is sum (n_g / N) xbar_g and the sum of squared deviations
-    M2 = sum M2_g + n_g (xbar_g - mean)^2 (Chan, Golub & LeVeque 1983), so
-    the variance does not cancel when the spread is small next to the mean,
-    and a group of count 0 adds nothing. The stderr is
-    sqrt(M2 / max(1, N - 1) / N), exactly 0 where ``flat`` holds."""
+    the group counts ``n`` (G,), the group means ``xbar``, and the sums of
+    squared deviations ``m2`` and of deviations ``r`` from them (G, P). With
+    N = sum n_g and d_g = xbar_g - mean, the mean is sum (n_g / N) xbar_g and
+    M2 = sum M2_g + n_g d_g^2 + 2 d_g r_g (corrected two-pass, Chan, Golub &
+    LeVeque 1983): no cancellation when the spread is small next to the mean,
+    xbar_g's rounding enters at second order, and a group of count 0 adds
+    nothing. The stderr is sqrt(M2 / max(1, N - 1) / N), 0 where ``flat``."""
     total = n.sum()
     mean = np.einsum("g,gp->p", n / total, xbar)
-    m2 = (m2 + n[:, None] * np.square(xbar - mean)).sum(axis=0)
+    d = xbar - mean
+    m2 = (m2 + n[:, None] * np.square(d) + 2.0 * d * r).sum(axis=0)
     return mean, np.where(flat, 0.0, np.sqrt(m2 / max(1, total - 1) / total))
 
 
@@ -114,11 +115,11 @@ def _chunk_moments(n: int, rows: Callable[[int, tuple[int, int]], NDArray]) -> t
 
     ``rows(i, chunk)`` returns chunk ``i``'s samples, shape (rows, chunk
     size). Each chunk is reduced where it is drawn to its per-row mean and
-    sum of squared deviations from that mean (two passes), and the chunks
-    are pooled in chunk order by ``_pooled_moments``. Past one thread and
-    one chunk, the chunks run in a worker pool opened for this call; the
-    result does not depend on the thread count. A row whose min equals its
-    max has a stderr of exactly 0.
+    sums of squared deviations and of deviations from it (two passes), and
+    the chunks are pooled in chunk order by ``_pooled_moments``. Past one
+    thread and one chunk, the chunks run in a worker pool opened for this
+    call; the result does not depend on the thread count. A row whose min
+    equals its max has a stderr of exactly 0.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -128,7 +129,7 @@ def _chunk_moments(n: int, rows: Callable[[int, tuple[int, int]], NDArray]) -> t
         x = rows(i, ranges[i])
         mean = x.sum(axis=1) / x.shape[1]
         d = x - mean[:, None]
-        return mean, (d * d).sum(axis=1), x.min(axis=1), x.max(axis=1)
+        return mean, (d * d).sum(axis=1), d.sum(axis=1), x.min(axis=1), x.max(axis=1)
 
     workers = min(_n_threads(), len(ranges))
     if workers <= 1:
@@ -136,8 +137,8 @@ def _chunk_moments(n: int, rows: Callable[[int, tuple[int, int]], NDArray]) -> t
     else:
         with ThreadPoolExecutor(workers) as pool:
             parts = list(pool.map(one, range(len(ranges))))
-    mean, m2, lo, hi = (np.stack(p) for p in zip(*parts))
-    return _pooled_moments(np.array([b - a for a, b in ranges]), mean, m2, lo.min(axis=0) == hi.max(axis=0))
+    mean, m2, r, lo, hi = (np.stack(p) for p in zip(*parts))
+    return _pooled_moments(np.array([b - a for a, b in ranges]), mean, m2, r, lo.min(axis=0) == hi.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +256,14 @@ class FlowModel:
     equilibrium controls, each (K, n). ``index_rows``, the start and rows
     (E[log x0], E[drift], 0.0, E[vol_w0]) of that path, is the one statement
     of the index: ``mu_batch`` builds it and ``_folded_rows`` subtracts it.
+    A ``sol`` of another population, same grid and type count, goes undetected.
     """
 
     def __init__(self, pop: Population, sol: EquilibriumSolution):
         if sol.grid != pop.grid:
             raise ValueError("the equilibrium must be solved on the population's time grid")
+        if sol.pi_star.shape != pop.h_mat.shape:
+            raise ValueError(f"need equilibrium controls of shape {pop.h_mat.shape}, got {sol.pi_star.shape}")
         self.grid = pop.grid
         self.rows = _euler_rows(pop.h_mat, pop.sigma_mat, pop.sigma0_mat, sol.pi_star, sol.c_star, self.grid.dt)
         start = float(np.dot(pop.weights, np.log(pop.x0s)))  # E[log x0]
@@ -666,16 +670,13 @@ class ConsistencyReport:
     rows: tuple[ConsistencyRow, ...]
     max_deviation_units: float
     n_agents: int
+    flow: FlowModel = field(compare=False, repr=False)  # the flow compared against
+    mu_hat: NDArray = field(compare=False, repr=False)  # (paths, n_steps + 1): its curve along each drawn path
 
 
 def consistency_w0(grid: TimeGrid, seed: int, path: int) -> NDArray:
-    """Common-noise increments of consistency-test path ``path``, (n_steps,)."""
+    """Common-noise increments, (n_steps,), of consistency path ``path``; ``relation_check`` reads path 0."""
     return philox_stream(seed, _sid(_DOM_CONS_W0, path)).normal(0.0, np.sqrt(grid.dt), grid.n_steps)
-
-
-def relation_w0(grid: TimeGrid, seed: int) -> NDArray:
-    """Common-noise increments of ``verify.relation_check``'s path, (n_steps,)."""
-    return philox_stream(seed, _sid(_DOM_RELATION)).normal(0.0, np.sqrt(grid.dt), grid.n_steps)
 
 
 def _crowd_moments(
@@ -696,10 +697,10 @@ def _crowd_moments(
     (rank n_k - 1 when that is below P). A type's scatter of probe values
     is then the squared row norms of cumsum(sd[k] * L). Every type draws,
     present or not, so the stream's use does not depend on the counts. The
-    types are pooled as groups by ``_pooled_moments``, the kernel of the
-    chunked estimators, so with one type present the mean is that type's
-    mean exactly. A knot where no type spreads and every present type has
-    one mean (every agent's value equal) has a stderr of exactly 0."""
+    types are pooled by ``_pooled_moments`` with residuals 0 (the means are
+    drawn), so with one type present the mean is that type's mean exactly.
+    A knot where no type spreads and every present type has one mean (every
+    agent's value equal) has a stderr of exactly 0."""
     k, p = base.shape
     n = rng.multinomial(n_agents, weights)
     xbar = base + np.cumsum(sd * rng.standard_normal((k, p)) / np.sqrt(np.maximum(n, 1))[:, None], axis=1)
@@ -709,7 +710,7 @@ def _crowd_moments(
     within = np.square(np.cumsum(sd[:, :, None] * bartlett, axis=1)).sum(axis=2)
     present = n[:, None] > 0
     one_value = np.where(present, xbar, -np.inf).max(axis=0) == np.where(present, xbar, np.inf).min(axis=0)
-    return _pooled_moments(n, xbar, within, (within.sum(axis=0) == 0.0) & one_value)
+    return _pooled_moments(n, xbar, within, np.zeros_like(xbar), (within.sum(axis=0) == 0.0) & one_value)
 
 
 def consistency_test(
@@ -741,6 +742,7 @@ def consistency_test(
     exact joint law (``_crowd_moments``), so the report has the law of
     ``n_agents`` Euler paths read at the probes, at a cost that does not
     grow with ``n_agents``. Path ``p`` draws from one stream, (seed, p).
+    The report keeps the flow and its ``mu_hat`` along each path drawn.
 
     Agent noise streams are keyed independently of the common-noise values,
     so with no common-noise exposure the report does not depend on the
@@ -768,9 +770,9 @@ def consistency_test(
     weights = pop.weights / pop.weights.sum()  # the multinomial sees no stray rounding of the sum
 
     rows: list[ConsistencyRow] = []
-    for p in range(n_w0_paths):
-        w0 = consistency_w0(grid, seed, p)
-        mu = flow.mu_values(w0)
+    w0s = np.stack([consistency_w0(grid, seed, p) for p in range(n_w0_paths)])
+    mu_hat = flow.mu_batch(w0s)
+    for p, (w0, mu) in enumerate(zip(w0s, mu_hat)):
         # the per-type part: Euler paths with the idiosyncratic increments set to 0
         base = _build_paths(np.empty_like(var), log_x0, drift, vol_w, vol_w0, 0.0, w0)[:, knots]
         means, stderrs = _crowd_moments(philox_stream(seed, _sid(_DOM_CONS_W, p)), n_agents, weights, base, seg_sd)
@@ -785,4 +787,4 @@ def consistency_test(
             )
 
     max_units = max(r.deviation_units for r in rows)
-    return ConsistencyReport(tuple(rows), float(max_units), n_agents)
+    return ConsistencyReport(tuple(rows), float(max_units), n_agents, flow, mu_hat)

@@ -29,7 +29,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from .closedform import _EXP_CAP, EquilibriumSolution, _check_finite, _check_one_plus, _params_at
 from .errors import ExponentRangeError
-from .montecarlo import FlowModel, relation_w0
+from .montecarlo import FlowModel, consistency_w0
 from .population import Population
 
 
@@ -316,7 +316,8 @@ def relation_check(
     """Verify, at every knot, that the equilibrium solves both equivalent
     formulations: (i) the investment rate rebuilt from the vanishing
     martingale loadings matches ``pi_star``; (ii) the consumption index
-    rebuilt from the backward components along a common-noise path matches
+    rebuilt from the backward components along a common-noise path
+    (``w0_increments``, else consistency path 0 at ``seed``) matches
     ``E[log c*] + mu_hat``; (iii) the common-noise exposure rebuilt from the
     loading relation matches ``z0_common``.
     """
@@ -331,7 +332,7 @@ def relation_check(
 
     # (ii): consumption index along one sampled common-noise path
     if w0_increments is None:
-        w0_increments = relation_w0(pop.grid, seed)
+        w0_increments = consistency_w0(pop.grid, seed, 0)
     flow = FlowModel(pop, sol)
     mu = flow.mu_values(w0_increments)
     e_theta, e_logalpha = _consumption_means(pop)

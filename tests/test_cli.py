@@ -224,6 +224,18 @@ class TestSimulateAndDeviate:
         assert np.array_equal([float(r["mu_hat"]) for r in rows], mu)
         assert np.array_equal([float(r["nu_hat"]) for r in rows], flow.e_logc + mu)
 
+    def test_simulate_draws_each_common_noise_path_once(self, tmp_path, monkeypatch):
+        # flow.csv is the consistency report's path 0, not a second draw of it
+        from mfgconsume import montecarlo
+
+        drawn = []
+        real = montecarlo.consistency_w0
+        monkeypatch.setattr(montecarlo, "consistency_w0",
+                            lambda grid, seed, path: drawn.append(path) or real(grid, seed, path))
+        path = write_config(tmp_path, mc={"n_agents": 4000, "n_w0_paths": 3, "seed": 99})
+        assert run("simulate", load_config(path, out_dir=str(tmp_path / "out"))) == 0
+        assert drawn == [0, 1, 2]
+
     def test_deviate(self, tmp_path):
         path = write_config(tmp_path, mc={"n_samples": 30000, "seed": 99})
         cfg = load_config(path, out_dir=str(tmp_path / "out"))
@@ -434,6 +446,17 @@ class TestConfigErrorsExitTwo:
                      id="h-array-huge-integer"),
         # numpy refuses the 7 PiB grid at once, so nothing is allocated
         pytest.param("solve", ["--steps", "1000000000000000"], None, id="steps-past-memory"),
+        pytest.param("solve", [], lambda raw: raw.update(population=[]), id="population-empty"),
+        pytest.param("solve", [], lambda raw: raw.update(population=[0.5]), id="type-not-object"),
+        pytest.param("solve", [], lambda raw: raw["population"][0].pop("sigma0"), id="sigma0-missing"),
+        pytest.param("solve", [], lambda raw: raw["population"][0].update(x0=math.nan), id="x0-nan"),
+        pytest.param("deviate", ["--probe-type", "9"], None, id="deviate-probe-type-9"),
+        pytest.param("deviate", [], lambda raw: raw.update(bounds={"pi_cap": 0.01}),
+                     id="deviate-equilibrium-past-pi_cap"),
+        pytest.param("sweep", ["--parameter", "h", "--lo", "0.1", "--hi", "0.3", "--probe-type", "9"], None,
+                     id="sweep-probe-type-9"),
+        pytest.param("sweep", ["--parameter", "h", "--lo", "0.1", "--hi", "0.3", "--points", "1"], None,
+                     id="sweep-points-1"),
     ])
     def test_exit_two_with_error_line(self, tmp_path, capsys, command, flags, edit):
         path = write_config(tmp_path)
@@ -444,6 +467,15 @@ class TestConfigErrorsExitTwo:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda cfg: sweep_sensitivity(cfg, "h", [0.1], mode="x"), "mode must be", id="sweep-mode-x"),
+        pytest.param(lambda cfg: run("nope", cfg), "unknown command", id="unknown-command"),
+    ])
+    def test_library_entries_raise_config_error(self, tmp_path, call, message):
+        # values that the command line's choices never let through
+        with pytest.raises(ConfigError, match=message):
+            call(load_config(write_config(tmp_path), out_dir=str(tmp_path / "o")))
 
     @pytest.mark.parametrize("x0", [b"1" + b"0" * 5000, b'"\xff"'], ids=["integer-past-digit-limit", "not-utf8"])
     def test_unreadable_json_text(self, tmp_path, capsys, x0):

@@ -246,6 +246,13 @@ class TestFlow:
             else:
                 relation_check(pop, other_sol)
 
+    def test_rejects_a_solution_of_another_type_count(self, grid):
+        # the rows would not broadcast: name both shapes, not numpy's operands
+        pop = make_random_population(1, grid, n_types=2)
+        other = solve_equilibrium(make_random_population(1, grid, n_types=3))
+        with pytest.raises(ValueError, match=r"\(2, 129\).*\(3, 129\)"):
+            FlowModel(pop, other)
+
 
 class TestEstimateUtility:
     def test_zero_variance_deterministic_payoff(self, grid):
@@ -360,13 +367,15 @@ class TestPooledMoments:
             g[1] = loc + 0.123
         n = np.array([1, 7, 300, 0])
         xbar = np.stack([g.sum(axis=1) / g.shape[1] for g in groups] + [np.full(2, -loc)])
-        m2 = np.stack([np.square(g - m[:, None]).sum(axis=1) for g, m in zip(groups, xbar)] + [np.zeros(2)])
+        d = [g - m[:, None] for g, m in zip(groups, xbar)]
+        m2 = np.stack([np.square(e).sum(axis=1) for e in d] + [np.zeros(2)])
+        r = np.stack([e.sum(axis=1) for e in d] + [np.zeros(2)])
         x = np.concatenate(groups, axis=1)
-        mean, stderr = montecarlo._pooled_moments(n, xbar, m2, x.min(axis=1) == x.max(axis=1))
+        mean, stderr = montecarlo._pooled_moments(n, xbar, m2, r, x.min(axis=1) == x.max(axis=1))
         assert mean == pytest.approx(x.mean(axis=1), rel=1e-12, abs=0.0)
-        # each group mean is a float64 within an ulp or two of loc, which
-        # moves the pooled M2 at first order: about ulp(loc) / scale relative
-        rel = max(1e-12, 4.0 * np.spacing(loc) / scale)
+        # each group mean is a float64 within an ulp or two of loc; the
+        # residuals r carry that rounding, so it moves M2 at second order only
+        rel = {1.0: 1e-12, 1e8: 1e-9}[loc]
         assert stderr[0] == pytest.approx(x[0].std(ddof=1) / np.sqrt(x.shape[1]), rel=rel, abs=0.0)
         assert stderr[1] == 0.0
 

@@ -22,6 +22,7 @@ from mfgconsume import (
     value_function,
 )
 from mfgconsume.closedform import EquilibriumSolution
+from mfgconsume.montecarlo import consistency_w0
 from mfgconsume.verify import _exp_terms, _j_at_zero
 
 from conftest import make_random_population
@@ -324,3 +325,11 @@ class TestRelations:
             assert rep.max_err_investment <= 1e-12
             assert rep.max_err_nu_hat <= 1e-8
             assert rep.max_err_z0 <= 1e-12
+
+    def test_seeded_path_is_the_consistency_tests_path_zero(self, grid):
+        # one function draws a single common-noise path; the errors are
+        # rounding, and on these seeds they differ from path to path
+        pop = make_random_population(2, grid)
+        sol = solve_equilibrium(pop)
+        for seed in (0, 1, 2):
+            assert relation_check(pop, sol, seed=seed) == relation_check(pop, sol, consistency_w0(pop.grid, seed, 0))
