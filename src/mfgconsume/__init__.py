@@ -53,7 +53,6 @@ from .population import (
     Population,
     ValidationReport,
     constant_type,
-    sample_agents,
     validate,
 )
 from .verify import (

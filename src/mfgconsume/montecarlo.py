@@ -207,19 +207,21 @@ def _euler_rows(h, sigma, sigma0, pi, c, dt: float) -> tuple[NDArray, NDArray, N
 def _build_paths(
     out: NDArray, log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0, scratch: NDArray | None = None
 ) -> NDArray:
-    """Log-wealth paths from one set of Euler coefficient rows and
-    increments, written into ``out`` of shape (m, n+1). ``scratch``, shaped
-    like ``out[:, 1:]``, takes the common-noise term; without it that term
-    is a new array. A drift or start that is all zero is not added."""
-    inc = out[:, 1:]
+    """Log-wealth paths from Euler coefficient rows and increments, written
+    into ``out`` of any leading shape, one path per last-axis row, with every
+    input broadcast to it: the consistency test builds (paths, K, n+1) at
+    once. ``scratch``, shaped like ``out[..., 1:]``, takes the common-noise
+    term; without it that term is a new array. A drift or start that is all
+    zero is not added."""
+    inc = out[..., 1:]
     np.multiply(vol_w, dw, out=inc)
     if np.any(drift):
         inc += drift
     inc += np.multiply(vol_w0, dw0, out=scratch)
-    np.cumsum(inc, axis=1, out=inc)
-    out[:, 0] = log_x0
+    np.cumsum(inc, axis=-1, out=inc)
+    out[..., 0] = log_x0
     if np.any(log_x0):
-        out[:, 1:] += out[:, :1]
+        out[..., 1:] += out[..., :1]
     return out
 
 
@@ -420,7 +422,7 @@ def _payoffs(
     unit = tuple(g * u for u in _euler_rows(*market, np.ones(n + 1), 0.0, dt)[1:])  # g times the noise rows at pi = 1
     trapezoid = np.full(n + 1, agent.alpha / g * dt / 2)  # halved: a pair mean
     trapezoid[[0, -1]] /= 2
-    twice_mean = lambda rows: 2.0 * _build_paths(np.empty((1, n + 1)), *rows, 0.0, 0.0)[0]
+    twice_mean = lambda rows: 2.0 * _build_paths(np.empty(n + 1), *rows, 0.0, 0.0)
     # step sizes equal up to the rounding of pi share one exp(|d| N)
     top = max(float(np.abs(s.pi).max()) for s in strategies)
     tol = 4.0 * np.spacing(top)
@@ -769,22 +771,20 @@ def consistency_test(
     seg_sd = np.sqrt(np.diff(var[:, knots], axis=1, prepend=0.0))  # (K, probes)
     weights = pop.weights / pop.weights.sum()  # the multinomial sees no stray rounding of the sum
 
-    rows: list[ConsistencyRow] = []
     w0s = np.stack([consistency_w0(grid, seed, p) for p in range(n_w0_paths)])
     mu_hat = flow.mu_batch(w0s)
-    for p, (w0, mu) in enumerate(zip(w0s, mu_hat)):
-        # the per-type part: Euler paths with the idiosyncratic increments set to 0
-        base = _build_paths(np.empty_like(var), log_x0, drift, vol_w, vol_w0, 0.0, w0)[:, knots]
-        means, stderrs = _crowd_moments(philox_stream(seed, _sid(_DOM_CONS_W, p)), n_agents, weights, base, seg_sd)
-        for idx, mean, stderr in zip(probe_idx, means[rank], stderrs[rank]):
-            diff = abs(mean - mu[idx])
-            if stderr == 0.0:
-                units = 0.0 if diff < 1e-12 else np.inf
-            else:
-                units = diff / stderr
-            rows.append(
-                ConsistencyRow(p, float(times[idx]), float(mean), float(mu[idx]), float(stderr), float(units))
-            )
-
-    max_units = max(r.deviation_units for r in rows)
-    return ConsistencyReport(tuple(rows), float(max_units), n_agents, flow, mu_hat)
+    # the per-type part: Euler paths with the idiosyncratic increments set to 0
+    base = _build_paths(np.empty((n_w0_paths, *var.shape)), log_x0, drift, vol_w, vol_w0, 0.0, w0s[:, None])
+    crowd = [
+        _crowd_moments(philox_stream(seed, _sid(_DOM_CONS_W, p)), n_agents, weights, b, seg_sd)
+        for p, b in enumerate(base[..., knots])
+    ]
+    means, stderrs = (np.stack(m)[:, rank] for m in zip(*crowd))  # (paths, probes) in caller order
+    flow_mu = mu_hat[:, probe_idx]
+    diff = np.abs(means - flow_mu)
+    # where the stderr is 0: 0 units if the crowd mean is on the flow, else inf
+    units = np.divide(diff, stderrs, out=np.where(diff < 1e-12, 0.0, np.inf), where=stderrs != 0.0)
+    t = np.broadcast_to(times[probe_idx], means.shape)
+    cols = np.stack((t, means, flow_mu, stderrs, units), axis=-1).tolist()  # (paths, probes, 5) as floats
+    rows = tuple(ConsistencyRow(p, *row) for p, path in enumerate(cols) for row in path)
+    return ConsistencyReport(rows, max(r.deviation_units for r in rows), n_agents, flow, mu_hat)

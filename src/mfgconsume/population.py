@@ -213,12 +213,3 @@ def validate(pop: Population) -> ValidationReport:
         out.extend(type_violations(i, tp, pop.gamma_lb, pop.sigma_lb))
     return ValidationReport(tuple(out))
 
-
-def sample_agents(pop: Population, n: int, rng: np.random.Generator) -> NDArray[np.int64]:
-    """Draw ``n`` i.i.d. type indices with probabilities equal to the weights."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    # weights sum to 1 within 1e-12 for validated populations; renormalise so
-    # the sampler never sees stray rounding
-    p = pop.weights / pop.weights.sum()
-    return rng.choice(pop.n_types, size=n, p=p)

@@ -54,6 +54,18 @@ def make_random_population(
     return pop
 
 
+def sample_agents(pop: Population, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``n`` i.i.d. type indices with probabilities equal to the
+    weights: the per-agent oracle that the consistency test's sufficient
+    statistics are checked against."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    # weights sum to 1 within 1e-12 for validated populations; renormalise so
+    # the sampler never sees stray rounding
+    p = pop.weights / pop.weights.sum()
+    return rng.choice(pop.n_types, size=n, p=p)
+
+
 @pytest.fixture
 def grid200() -> TimeGrid:
     return TimeGrid(1.0, 200)

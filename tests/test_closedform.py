@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import astuple
 
@@ -25,8 +26,8 @@ from mfgconsume import (
     tagged_policy_at0,
     tilde_Y,
 )
-from mfgconsume.errors import SingularAggregateError
-from mfgconsume.verify import bsde_residual, relation_check
+from mfgconsume.errors import ExponentRangeError, SingularAggregateError
+from mfgconsume.verify import bsde_residual, relation_check, value_function
 
 from conftest import make_random_population
 
@@ -243,6 +244,15 @@ class TestConstantConsumption:
         with pytest.raises(ValueError):
             constant_consumption(0.1, 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "b, t, error, match",
+        [(0.1, 1.5, ValueError, "beyond horizon"), (-701.0, 0.0, ExponentRangeError, "exponent range")],
+        ids=["t-past-horizon", "b-tau-past-cap"],
+    )
+    def test_rejects_time_and_exponent_out_of_range(self, b, t, error, match):
+        with pytest.raises(error, match=match):
+            constant_consumption(b, 1.0, 1.0, t)
+
 
 class TestLogUtility:
     """gamma = 0 is the log-utility game of the one kernel: on a 64-step
@@ -454,3 +464,54 @@ class TestOneKernel:
         start = time.perf_counter()
         coeff_B(pop, 499, 0.3)
         assert time.perf_counter() - start < 1.0
+
+
+EPS = np.finfo(float).eps
+
+
+def within_ulps(got, want, ulps):
+    """|got - want| at most ``ulps`` machine epsilons times the largest
+    |want| of its row."""
+    return bool(np.all(np.abs(got - want) <= ulps * EPS * np.abs(want).max(axis=-1, keepdims=True)))
+
+
+class TestMetamorphic:
+    """The equilibrium depends on the population only through its type
+    distribution, and no control depends on wealth. Tolerances are in ulps
+    of each row's largest magnitude: y_tilde has entries at or near 0, where
+    a per-entry relative error says nothing. Beside each, the worst case
+    over seeds 0-4999 at 200 steps; per entry, the split's worst is 2.7e-15
+    relative."""
+
+    ROWS = ("pi_star", "c_star", "y_tilde")
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_splitting_a_type_into_two_half_weight_copies_keeps_every_row(self, seed):
+        pop = make_random_population(seed, TimeGrid(1.0, 200))
+        j, types = seed % pop.n_types, pop.types
+        half = dataclasses.replace(types[j], weight=types[j].weight / 2)
+        split = solve_equilibrium(Population((*types[:j], half, half, *types[j + 1 :])))
+        sol = solve_equilibrium(pop)
+        rows = [*range(j + 1), j, *range(j + 1, pop.n_types)]  # type j's rows twice
+        for name in self.ROWS:
+            assert within_ulps(getattr(split, name), getattr(sol, name)[rows], 8)  # worst 3.2 ulps
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_permuting_the_types_permutes_their_rows(self, seed):
+        pop = make_random_population(seed, TimeGrid(1.0, 200))
+        perm = np.random.default_rng(seed).permutation(pop.n_types)
+        permuted = solve_equilibrium(Population(tuple(pop.types[i] for i in perm)))
+        sol = solve_equilibrium(pop)
+        for name in self.ROWS:
+            assert within_ulps(getattr(permuted, name), getattr(sol, name)[perm], 8)  # worst 4.3 ulps
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_scaling_every_x0_keeps_the_controls_and_scales_the_value(self, seed):
+        pop = make_random_population(seed, TimeGrid(1.0, 200))
+        scaled = Population(tuple(dataclasses.replace(tp, x0=3.7 * tp.x0) for tp in pop.types))
+        sol, sol_scaled = solve_equilibrium(pop), solve_equilibrium(scaled)
+        assert np.array_equal(sol_scaled.pi_star, sol.pi_star)
+        assert np.array_equal(sol_scaled.c_star, sol.c_star)
+        for k, tp in enumerate(pop.types):
+            want = value_function(pop, k, sol) * 3.7 ** (tp.gamma * (1.0 - tp.theta))
+            assert abs(value_function(scaled, k, sol_scaled) - want) <= 8 * EPS * abs(want)  # worst 3.1 ulps

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import sample_agents
 
 from mfgconsume import (
     GridCurve,
@@ -11,7 +14,6 @@ from mfgconsume import (
     constant_type,
     optimal_consumption,
     philox_stream,
-    sample_agents,
     solve_equilibrium,
     validate,
 )
@@ -63,6 +65,8 @@ class TestCurves:
         grid = TimeGrid(1.0, 3)
         with pytest.raises(StructuralError):
             GridCurve(grid, [0.0, 1.0])
+        with pytest.raises(StructuralError, match="1-D"):
+            GridCurve(grid, np.zeros((2, 4)))
 
     @pytest.mark.parametrize("n_steps", [2.5, True, "4", np.int64(4)], ids=["float", "bool", "str", "int64"])
     def test_step_count_must_be_an_integer(self, n_steps):
@@ -108,6 +112,7 @@ class TestValidate:
     def test_ok(self, grid200):
         pop = single(grid200, gamma=0.5, theta=0.5, alpha=1.0, x0=1.0, h=0.1, sigma=0.2, sigma0=0.0)
         assert validate(pop).ok
+        assert pop.T == grid200.T == 1.0
 
     def test_gamma_zero_excluded(self, grid200):
         pop = single(grid200, gamma=0.0)
@@ -137,6 +142,12 @@ class TestValidate:
         t2 = constant_type(other, gamma=0.5, theta=0.0, h=0.1, sigma=0.2, sigma0=0.0)
         with pytest.raises(StructuralError):
             Population((t1, t2))
+        with pytest.raises(StructuralError, match="share one time grid"):
+            dataclasses.replace(t1, sigma0=t2.sigma0)
+
+    def test_empty_population_structural(self):
+        with pytest.raises(StructuralError, match="at least one type"):
+            Population(())
 
     def test_report_describe(self, grid200):
         assert validate(single(grid200)).describe() == "ok"

@@ -22,6 +22,7 @@ from mfgconsume import (
     value_function,
 )
 from mfgconsume.closedform import EquilibriumSolution
+from mfgconsume.errors import ExponentRangeError
 from mfgconsume.montecarlo import consistency_w0
 from mfgconsume.verify import _exp_terms, _j_at_zero
 
@@ -120,6 +121,8 @@ class TestDriver:
         pop = make_random_population(4, grid, n_types=2)
         with pytest.raises(ValueError):
             bsde_driver(pop, 0, 0.0, np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            bsde_driver(pop, 0, 0.0, np.array([0.0, np.nan]))
 
 
 class TestResidual:
@@ -144,6 +147,8 @@ class TestResidual:
         sol = solve_equilibrium(pop)
         rep = bsde_residual(pop, sol, y_tilde=sol.y_tilde + 0.1)
         assert rep.sup_norm >= 0.01
+        with pytest.raises(ExponentRangeError, match="driver exponent"):
+            bsde_residual(pop, sol, y_tilde=sol.y_tilde + 1e6)
 
     def test_no_competition_constant_coefficients(self):
         grid = TimeGrid(1.0, 1000)
@@ -204,6 +209,10 @@ class TestMopDrift:
         # no draw would pass both bounds vacuously: max -inf, max |.| 0
         with pytest.raises(ValueError, match="need n_draws >= 1"):
             drift_check(2024, n_draws)
+
+    def test_drift_check_rejects_an_unknown_regime(self):
+        with pytest.raises(ValueError, match="regime must be"):
+            drift_check(2024, 10, "zero")
 
     @pytest.mark.parametrize("gamma", [0.4, -1.2])
     def test_maximiser_first_order_condition(self, gamma):

@@ -4,17 +4,21 @@
 #   tools/diff_artifacts.sh <rev>
 #
 # Runs eleven CLI commands on demos/configs/reference.json, two `deviate`
-# runs on a steep config and one `simulate` run on a small-crowd config, at
-# one and two threads, once from the committed files of <rev> and once from
-# the working tree, and compares the two output trees with `diff -r`. It
-# then compares the working tree's one-thread outputs with its two-thread
-# ones, which must be identical whatever <rev> gives. The
-# steep and small-crowd configs are written to temp files that both trees
-# read. In the steep one (a type with gamma -30), at probe type 0 thousands
+# runs on a steep config, and one `simulate` run each on a small-crowd
+# config and on a config without idiosyncratic noise, at one and two
+# threads, once from the committed files of <rev> and once from the working
+# tree, and compares the two output trees with `diff -r`. It then compares
+# the working tree's one-thread outputs with its two-thread ones, which
+# must be identical whatever <rev> gives. The steep, small-crowd and
+# noise-free configs are written to temp files that both trees read. In the steep one (a type with gamma -30), at probe type 0 thousands
 # of sample rows pass the payoff's exponent bound `_MAX_SHIFT` and are
 # rebuilt, a path that the reference config never reaches. The small-crowd
 # one (simulate-crowd3) has 3 agents, fewer than the consistency test's 5
 # probes, and a type of weight 1e-6, so empty and one-agent types occur.
+# The noise-free one (simulate-sigma0) has one type with sigma 0 and sigma0
+# 0.2: every agent sits on the flow, all 15 consistency rows have a stderr
+# of exactly 0, and the rule for those rows (0 units when the crowd mean is
+# within 1e-12 of the flow, else inf) decides each of them.
 # Each run's exit status is kept in its output directory beside its
 # artifacts and manifest.json, so a verdict or a crash that differs shows in
 # the diff; sweep-gamma ends in exit 3, so a manifest's `error` block is
@@ -54,6 +58,11 @@ cat > "$crowd" <<'JSON'
   {"weight": 0.499999, "gamma": -1.0, "theta": 0.8, "x0": 2.0, "h": 0.08, "sigma": 0.3, "sigma0": 0.05},
   {"weight": 0.5, "gamma": 0.4, "theta": 0.3, "h": 0.05, "sigma": 0.2, "sigma0": 0.1}]}
 JSON
+sigma0=$tmp/sigma0.json
+cat > "$sigma0" <<'JSON'
+{"horizon": 1.0, "n_steps": 64, "mc": {"n_agents": 1000, "seed": 5},
+ "population": [{"weight": 1.0, "gamma": 0.5, "theta": 0.5, "h": 0.1, "sigma": 0.0, "sigma0": 0.2}]}
+JSON
 
 # run_all <source tree> <output tree>
 run_all() {
@@ -76,6 +85,7 @@ deviate-steep-p0 $steep deviate --probe-type 0
 deviate-steep-p1 $steep deviate --probe-type 1
 simulate $ref simulate
 simulate-crowd3 $crowd simulate
+simulate-sigma0 $sigma0 simulate
 solve $ref solve
 solve-seed7 $ref solve --seed 7 --steps 256
 verify $ref verify
