@@ -8,15 +8,17 @@ chunk), or, in the consistency test, (seed, purpose, path);
 fixed-size chunks and pooled in chunk order, so results are bit-identical
 for any thread count; ``MFG_CONSUME_THREADS`` only sizes the worker pool
 that one estimator call opens for its chunks. Both Monte-Carlo checks pool
-their groups, chunks or agent types, by ``_pooled_moments``. Within a chunk,
-payoff paths are built and reduced in row blocks sized to stay in L2 cache.
-Each block draws its own increments, in row order, from the chunk's two
-streams into buffers reused across blocks: a counter-based stream fills row
-after row, so these draws equal one chunk-sized draw per stream bit for bit,
-and no chunk-sized draw array is held. Every sample row is computed by the
-same operations in any block, and reduced by one ``einsum`` pass along the
-row (no BLAS), so outputs depend on neither the block size nor the thread
-count.
+their groups, chunks or agent types, by ``_pooled_moments``; the utility
+estimate and the deviation test chunk their pairs by ``_pair_moments``, each
+with its contrast of the payoffs. Within a chunk, payoff paths are built and
+reduced in row blocks of about ``_BLOCK_BYTES`` of buffers, a bound on a
+block's memory; larger blocks run fewer numpy calls per sample. Each block
+draws its own increments, in row order, from the chunk's two streams into
+buffers reused across blocks: a counter-based stream fills row after row, so
+these draws equal one chunk-sized draw per stream bit for bit, and no
+chunk-sized draw array is held. Every sample row is computed by the same
+operations in any block, and reduced by one ``einsum`` pass along the row
+(no BLAS), so outputs depend on neither the block size nor the thread count.
 
 The utility estimate and the deviation test draw antithetic pairs: each
 drawn row prices the path on (dW, dW0) and its mirror on (-dW, -dW0), so
@@ -53,7 +55,8 @@ from .population import AgentType, Population
 
 CHUNK = 4096
 # bytes of one row block's (rows, n_steps + 1) float64 path buffers; the block's
-# three (rows, n_steps) draw and product buffers come on top of these
+# three (rows, n_steps) draw and product buffers come on top of these. A bound on
+# a block's memory: a larger one runs fewer per-block numpy calls, same output
 _BLOCK_BYTES = 1 << 20
 
 DEFAULT_PI_CAP = 10.0
@@ -108,37 +111,6 @@ def _pooled_moments(n: NDArray, xbar: NDArray, m2: NDArray, r: NDArray, flat: ND
     d = xbar - mean
     m2 = (m2 + n[:, None] * np.square(d) + 2.0 * d * r).sum(axis=0)
     return mean, np.where(flat, 0.0, np.sqrt(m2 / max(1, total - 1) / total))
-
-
-def _chunk_moments(n: int, rows: Callable[[int, tuple[int, int]], NDArray]) -> tuple[NDArray, NDArray]:
-    """Sample mean and standard error of each row over ``n`` samples.
-
-    ``rows(i, chunk)`` returns chunk ``i``'s samples, shape (rows, chunk
-    size). Each chunk is reduced where it is drawn to its per-row mean and
-    sums of squared deviations and of deviations from it (two passes), and
-    the chunks are pooled in chunk order by ``_pooled_moments``. Past one
-    thread and one chunk, the chunks run in a worker pool opened for this
-    call; the result does not depend on the thread count. A row whose min
-    equals its max has a stderr of exactly 0.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    ranges = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
-
-    def one(i: int) -> tuple[NDArray, ...]:
-        x = rows(i, ranges[i])
-        mean = x.sum(axis=1) / x.shape[1]
-        d = x - mean[:, None]
-        return mean, (d * d).sum(axis=1), d.sum(axis=1), x.min(axis=1), x.max(axis=1)
-
-    workers = min(_n_threads(), len(ranges))
-    if workers <= 1:
-        parts = [one(i) for i in range(len(ranges))]
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(one, range(len(ranges))))
-    mean, m2, r, lo, hi = (np.stack(p) for p in zip(*parts))
-    return _pooled_moments(np.array([b - a for a, b in ranges]), mean, m2, r, lo.min(axis=0) == hi.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +482,47 @@ def _utility_draws(grid: TimeGrid, seed: int, i: int) -> Callable[[NDArray, NDAr
     return fill
 
 
+def _pair_moments(
+    agent: AgentType,
+    strategies: Sequence[Strategy],
+    flow: FlowModel,
+    n: int,
+    seed: int,
+    contrast: Callable[[NDArray], NDArray],
+) -> tuple[NDArray, NDArray, int]:
+    """Mean and standard error of each row of ``contrast`` of the antithetic
+    pair means of ``strategies`` (``_payoffs``), and the paths used: ``n``
+    rounded up to whole pairs.
+
+    The pairs are cut into chunks of ``CHUNK``; chunk ``i`` draws from its
+    own streams (``_utility_draws``) and is reduced where it is priced to
+    its per-row mean and sums of squared deviations and of deviations from
+    it (two passes); the chunks are pooled in chunk order by
+    ``_pooled_moments``. Past one thread and one chunk, the chunks run in a
+    worker pool opened for this call; the result does not depend on the
+    thread count. A row whose min equals its max has a stderr of exactly 0.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    pairs = (n + 1) // 2
+    sizes = [min(CHUNK, pairs - lo) for lo in range(0, pairs, CHUNK)]
+
+    def one(i: int) -> tuple[NDArray, ...]:
+        x = contrast(_payoffs(agent, strategies, flow, sizes[i], _utility_draws(agent.grid, seed, i)))
+        mean = x.sum(axis=1) / x.shape[1]
+        d = x - mean[:, None]
+        return mean, (d * d).sum(axis=1), d.sum(axis=1), x.min(axis=1), x.max(axis=1)
+
+    workers = min(_n_threads(), len(sizes))
+    if workers <= 1:
+        parts = [one(i) for i in range(len(sizes))]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(one, range(len(sizes))))
+    mean, m2, r, lo, hi = (np.stack(p) for p in zip(*parts))
+    return (*_pooled_moments(np.array(sizes), mean, m2, r, lo.min(axis=0) == hi.max(axis=0)), 2 * pairs)
+
+
 def estimate_utility(
     agent: AgentType, strategy: Strategy, flow: FlowModel, n: int, seed: int
 ) -> UtilityEstimate:
@@ -523,12 +536,8 @@ def estimate_utility(
     The population index along each common-noise path is folded into the
     payoff's Euler rows, so no flow is built per sample.
     """
-    pairs = (n + 1) // 2
-    mean, stderr = _chunk_moments(
-        pairs,
-        lambda i, chunk: _payoffs(agent, [strategy], flow, chunk[1] - chunk[0], _utility_draws(agent.grid, seed, i)),
-    )
-    return UtilityEstimate(float(mean[0]), float(stderr[0]), 2 * pairs)
+    mean, stderr, used = _pair_moments(agent, [strategy], flow, n, seed, lambda pay: pay)
+    return UtilityEstimate(float(mean[0]), float(stderr[0]), used)
 
 
 # ---------------------------------------------------------------------------
@@ -635,21 +644,15 @@ def deviation_test(
     strategies, so delta estimates carry only the strategy difference. Each
     delta and stderr is that of the i.i.d. differences of pair means
     (``_payoffs``), and the report's ``n_samples`` is the paths used."""
-    agent = pop.types[k]
     flow = FlowModel(pop, sol)
     strategies = [equilibrium_strategy(sol, k, pi_cap, c_min, c_max), *(p.strategy for p in perturbations)]
 
-    def diffs(i: int, chunk: tuple[int, int]) -> NDArray:
-        pay = _payoffs(agent, strategies, flow, chunk[1] - chunk[0], _utility_draws(pop.grid, seed, i))
-        return pay[0] - pay[1:]
-
-    pairs = (n + 1) // 2
-    delta, stderr = _chunk_moments(pairs, diffs)
+    delta, stderr, used = _pair_moments(pop.types[k], strategies, flow, n, seed, lambda pay: pay[0] - pay[1:])
     rows = [
         DeviationRow(p.name, float(d), float(e), p.large, bool(d < -2.0 * e))
         for p, d, e in zip(perturbations, delta, stderr)
     ]
-    return DeviationReport(tuple(rows), 2 * pairs)
+    return DeviationReport(tuple(rows), used)
 
 
 # ---------------------------------------------------------------------------
@@ -721,47 +724,40 @@ def consistency_test(
     n_agents: int,
     n_w0_paths: int,
     seed: int,
-    probe_times: Sequence[float] | None = None,
 ) -> ConsistencyReport:
     """Fixed-point check: per common-noise path, the empirical mean
     log-wealth of ``n_agents`` simulated agents (types drawn by weight,
     independent idiosyncratic noise, equilibrium controls) is compared with
-    the semi-analytic flow, in units of the empirical standard error.
+    the semi-analytic flow, in units of the empirical standard error, at
+    five probe knots: the knots nearest 0.2 T, 0.4 T, ..., T.
 
     What it checks: the agent sampler and the linearity of the flow, not
     the equilibrium. ``FlowModel`` is by construction the mean of the same
     Euler rows the agents are drawn from, so an error in the equilibrium
     controls moves the crowd and the flow alike.
 
-    No agent is simulated. With deterministic controls and curves, a
-    type-k agent's log-wealth at the sorted probe knots, given the
-    common-noise path, is base_k + cumsum(s_k * xi): base_k the type's
-    Euler path with the idiosyncratic increments set to 0, s_k the standard
-    deviation of sum vol_w dW over each probe segment, sqrt(sum vol_w^2 dt),
-    and xi ~ N(0, I) per agent. The report reads only each knot's sample
-    mean and variance, which are functions of the type counts and each
-    type's sample mean and scatter matrix of xi. Those are drawn from their
-    exact joint law (``_crowd_moments``), so the report has the law of
+    No agent is simulated. With deterministic controls and curves, a type-k
+    agent's log-wealth at the probe knots, given the common-noise path, is
+    base_k + cumsum(s_k * xi): base_k the type's Euler path with the
+    idiosyncratic increments set to 0, s_k the standard deviation of
+    sum vol_w dW over each probe segment, sqrt(sum vol_w^2 dt), and
+    xi ~ N(0, I) per agent. The report reads only each knot's sample mean
+    and variance, which are functions of the type counts and each type's
+    sample mean and scatter matrix of xi. Those are drawn from their exact
+    joint law (``_crowd_moments``), so the report has the law of
     ``n_agents`` Euler paths read at the probes, at a cost that does not
     grow with ``n_agents``. Path ``p`` draws from one stream, (seed, p).
     The report keeps the flow and its ``mu_hat`` along each path drawn.
 
     Agent noise streams are keyed independently of the common-noise values,
     so with no common-noise exposure the report does not depend on the
-    common-noise path. Permuting the probe times permutes the rows.
+    common-noise path. Below 5 steps the probes repeat a knot: its second
+    segment has length 0, and its rows are the first's.
     """
     if n_agents < 1 or n_w0_paths < 1:
         raise ValueError("need n_agents >= 1 and n_w0_paths >= 1")
     grid = pop.grid
-    times = grid.times
-    if probe_times is None:
-        probe_times = np.linspace(0.2 * grid.T, grid.T, 5)
-    if len(probe_times) == 0:
-        raise ValueError("need at least one probe time")
-    grid.check_time(probe_times)
-    probe_idx = [int(round(t / grid.dt)) for t in probe_times]
-    knots = np.unique(probe_idx)
-    rank = np.searchsorted(knots, probe_idx)  # sorted row of each caller probe
+    knots = [int(round(t / grid.dt)) for t in np.linspace(0.2 * grid.T, grid.T, 5)]  # sorted
 
     flow = FlowModel(pop, sol)
     drift, vol_w, vol_w0 = flow.rows
@@ -779,12 +775,12 @@ def consistency_test(
         _crowd_moments(philox_stream(seed, _sid(_DOM_CONS_W, p)), n_agents, weights, b, seg_sd)
         for p, b in enumerate(base[..., knots])
     ]
-    means, stderrs = (np.stack(m)[:, rank] for m in zip(*crowd))  # (paths, probes) in caller order
-    flow_mu = mu_hat[:, probe_idx]
+    means, stderrs = (np.stack(m) for m in zip(*crowd))  # (paths, probes)
+    flow_mu = mu_hat[:, knots]
     diff = np.abs(means - flow_mu)
     # where the stderr is 0: 0 units if the crowd mean is on the flow, else inf
     units = np.divide(diff, stderrs, out=np.where(diff < 1e-12, 0.0, np.inf), where=stderrs != 0.0)
-    t = np.broadcast_to(times[probe_idx], means.shape)
+    t = np.broadcast_to(grid.times[knots], means.shape)
     cols = np.stack((t, means, flow_mu, stderrs, units), axis=-1).tolist()  # (paths, probes, 5) as floats
     rows = tuple(ConsistencyRow(p, *row) for p, path in enumerate(cols) for row in path)
     return ConsistencyReport(rows, max(r.deviation_units for r in rows), n_agents, flow, mu_hat)

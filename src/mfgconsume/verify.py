@@ -319,7 +319,10 @@ def relation_check(
     rebuilt from the backward components along a common-noise path
     (``w0_increments``, else consistency path 0 at ``seed``) matches
     ``E[log c*] + mu_hat``; (iii) the common-noise exposure rebuilt from the
-    loading relation matches ``z0_common``.
+    loading relation matches ``z0_common``. In (ii) ``mu_hat`` enters both
+    sides alike, so it checks E[log c*] = (E[log alpha/(1-gamma)] -
+    E[Ytilde/(1-gamma)]) / (1 + E[theta gamma/(1-gamma)]), and the path moves
+    the error by rounding only.
     """
     ker = _kernel(pop, pop.h_mat, pop.sigma_mat, pop.sigma0_mat)
     # (i): with vanishing loadings the investment rate is the kernel's P

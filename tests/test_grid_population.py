@@ -10,11 +10,9 @@ from mfgconsume import (
     StructuralError,
     TimeGrid,
     coeff_B,
-    consistency_test,
     constant_type,
     optimal_consumption,
     philox_stream,
-    solve_equilibrium,
     validate,
 )
 
@@ -79,7 +77,7 @@ class TestCurves:
                 TimeGrid(1.0, n_steps)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("call", ["curve", "coeff_B", "optimal_consumption", "consistency_test"])
+    @pytest.mark.parametrize("call", ["curve", "coeff_B", "optimal_consumption"])
     def test_non_finite_time_is_a_domain_error(self, t, call):
         grid = TimeGrid(1.0, 16)
         pop = single(grid)
@@ -87,8 +85,6 @@ class TestCurves:
             "curve": lambda: GridCurve.constant(grid, 1.0)(t),
             "coeff_B": lambda: coeff_B(pop, 0, t),
             "optimal_consumption": lambda: optimal_consumption(pop, 0, t),
-            "consistency_test": lambda: consistency_test(pop, solve_equilibrium(pop), 100, 1, seed=1,
-                                                         probe_times=[0.5, t]),
         }
         with pytest.raises(ValueError, match="outside"):
             calls[call]()

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +22,15 @@ from mfgconsume import (
     solve_equilibrium,
     value_function,
 )
+from mfgconsume.cli import load_config
 from mfgconsume.closedform import EquilibriumSolution
 from mfgconsume.errors import ExponentRangeError
 from mfgconsume.montecarlo import consistency_w0
 from mfgconsume.verify import _exp_terms, _j_at_zero
 
 from conftest import make_random_population
+
+REFERENCE = Path(__file__).resolve().parents[1] / "demos" / "configs" / "reference.json"
 
 
 def single(grid, **kw):
@@ -334,6 +338,24 @@ class TestRelations:
             assert rep.max_err_investment <= 1e-12
             assert rep.max_err_nu_hat <= 1e-8
             assert rep.max_err_z0 <= 1e-12
+
+    @pytest.mark.parametrize("case", ["reference", 0, 1, 2, 3, 4])
+    def test_consumption_relation_is_path_free(self, case):
+        # mu_hat enters both sides of relation (ii) alike, so on a zero path
+        # and on the seeded one it checks one path-free identity, and the
+        # path moves the error by rounding only
+        if case == "reference":
+            pop = load_config(REFERENCE).population
+        else:
+            pop = make_random_population(case, TimeGrid(1.0, 200), n_types=3)
+        sol = solve_equilibrium(pop)
+        omg = 1.0 - pop.gammas
+        rhs = pop.mean((np.log(pop.alphas)[:, None] - sol.y_tilde) / omg[:, None])
+        rhs /= 1.0 + pop.mean(pop.thetas * pop.gammas / omg)
+        free = np.abs(rhs - pop.mean(np.log(sol.c_star))).max()
+        for w0 in (np.zeros(pop.grid.n_steps), None):
+            err = relation_check(pop, sol, w0, seed=3).max_err_nu_hat
+            assert err <= 1e-15 and abs(err - free) <= 1e-15
 
     def test_seeded_path_is_the_consistency_tests_path_zero(self, grid):
         # one function draws a single common-noise path; the errors are

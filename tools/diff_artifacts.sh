@@ -5,14 +5,16 @@
 #
 # Runs eleven CLI commands on demos/configs/reference.json, two `deviate`
 # runs on a steep config, and one `simulate` run each on a small-crowd
-# config and on a config without idiosyncratic noise, at one and two
-# threads, once from the committed files of <rev> and once from the working
-# tree, and compares the two output trees with `diff -r`. It then compares
-# the working tree's one-thread outputs with its two-thread ones, which
-# must be identical whatever <rev> gives. The steep, small-crowd and
-# noise-free configs are written to temp files that both trees read. In the steep one (a type with gamma -30), at probe type 0 thousands
-# of sample rows pass the payoff's exponent bound `_MAX_SHIFT` and are
-# rebuilt, a path that the reference config never reaches. The small-crowd
+# config and on a config without idiosyncratic noise, at one, two and
+# three threads, once from the committed files of <rev> and once from the
+# working tree, and compares the two output trees with `diff -r`. It then
+# compares the working tree's one-thread outputs with its two-thread and
+# its three-thread ones, which must be identical whatever <rev> gives. The
+# steep, small-crowd and noise-free configs are written to temp files that
+# both trees read. In the steep one (a type with gamma -30), at probe
+# type 0 thousands of sample rows pass the payoff's exponent bound
+# `_MAX_SHIFT` and are rebuilt, a path that the reference config never
+# reaches. The small-crowd
 # one (simulate-crowd3) has 3 agents, fewer than the consistency test's 5
 # probes, and a type of weight 1e-6, so empty and one-agent types occur.
 # The noise-free one (simulate-sigma0) has one type with sigma 0 and sigma0
@@ -25,12 +27,13 @@
 # diffed too, and deviate-steep-p0 in exit 1. deviate-4097 asks for an odd
 # sample count, which `deviate` rounds up to whole antithetic pairs.
 # deviate-15k-pairs spans four chunks, the last one short, so at two
-# threads its chunks run on two workers. The
+# threads its chunks run on two workers, and at three on three workers that
+# take the four chunks unevenly. The
 # four demos/*.py scripts run once per tree as well; their stdout and exit
 # status go to demos/ in the output tree, so a library change that moves a
 # printed number shows in the same diff. Outputs stay under
-# out/diff_artifacts/ for inspection. Exits 0 when every file of both
-# comparisons is byte-identical, 1 when some file differs.
+# out/diff_artifacts/ for inspection. Exits 0 when every file of every
+# comparison is byte-identical, 1 when some file differs.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_artifacts.sh <rev>}
@@ -67,7 +70,7 @@ JSON
 # run_all <source tree> <output tree>
 run_all() {
   rm -rf "$2"
-  for threads in 1 2; do
+  for threads in 1 2 3; do
     while read -r run config args; do
       dir=$2/t$threads/$run
       mkdir -p "$dir"
@@ -106,8 +109,10 @@ run_all "$tree" "$out/$name"
 run_all "$root" "$out/worktree"
 status=0
 diff -r "$out/$name" "$out/worktree" || status=1
-diff -r "$out/worktree/t1" "$out/worktree/t2" || status=1
+for threads in 2 3; do
+  diff -r "$out/worktree/t1" "$out/worktree/t$threads" || status=1
+done
 if [ "$status" = 0 ]; then
-  echo "no difference: $rev and the working tree, 1 and 2 threads; the working tree's 1 and 2 threads"
+  echo "no difference: $rev and the working tree, 1, 2 and 3 threads; the working tree's 1 thread and its 2 and 3"
 fi
 exit "$status"
