@@ -10,13 +10,17 @@ for any thread count; ``MFG_CONSUME_THREADS`` only sizes the worker pool
 that one estimator call opens for its chunks. Both Monte-Carlo checks pool
 their groups, chunks or agent types, by ``_pooled_moments``; the utility
 estimate and the deviation test chunk their pairs by ``_pair_moments``, each
-with its contrast of the payoffs. Within a chunk, payoff paths are built and
-reduced in row blocks of about ``_BLOCK_BYTES`` of buffers, a bound on a
-block's memory; larger blocks run fewer numpy calls per sample. Each block
-draws its own increments, in row order, from the chunk's two streams into
-buffers reused across blocks: a counter-based stream fills row after row, so
-these draws equal one chunk-sized draw per stream bit for bit, and no
-chunk-sized draw array is held. Every sample row is computed by the same
+with its contrast of the payoffs, reduced in place. Within a chunk, payoff
+paths are built and reduced in row blocks whose path buffers take about
+``_BLOCK_BYTES``, a bound on a block's memory; larger blocks run fewer numpy
+calls per sample. A block holds three path buffers (R, R' and R + R'), four
+more when a strategy steps off the reference (N, E, R F and R' / F; see
+``_payoffs``), and two draw buffers (dW, dW0), each reused across blocks; a
+build's common-noise term goes into a path buffer that is free while it
+runs. Each block draws its own increments, in row order, from the chunk's
+two streams: a counter-based stream fills row after row, so these draws
+equal one chunk-sized draw per stream bit for bit, and no chunk-sized draw
+array is held. Every sample row is computed by the same
 operations in any block, and reduced by one ``einsum`` pass along the row
 (no BLAS), so outputs depend on neither the block size nor the thread count.
 
@@ -55,9 +59,12 @@ from .population import AgentType, Population
 
 CHUNK = 4096
 # bytes of one row block's (rows, n_steps + 1) float64 path buffers; the block's
-# three (rows, n_steps) draw and product buffers come on top of these. A bound on
-# a block's memory: a larger one runs fewer per-block numpy calls, same output
-_BLOCK_BYTES = 1 << 20
+# two (rows, n_steps) draw buffers come on top of these. A bound on a block's
+# memory: a larger one runs fewer per-block numpy calls, same output. 1.5 MiB
+# (109-row blocks at 256 steps and a 7-buffer library): in the benchmark's
+# mc-deviate unit, peak RSS rose 2.0 % over 1 MiB blocks with a third draw
+# plane, and 2 MiB rose 3.8 %
+_BLOCK_BYTES = 3 << 19
 
 DEFAULT_PI_CAP = 10.0
 DEFAULT_C_MIN = 1e-3
@@ -385,8 +392,9 @@ def _payoffs(
 
     Row blocks are as in the module docstring: ``draws(dw, dw0)``
     (``_utility_draws``) fills each block's increments into two
-    (rows, n_steps) buffers that this call owns, and a third buffer of that
-    shape takes each build's common-noise term."""
+    (rows, n_steps) buffers that this call owns. A build's common-noise term
+    goes into a path buffer that is free while it runs: R + R' for the
+    reference build and the rebuilds, E for the unit-pi noise sum."""
     if flow.grid != agent.grid or any(s.grid != agent.grid for s in strategies):
         raise ValueError("every strategy and the flow must be on the agent's time grid")
     g, dt, n = agent.gamma, agent.grid.dt, agent.grid.n_steps
@@ -425,19 +433,19 @@ def _payoffs(
     n_buf = 3 + 4 * bool(sizes)  # R, R' and R + R', and N, E, R F and R' / F when a step has a size
     blocks = _blocks(m, n, n_buf)
     buf = np.empty((n_buf, blocks[0].stop, n + 1))
-    drawn = np.empty((3, blocks[0].stop, n))  # dW, dW0 and a build's common-noise term
+    drawn = np.empty((2, blocks[0].stop, n))  # dW and dW0
     out = np.empty((len(strategies), m))
     for b in blocks:
         r, rm, pair, *views = buf[:, : b.stop - b.start]
-        dw, dw0, scratch = drawn[:, : b.stop - b.start]
+        dw, dw0 = drawn[:, : b.stop - b.start]
         draws(dw, dw0)
-        _pair_exp(_build_paths(r, *ref, dw, dw0, scratch), ref_twice, rm, pair)
+        _pair_exp(_build_paths(r, *ref, dw, dw0, pair[:, 1:]), ref_twice, rm, pair)
         for j, w in reads:
             out[j, b] = _row_sum(pair, w)
         builds = []  # (j, rows, weights, sample rows, 2m) of the rows that cannot read R
         if sizes:
             noise, e, ez, ezm = views
-            _build_paths(noise, 0.0, 0.0, *unit, dw, dw0, scratch)
+            _build_paths(noise, 0.0, 0.0, *unit, dw, dw0, e[:, 1:])
             span = np.maximum(noise.max(axis=1), -noise.min(axis=1))
         for size, signs in sizes.items():
             far = np.flatnonzero(size * span >= _MAX_SHIFT)
@@ -455,7 +463,7 @@ def _payoffs(
         for j, rows, w, rel, twice in builds + own:
             x, x0 = dw[rel], dw0[rel]
             z, zm = r[: len(x)], rm[: len(x)]
-            _pair_exp(_build_paths(z, *rows, x, x0, scratch[: len(x)]), twice, zm, z)
+            _pair_exp(_build_paths(z, *rows, x, x0, pair[: len(x), 1:]), twice, zm, z)
             out[j, b][rel] = _row_sum(z, w)
     return out
 
@@ -496,8 +504,8 @@ def _pair_moments(
 
     The pairs are cut into chunks of ``CHUNK``; chunk ``i`` draws from its
     own streams (``_utility_draws``) and is reduced where it is priced to
-    its per-row mean and sums of squared deviations and of deviations from
-    it (two passes); the chunks are pooled in chunk order by
+    its per-row min, max, mean and sums of deviations and of squared
+    deviations from the mean (two passes, in place on the contrast); the chunks are pooled in chunk order by
     ``_pooled_moments``. Past one thread and one chunk, the chunks run in a
     worker pool opened for this call; the result does not depend on the
     thread count. A row whose min equals its max has a stderr of exactly 0.
@@ -509,9 +517,11 @@ def _pair_moments(
 
     def one(i: int) -> tuple[NDArray, ...]:
         x = contrast(_payoffs(agent, strategies, flow, sizes[i], _utility_draws(agent.grid, seed, i)))
+        lo, hi = x.min(axis=1), x.max(axis=1)
         mean = x.sum(axis=1) / x.shape[1]
-        d = x - mean[:, None]
-        return mean, (d * d).sum(axis=1), d.sum(axis=1), x.min(axis=1), x.max(axis=1)
+        x -= mean[:, None]  # the deviations, reduced in place
+        r = x.sum(axis=1)
+        return mean, np.square(x, out=x).sum(axis=1), r, lo, hi
 
     workers = min(_n_threads(), len(sizes))
     if workers <= 1:
