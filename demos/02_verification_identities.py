@@ -13,8 +13,8 @@ from mfgconsume import (
     bsde_residual,
     constant_type,
     drift_check,
+    keyed_stream,
     mop_drift,
-    philox_stream,
     relation_check,
     solve_equilibrium,
     solve_riccati_numeric,
@@ -43,7 +43,7 @@ ric = np.abs(numeric - sol.c_star) / np.abs(sol.c_star)
 print(f"Riccati sweep vs quadrature closed form: sup rel err {ric.max():.3e}")
 
 # 4. Drift bracket: zero at the solved controls, negative elsewhere.
-w0 = philox_stream(0, 1).normal(0, np.sqrt(grid.dt), grid.n_steps)
+w0 = keyed_stream(0, 1).normal(0, np.sqrt(grid.dt), grid.n_steps)
 flow = FlowModel(pop, sol)
 mu_hat = flow.mu_values(w0)
 i = grid.n_steps // 2
@@ -62,6 +62,6 @@ print(f"drift bracket at a perturbed control:      {mop_drift(state, sol.pi_star
 worst, worst_opt = drift_check(seed=7, n_draws=5000, regime="positive")
 print(f"randomised drift check (5000 draws): max {worst:+.2e}, |at optimum| {worst_opt:.2e}")
 
-# 5. Cross-formulation relations along a sampled common-noise path.
-rel_rep = relation_check(pop, sol, seed=7)
+# 5. Cross-formulation relations; the consumption-index one is path-free.
+rel_rep = relation_check(pop, sol)
 print("relation identities:", rel_rep)

@@ -45,7 +45,8 @@ from .montecarlo import (
     deviation_test,
     equilibrium_strategy,
     estimate_utility,
-    philox_stream,
+    exact_utility,
+    keyed_stream,
     simulate_wealth,
 )
 from .population import (

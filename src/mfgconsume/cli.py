@@ -380,7 +380,7 @@ def _cmd_verify(cfg: ScenarioConfig, out: Path, manifest: RunManifest) -> None:
     manifest.check("mop_drift_max", worst, tol.drift_tol, worst <= tol.drift_tol)
     manifest.check("mop_drift_at_optimum", worst_opt, 1e-10, worst_opt <= 1e-10)
 
-    rel = verify.relation_check(pop, sol, seed=cfg.mc.seed)
+    rel = verify.relation_check(pop, sol)
     manifest.check("relation_investment", rel.max_err_investment, 1e-12, rel.max_err_investment <= 1e-12)
     manifest.check("relation_nu_hat", rel.max_err_nu_hat, 1e-8, rel.max_err_nu_hat <= 1e-8)
     manifest.check("relation_z0", rel.max_err_z0, 1e-12, rel.max_err_z0 <= 1e-12)

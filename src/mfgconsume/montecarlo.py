@@ -2,9 +2,11 @@
 estimation, no-profitable-deviation and fixed-point consistency tests.
 
 Determinism contract: every stochastic routine takes an integer seed and
-derives independent counter-based streams (Philox) from (seed, purpose,
-chunk), or, in the consistency test, (seed, purpose, path);
-``consistency_w0`` alone draws a common-noise path. Samples are processed in
+draws from independent keyed streams (``keyed_stream``: SFC64 seeded by a
+``SeedSequence`` of the key), one per (seed, purpose, chunk), or, in the
+consistency test, per (seed, purpose, path); ``consistency_w0`` alone draws
+a common-noise path. A stream's draws depend on its key alone, not on the
+order in which streams are made or used. Samples are processed in
 fixed-size chunks and pooled in chunk order, so results are bit-identical
 for any thread count; ``MFG_CONSUME_THREADS`` only sizes the worker pool
 that one estimator call opens for its chunks. Both Monte-Carlo checks pool
@@ -18,9 +20,9 @@ more when a strategy steps off the reference (N, E, R F and R' / F; see
 ``_payoffs``), and two draw buffers (dW, dW0), each reused across blocks; a
 build's common-noise term goes into a path buffer that is free while it
 runs. Each block draws its own increments, in row order, from the chunk's
-two streams: a counter-based stream fills row after row, so these draws
-equal one chunk-sized draw per stream bit for bit, and no chunk-sized draw
-array is held. Every sample row is computed by the same
+two streams: a stream fills row after row, so these draws equal one
+chunk-sized draw per stream bit for bit, and no chunk-sized draw array is
+held. Every sample row is computed by the same
 operations in any block, and reduced by one ``einsum`` pass along the row
 (no BLAS), so outputs depend on neither the block size nor the thread count.
 
@@ -83,10 +85,19 @@ def _sid(domain: int, index: int) -> int:
     return ((domain << 56) | (index << 28)) & _MASK64
 
 
-def philox_stream(seed: int, stream_id: int) -> np.random.Generator:
-    """Independent counter-based stream keyed by (seed, stream id)."""
-    key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def keyed_stream(seed: int, stream_id: int) -> np.random.Generator:
+    """Independent stream keyed by (seed, stream id): SFC64 seeded by a
+    ``SeedSequence`` of the key. Each is taken mod 2^64 and given as two
+    32-bit words, so every key has four words and two keys share an entropy
+    only if they are equal; a bare Python int takes as many words as it
+    needs, so (x, 2^32 + 1) and (2^32 + x, 1) would share one. A stream
+    continues where its last draw stopped, so consecutive fills equal one
+    draw of their total size."""
+    words = [(key >> shift) & 0xFFFFFFFF for key in (seed, stream_id) for shift in (0, 32)]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+
+
+philox_stream = keyed_stream  # the former name, for callers not yet moved to keyed_stream
 
 
 def _n_threads() -> int:
@@ -323,6 +334,41 @@ def _folded_rows(agent: AgentType, strategy: Strategy, flow: FlowModel) -> tuple
     return (start + off[0], drift + np.diff(off), vol_w, vol_w0), off[-1]
 
 
+def _gaussian_moments(rows: tuple, dt: float) -> tuple[NDArray, NDArray]:
+    """Mean m and variance v, shape (n+1,), of the Euler path of ``rows``
+    (start, drift, vol_w, vol_w0) at every knot, for deterministic rows: m_q
+    = start + sum_{i<q} drift_i and v_q = sum_{i<q} (vol_w_i^2 + vol_w0_i^2) dt."""
+    start, drift, vol_w, vol_w0 = rows
+    m = start + np.concatenate(([0.0], np.cumsum(drift)))
+    v = np.concatenate(([0.0], np.cumsum((vol_w**2 + vol_w0**2) * dt)))
+    return m, v
+
+
+def _utility_weights(agent: AgentType, dz: NDArray, off_t: float) -> NDArray:
+    """Knot weights of the payoff sum_q w_q exp(z_q) read off exp(z_q - dz_q):
+    trapezoid weights (al/g) dt times exp(dz), plus exp(dz_T - off_T)/g at T
+    for the terminal term."""
+    g, dt = agent.gamma, agent.grid.dt
+    w = np.full(dz.size, agent.alpha / g * dt)
+    w[[0, -1]] /= 2
+    w *= np.exp(dz)
+    w[-1] += np.exp(dz[-1] - off_t) / g
+    return w
+
+
+def exact_utility(agent: AgentType, strategy: Strategy, flow: FlowModel) -> float:
+    """The expected utility of ``strategy`` under the Euler scheme, exactly,
+    which ``estimate_utility`` estimates without bias. The controls and
+    curves are deterministic, so the payoff's exponent z (``_folded_rows``)
+    is Gaussian at each knot, N(m, v) by ``_gaussian_moments``, and the
+    payoff sum_q w_q exp(z_q) has expectation sum_q w_q exp(m_q + v_q / 2)."""
+    if flow.grid != agent.grid or strategy.grid != agent.grid:
+        raise ValueError("the strategy and the flow must be on the agent's time grid")
+    rows, off_t = _folded_rows(agent, strategy, flow)
+    m, v = _gaussian_moments(rows, agent.grid.dt)
+    return float(np.dot(_utility_weights(agent, np.zeros(m.size), off_t), np.exp(m + v / 2)))
+
+
 def _row_sum(z: NDArray, w: NDArray) -> NDArray | float:
     """One ``einsum`` pass of weighted row sums; 0 on an empty knot range."""
     return np.einsum("ij,j->i", z, w) if w.size else 0.0
@@ -363,7 +409,8 @@ def _payoffs(
     the population index, plus the time integral of the consumption utility
     (trapezoid in time): one weighted row sum of exp(z), z the exponent of
     ``_folded_rows``, with trapezoid weights (al/g) dt plus exp(-off_T)/g on
-    the last knot for the terminal term, each halved for the pair mean.
+    the last knot for the terminal term (``_utility_weights``), each halved
+    for the pair mean.
 
     The mirror takes no draw and no build: z' = 2m - z (``_pair_exp``), m
     the noise-free path of z's rows, built once per call. A strategy either
@@ -400,8 +447,6 @@ def _payoffs(
     g, dt, n = agent.gamma, agent.grid.dt, agent.grid.n_steps
     market = (agent.h.values, agent.sigma.values, agent.sigma0.values)
     unit = tuple(g * u for u in _euler_rows(*market, np.ones(n + 1), 0.0, dt)[1:])  # g times the noise rows at pi = 1
-    trapezoid = np.full(n + 1, agent.alpha / g * dt / 2)  # halved: a pair mean
-    trapezoid[[0, -1]] /= 2
     twice_mean = lambda rows: 2.0 * _build_paths(np.empty(n + 1), *rows, 0.0, 0.0)
     # step sizes equal up to the rounding of pi share one exp(|d| N)
     top = max(float(np.abs(s.pi).max()) for s in strategies)
@@ -418,8 +463,7 @@ def _payoffs(
         step = _step_window(rows[2:], ref[2:], unit, s.pi - strategies[0].pi, top, tol)
         if j and (step is None or np.abs(dz).max() >= _MAX_SHIFT):
             step, dz = None, np.zeros_like(dz)
-        w = trapezoid * np.exp(dz)
-        w[-1] += np.exp(dz[-1] - off_t) / g / 2
+        w = 0.5 * _utility_weights(agent, dz, off_t)  # halved: a pair mean
         if step is None:
             own.append((j, rows, w, slice(None), twice_mean(rows)))
         elif step[0] == step[1]:
@@ -470,17 +514,17 @@ def _payoffs(
 
 def _utility_draws(grid: TimeGrid, seed: int, i: int) -> Callable[[NDArray, NDArray], None]:
     """The increments of utility chunk ``i`` as a filler: each call
-    ``fill(dw, dw0)`` writes the next rows of the chunk's W and W0 Philox
+    ``fill(dw, dw0)`` writes the next rows of the chunk's W and W0 keyed
     streams, N(0, dt) each, into two C-ordered (rows, n_steps) buffers.
 
     ``standard_normal(out=buf)`` then ``buf *= sqrt(dt)`` is what
-    ``normal(0, sqrt(dt))`` computes for each value, and a counter-based
-    stream fills in row order, so consecutive fills of any row counts equal
+    ``normal(0, sqrt(dt))`` computes for each value, and a stream fills in
+    row order, so consecutive fills of any row counts equal
     one (chunk size, n_steps) ``normal`` call per stream, bit for bit. The
     utility estimate and the paired deviation test draw the same ones."""
     sd = np.sqrt(grid.dt)
-    w = philox_stream(seed, _sid(_DOM_UTIL_W, i))
-    w0 = philox_stream(seed, _sid(_DOM_UTIL_W0, i))
+    w = keyed_stream(seed, _sid(_DOM_UTIL_W, i))
+    w0 = keyed_stream(seed, _sid(_DOM_UTIL_W0, i))
 
     def fill(dw: NDArray, dw0: NDArray) -> None:
         for stream, buf in ((w, dw), (w0, dw0)):
@@ -505,8 +549,8 @@ def _pair_moments(
     The pairs are cut into chunks of ``CHUNK``; chunk ``i`` draws from its
     own streams (``_utility_draws``) and is reduced where it is priced to
     its per-row min, max, mean and sums of deviations and of squared
-    deviations from the mean (two passes, in place on the contrast); the chunks are pooled in chunk order by
-    ``_pooled_moments``. Past one thread and one chunk, the chunks run in a
+    deviations from the mean (two passes, in place on the contrast); the
+    chunks are pooled in chunk order by ``_pooled_moments``. Past one thread and one chunk, the chunks run in a
     worker pool opened for this call; the result does not depend on the
     thread count. A row whose min equals its max has a stderr of exactly 0.
     """
@@ -690,8 +734,8 @@ class ConsistencyReport:
 
 
 def consistency_w0(grid: TimeGrid, seed: int, path: int) -> NDArray:
-    """Common-noise increments, (n_steps,), of consistency path ``path``; ``relation_check`` reads path 0."""
-    return philox_stream(seed, _sid(_DOM_CONS_W0, path)).normal(0.0, np.sqrt(grid.dt), grid.n_steps)
+    """Common-noise increments, (n_steps,), of consistency path ``path``."""
+    return keyed_stream(seed, _sid(_DOM_CONS_W0, path)).normal(0.0, np.sqrt(grid.dt), grid.n_steps)
 
 
 def _crowd_moments(
@@ -782,7 +826,7 @@ def consistency_test(
     # the per-type part: Euler paths with the idiosyncratic increments set to 0
     base = _build_paths(np.empty((n_w0_paths, *var.shape)), log_x0, drift, vol_w, vol_w0, 0.0, w0s[:, None])
     crowd = [
-        _crowd_moments(philox_stream(seed, _sid(_DOM_CONS_W, p)), n_agents, weights, b, seg_sd)
+        _crowd_moments(keyed_stream(seed, _sid(_DOM_CONS_W, p)), n_agents, weights, b, seg_sd)
         for p, b in enumerate(base[..., knots])
     ]
     means, stderrs = (np.stack(m) for m in zip(*crowd))  # (paths, probes)

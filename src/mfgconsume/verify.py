@@ -29,7 +29,6 @@ from numpy.typing import ArrayLike, NDArray
 
 from .closedform import _EXP_CAP, EquilibriumSolution, _check_finite, _check_one_plus, _params_at
 from .errors import ExponentRangeError
-from .montecarlo import FlowModel, consistency_w0
 from .population import Population
 
 
@@ -310,20 +309,20 @@ class RelationReport:
     max_err_z0: float
 
 
-def relation_check(
-    pop: Population, sol: EquilibriumSolution, w0_increments: NDArray | None = None, seed: int = 0
-) -> RelationReport:
+def relation_check(pop: Population, sol: EquilibriumSolution, *_unused: object) -> RelationReport:
     """Verify, at every knot, that the equilibrium solves both equivalent
     formulations: (i) the investment rate rebuilt from the vanishing
     martingale loadings matches ``pi_star``; (ii) the consumption index
-    rebuilt from the backward components along a common-noise path
-    (``w0_increments``, else consistency path 0 at ``seed``) matches
-    ``E[log c*] + mu_hat``; (iii) the common-noise exposure rebuilt from the
-    loading relation matches ``z0_common``. In (ii) ``mu_hat`` enters both
-    sides alike, so it checks E[log c*] = (E[log alpha/(1-gamma)] -
-    E[Ytilde/(1-gamma)]) / (1 + E[theta gamma/(1-gamma)]), and the path moves
-    the error by rounding only.
+    rebuilt from the backward components matches ``E[log c*] + mu_hat``;
+    (iii) the common-noise exposure rebuilt from the loading relation
+    matches ``z0_common``. In (ii) ``mu_hat`` enters both sides alike, so
+    no common-noise path is drawn: it compares E[log c*] with
+    (E[log alpha/(1-gamma)] - E[Ytilde/(1-gamma)]) / (1 + E[theta gamma/(1-gamma)]).
+    Further positional arguments, the path and seed that (ii) once read,
+    are ignored.
     """
+    if sol.grid != pop.grid:
+        raise ValueError("the equilibrium must be solved on the population's time grid")
     ker = _kernel(pop, pop.h_mat, pop.sigma_mat, pop.sigma0_mat)
     # (i): with vanishing loadings the investment rate is the kernel's P
     err_pi = float(np.abs(ker.p - sol.pi_star).max())
@@ -333,16 +332,9 @@ def relation_check(
     z0_alt = -pop.mean(tg * pop.h_mat * pop.sigma0_mat / ker.den) / (1.0 + ker.psi)
     err_z0 = float(np.abs(z0_alt - sol.z0_common).max())
 
-    # (ii): consumption index along one sampled common-noise path
-    if w0_increments is None:
-        w0_increments = consistency_w0(pop.grid, seed, 0)
-    flow = FlowModel(pop, sol)
-    mu = flow.mu_values(w0_increments)
+    # (ii): the consumption index less mu_hat, from the backward components
     e_theta, e_logalpha = _consumption_means(pop)
-    # per-type backward component Y = Ytilde - theta*gamma*mu_hat
-    e_y_scaled = pop.mean(sol.y_tilde / (1.0 - pop.gammas)[:, None]) - e_theta * mu
-    nu_alt = (mu + e_logalpha - e_y_scaled) / (1.0 + e_theta)
-    nu_flow = flow.e_logc + mu
-    err_nu = float(np.abs(nu_alt - nu_flow).max())
+    e_logc = (e_logalpha - pop.mean(sol.y_tilde / (1.0 - pop.gammas)[:, None])) / (1.0 + e_theta)
+    err_nu = float(np.abs(e_logc - pop.mean(np.log(sol.c_star))).max())
 
     return RelationReport(err_pi, err_nu, err_z0)

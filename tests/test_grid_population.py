@@ -11,8 +11,8 @@ from mfgconsume import (
     TimeGrid,
     coeff_B,
     constant_type,
+    keyed_stream,
     optimal_consumption,
-    philox_stream,
     validate,
 )
 
@@ -168,7 +168,7 @@ class TestSampleAgents:
         t2 = constant_type(grid200, weight=0.5, gamma=-1.0, theta=0.0, h=0.1, sigma=0.2, sigma0=0.0)
         pop = Population((t1, t2))
         n = 100_000
-        idx = sample_agents(pop, n, philox_stream(123, 0))
+        idx = sample_agents(pop, n, keyed_stream(123, 0))
         freq = np.mean(idx == 0)
         # binomial standard error of the frequency estimate
         assert abs(freq - 0.5) <= 3.0 * np.sqrt(0.25 / n)
@@ -179,6 +179,6 @@ class TestSampleAgents:
 
     def test_deterministic_given_seed(self, grid200):
         pop = single(grid200)
-        a = sample_agents(pop, 100, philox_stream(7, 1))
-        b = sample_agents(pop, 100, philox_stream(7, 1))
+        a = sample_agents(pop, 100, keyed_stream(7, 1))
+        b = sample_agents(pop, 100, keyed_stream(7, 1))
         assert np.array_equal(a, b)

@@ -22,7 +22,8 @@ from mfgconsume import (
     deviation_test,
     equilibrium_strategy,
     estimate_utility,
-    philox_stream,
+    exact_utility,
+    keyed_stream,
     relation_check,
     simulate_wealth,
     solve_equilibrium,
@@ -87,7 +88,7 @@ class TestSimulateWealth:
         pop = single(grid)
         n = grid.n_steps + 1
         strat = Strategy(grid, np.zeros(n), np.full(n, 0.3))
-        dw = philox_stream(5, 0).normal(0.0, np.sqrt(grid.dt), (3, grid.n_steps))
+        dw = keyed_stream(5, 0).normal(0.0, np.sqrt(grid.dt), (3, grid.n_steps))
         path = simulate_wealth(pop.types[0], strat, dw, dw[:1])
         want = np.log(1.0) - 0.3 * grid.times
         assert path.shape == (3, n)
@@ -117,8 +118,8 @@ class TestSimulateWealth:
         sol = solve_equilibrium(pop)
         agent, strat = pop.types[0], equilibrium_strategy(sol, 0)
         sd = np.sqrt(grid.dt)
-        dw = philox_stream(3, 1).normal(0.0, sd, (9, grid.n_steps))
-        dw0 = philox_stream(3, 2).normal(0.0, sd, (9, grid.n_steps))
+        dw = keyed_stream(3, 1).normal(0.0, sd, (9, grid.n_steps))
+        dw0 = keyed_stream(3, 2).normal(0.0, sd, (9, grid.n_steps))
         paths = simulate_wealth(agent, strat, dw, dw0)
         for i in range(9):
             assert np.array_equal(paths[i], simulate_wealth(agent, strat, dw[i : i + 1], dw0[i : i + 1])[0])
@@ -128,8 +129,8 @@ class TestSimulateWealth:
         n = grid.n_steps + 1
         strat = Strategy(grid, np.linspace(0.5, 1.5, n), np.full(n, 0.3))
         sd = np.sqrt(grid.dt)
-        dw = philox_stream(4, 1).normal(0.0, sd, (5, grid.n_steps))
-        dw0 = philox_stream(4, 2).normal(0.0, sd, (1, grid.n_steps))
+        dw = keyed_stream(4, 1).normal(0.0, sd, (5, grid.n_steps))
+        dw0 = keyed_stream(4, 2).normal(0.0, sd, (1, grid.n_steps))
         shared = simulate_wealth(agent, strat, dw, dw0)
         assert np.array_equal(shared, simulate_wealth(agent, strat, dw, np.repeat(dw0, 5, axis=0)))
 
@@ -143,7 +144,7 @@ class TestSimulateWealth:
         tp = pop.types[0]
         n = 100_000
         sd = np.sqrt(grid.dt)
-        dw = philox_stream(17, 0).normal(0.0, sd, (n, grid.n_steps))
+        dw = keyed_stream(17, 0).normal(0.0, sd, (n, grid.n_steps))
         strat = Strategy(grid, np.ones(grid.n_steps + 1), np.full(grid.n_steps + 1, c_min))
         x = simulate_wealth(tp, strat, dw, np.zeros((1, grid.n_steps)))
         xT = x[:, -1]
@@ -162,7 +163,7 @@ class TestSimulateWealth:
             pop = single(grid, sigma0=0.0)
             tp = pop.types[0]
             n = 50_000
-            dw = philox_stream(23, n_steps).normal(0.0, np.sqrt(grid.dt), (n, grid.n_steps))
+            dw = keyed_stream(23, n_steps).normal(0.0, np.sqrt(grid.dt), (n, grid.n_steps))
             strat = Strategy(grid, np.ones(grid.n_steps + 1), np.full(grid.n_steps + 1, c0))
             x = simulate_wealth(tp, strat, dw, np.zeros((1, grid.n_steps)))
             payoff = np.exp(g * x[:, -1])
@@ -176,13 +177,13 @@ class TestFlow:
     def test_initial_value(self, grid):
         pop = single(grid, x0=1.7)
         sol = solve_equilibrium(pop)
-        w0 = philox_stream(1, 2).normal(0, np.sqrt(grid.dt), grid.n_steps)
+        w0 = keyed_stream(1, 2).normal(0, np.sqrt(grid.dt), grid.n_steps)
         assert FlowModel(pop, sol).mu_values(w0)[0] == math.log(1.7)
 
     def test_deterministic_without_common_noise(self, grid):
         pop = single(grid, sigma0=0.0)
         sol = solve_equilibrium(pop)
-        w0 = philox_stream(1, 2).normal(0, np.sqrt(grid.dt), grid.n_steps)
+        w0 = keyed_stream(1, 2).normal(0, np.sqrt(grid.dt), grid.n_steps)
         flow = FlowModel(pop, sol)
         mu = flow.mu_values(w0)
         assert np.array_equal(mu, flow.mu_values(np.zeros(grid.n_steps)))
@@ -195,7 +196,7 @@ class TestFlow:
     def test_nu_is_logc_plus_mu(self, grid):
         pop = single(grid)
         sol = solve_equilibrium(pop)
-        w0 = philox_stream(4, 2).normal(0, np.sqrt(grid.dt), grid.n_steps)
+        w0 = keyed_stream(4, 2).normal(0, np.sqrt(grid.dt), grid.n_steps)
         flow = FlowModel(pop, sol)
         mu = flow.mu_values(w0)
         want = pop.mean(np.log(sol.c_star)) + mu
@@ -213,12 +214,12 @@ class TestFlow:
         grid = TimeGrid(1.0, 64)
         pop = make_random_population(5, grid, n_types=3)  # time-varying curves
         sol = solve_equilibrium(pop)
-        w0 = philox_stream(6, 1).normal(0, np.sqrt(grid.dt), grid.n_steps)
+        w0 = keyed_stream(6, 1).normal(0, np.sqrt(grid.dt), grid.n_steps)
         rows = montecarlo._euler_rows(pop.h_mat, pop.sigma_mat, pop.sigma0_mat, sol.pi_star, sol.c_star, grid.dt)
         paths = montecarlo._build_paths(np.empty((3, grid.n_steps + 1)), np.log(pop.x0s), *rows, 0.0, w0)
         assert np.abs(FlowModel(pop, sol).mu_values(w0) - pop.mean(paths)).max() <= 1e-12
 
-    @pytest.mark.parametrize("caller", ["mu_values", "relation_check", "mu_batch-one-path", "mu_batch-one-step"])
+    @pytest.mark.parametrize("caller", ["mu_values", "mu_batch-one-path", "mu_batch-one-step"])
     def test_wrong_increment_count(self, grid, caller):
         # mu_batch takes (m, n_steps): a bare path would give n_steps copies
         # of it, and an (m, 1) column would broadcast one increment over the steps
@@ -227,8 +228,6 @@ class TestFlow:
         with pytest.raises(ValueError, match="increments"):
             if caller == "mu_values":
                 FlowModel(pop, sol).mu_values(np.zeros(5))
-            elif caller == "relation_check":
-                relation_check(pop, sol, np.zeros(5))
             elif caller == "mu_batch-one-path":
                 FlowModel(pop, sol).mu_batch(np.zeros(grid.n_steps))
             else:
@@ -256,23 +255,6 @@ class TestFlow:
             FlowModel(pop, other)
 
 
-def exact_utility(agent, strategy, flow):
-    """The expected utility under the Euler scheme, exactly. The controls and
-    curves are deterministic, so the payoff's exponent z (``_folded_rows``)
-    is Gaussian at each knot q, with mean m_q = start + sum_{i<q} drift_i and
-    variance v_q = sum_{i<q} (vol_w_i^2 + vol_w0_i^2) dt, and the payoff is
-    sum_q w_q exp(m_q + v_q / 2): w the (al/g) dt trapezoid weights plus
-    exp(-off_T)/g at T, not halved, as there is no pair mean."""
-    (start, drift, vol_w, vol_w0), off_t = montecarlo._folded_rows(agent, strategy, flow)
-    dt = agent.grid.dt
-    m = start + np.concatenate(([0.0], np.cumsum(drift)))
-    v = np.concatenate(([0.0], np.cumsum((vol_w**2 + vol_w0**2) * dt)))
-    w = np.full(m.size, agent.alpha / agent.gamma * dt)
-    w[[0, -1]] /= 2
-    w[-1] += np.exp(-off_t) / agent.gamma
-    return float(np.dot(w, np.exp(m + v / 2)))
-
-
 def exact_deltas(pop, sol, k):
     """J(equilibrium) - J(perturbation), exactly, over type ``k``'s default library."""
     flow = FlowModel(pop, sol)
@@ -284,13 +266,35 @@ class TestEstimateUtility:
     @pytest.mark.parametrize("k", [0, 1])
     def test_within_three_stderr_of_the_exact_discrete_utility(self, k):
         # the antithetic estimator is unbiased for exactly the Euler scheme's
-        # expected utility; z = 0.86 for type 0 and 0.55 for type 1
+        # expected utility; z = 0.46 for type 0 and -0.15 for type 1
         pop = load_config(REFERENCE, steps=256).population
         sol = solve_equilibrium(pop)
         flow = FlowModel(pop, sol)
         eq = equilibrium_strategy(sol, k)
         est = estimate_utility(pop.types[k], eq, flow, 40_000, seed=5)
         assert abs(est.mean - exact_utility(pop.types[k], eq, flow)) <= 3 * est.stderr
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_z_scores_over_twenty_seeds_follow_their_null_law(self, k):
+        # under correct code z = (estimate - exact) / stderr is N(0, 1) up to
+        # the error of a t-ratio on 4096 pairs, so over seeds 0-19 the mean
+        # of z is N(0, 1/20) and 19 var(z) is chi^2(19). Bounds: |mean| <=
+        # 3.29 / sqrt(20) and 19 var(z) in [4.91, 45.97], the 0.05 % and
+        # 99.95 % quantiles, each two-sided 1e-3: a false alarm on at most
+        # 2e-3 of seed ranges per type. Seeds 0-19 read mean +0.46, sd 0.72
+        # (type 0) and mean -0.63, sd 0.78 (type 1: a 2.8-sigma mean); over
+        # seeds 0-399 the means were -0.02 and +0.09, the sds 0.98 and 1.05
+        pop = load_config(REFERENCE, steps=256).population
+        sol = solve_equilibrium(pop)
+        flow = FlowModel(pop, sol)
+        eq = equilibrium_strategy(sol, k)
+        exact = exact_utility(pop.types[k], eq, flow)
+        z = []
+        for seed in range(20):
+            est = estimate_utility(pop.types[k], eq, flow, 8192, seed)
+            z.append((est.mean - exact) / est.stderr)
+        assert abs(np.mean(z)) <= 3.29 / math.sqrt(20)
+        assert 4.91 <= 19 * np.var(z, ddof=1) <= 45.97
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_exact_discrete_utility_tends_to_the_value_function_at_order_two(self, k):
@@ -391,6 +395,24 @@ class TestEstimateUtility:
         assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
+class TestKeyedStream:
+    def test_a_key_gives_the_same_draws(self):
+        assert np.array_equal(keyed_stream(3, 7).standard_normal(64), keyed_stream(3, 7).standard_normal(64))
+        # each key is taken mod 2^64
+        assert np.array_equal(keyed_stream(-1, 5).standard_normal(8), keyed_stream(2**64 - 1, 5).standard_normal(8))
+
+    def test_nearby_keys_give_different_first_draws(self):
+        # neighbouring seeds and ids, ids past 2^40, and the ids the estimators
+        # key; then two keys that a bare-int entropy would merge into one,
+        # [5, 1, 1] as 32-bit words
+        big = 1 << 40
+        ids = (0, 1, 2, big, big + 1, big << 20, montecarlo._sid(1, 0), montecarlo._sid(1, 1), montecarlo._sid(2, 0))
+        keys = [(seed, i) for seed in (0, 1, 2, 1 << 32, (1 << 32) + 1) for i in ids]
+        keys += [(5, (1 << 32) + 1), ((1 << 32) + 5, 1)]
+        first = {keyed_stream(seed, i).random() for seed, i in keys}
+        assert len(first) == len(keys)
+
+
 class TestThreadPool:
     def test_a_call_runs_its_chunks_on_its_own_workers_and_stops_them(self, monkeypatch):
         monkeypatch.setenv("MFG_CONSUME_THREADS", "2")
@@ -486,7 +508,7 @@ class TestDeviation:
         eq = equilibrium_strategy(sol, 0)
         tiny = Strategy(grid, eq.pi + 1e-3, eq.c)
         n = 4000
-        rng = philox_stream(21, 0)
+        rng = keyed_stream(21, 0)
         dw, dw0 = rng.normal(0.0, np.sqrt(grid.dt), (2, n, grid.n_steps))
         plain = _oracle_payoffs(pop.types[0], [eq, tiny], flow, dw, dw0)
         se_plain = (plain[0] - plain[1]).std(ddof=1) / math.sqrt(n)
@@ -528,9 +550,9 @@ class TestDeviation:
     @pytest.mark.parametrize("k", [0, 1])
     def test_mc_deltas_within_four_stderr_of_the_exact_deltas(self, tmp_path, k):
         # the paired estimator is unbiased for the Euler scheme's exact
-        # deltas: the largest |z| of the 20 rows is 1.52 (type 0) and 1.42
+        # deltas: the largest |z| of the 20 rows is 0.64 (type 0) and 1.83
         # (type 1); over seeds 0-39 at 16 384 samples a run's largest was at
-        # most 3.02 and 3.73. Every exact delta is positive, the smallest at
+        # most 3.28 and 3.93. Every exact delta is positive, the smallest at
         # pi+-0.1: 1.60e-4 (type 0) and 1.09e-3 (type 1)
         pop = load_config(REFERENCE, steps=256).population
         sol = solve_equilibrium(pop)
@@ -925,7 +947,7 @@ class TestConsistency:
         n, seed = 20_000, 11
         rep = consistency_test(pop, sol, n, 2, seed=seed)
         knots = [round(t / grid.dt) for t in np.linspace(0.2, 1.0, 5)]
-        rng = philox_stream(seed, 99)
+        rng = keyed_stream(seed, 99)
         for p in range(2):
             types = sample_agents(pop, n, rng)
             counts = np.bincount(types, minlength=pop.n_types)
@@ -956,7 +978,7 @@ class TestConsistency:
     def test_normals_per_path_do_not_grow_with_the_crowd(self, monkeypatch):
         # a per-agent draw would take one normal per agent and probe; the
         # crowd's sufficient statistics take K P (P + 1) a path at any size
-        real = montecarlo.philox_stream
+        real = montecarlo.keyed_stream
         drawn: dict[int, int] = {}
 
         class Counted:
@@ -977,7 +999,7 @@ class TestConsistency:
                 return gen
             return Counted(gen, (stream_id >> 28) & ((1 << 28) - 1))
 
-        monkeypatch.setattr(montecarlo, "philox_stream", stream)
+        monkeypatch.setattr(montecarlo, "keyed_stream", stream)
         pop = make_random_population(2, TimeGrid(1.0, 64), n_types=3)
         sol = solve_equilibrium(pop)
         counts = []
@@ -1019,7 +1041,7 @@ class TestConsistency:
         strategies = [equilibrium_strategy(sol, k) for k in range(pop.n_types)]
         var = np.cumsum([(s.pi * tp.sigma.values)[:-1] ** 2 * grid.dt for s, tp in zip(strategies, pop.types)], axis=1)
         sd = np.sqrt(np.diff(var[:, knots - 1], axis=1, prepend=0.0)).T  # (probes, K)
-        rng = philox_stream(17, 1 << 40)
+        rng = keyed_stream(17, 1 << 40)
         want = np.empty((paths, probes, 3))
         for p in range(paths):
             w0 = rng.normal(0.0, np.sqrt(grid.dt), grid.n_steps)
@@ -1057,7 +1079,7 @@ class TestRowBlocks:
         for lo in range(0, m, block_rows):
             fill(dw[lo : lo + block_rows], dw0[lo : lo + block_rows])
         for domain, got in ((montecarlo._DOM_UTIL_W, dw), (montecarlo._DOM_UTIL_W0, dw0)):
-            stream = philox_stream(seed, montecarlo._sid(domain, chunk))
+            stream = keyed_stream(seed, montecarlo._sid(domain, chunk))
             assert np.array_equal(got, stream.normal(0.0, np.sqrt(grid.dt), (m, grid.n_steps)))
 
     @pytest.mark.parametrize("estimator", ["estimate_utility", "deviation_test", "consistency_test"])

@@ -16,8 +16,8 @@ from mfgconsume import (
     drift_check,
     eval_J,
     mop_drift,
+    keyed_stream,
     mop_maximizer,
-    philox_stream,
     relation_check,
     solve_equilibrium,
     value_function,
@@ -25,7 +25,6 @@ from mfgconsume import (
 from mfgconsume.cli import load_config
 from mfgconsume.closedform import EquilibriumSolution
 from mfgconsume.errors import ExponentRangeError
-from mfgconsume.montecarlo import consistency_w0
 from mfgconsume.verify import _exp_terms, _j_at_zero
 
 from conftest import make_random_population
@@ -164,7 +163,7 @@ class TestResidual:
 def equilibrium_states(pop, sol, seed=0):
     """States along a sampled common-noise path at a few knots, with the
     matching equilibrium controls."""
-    rng = philox_stream(seed, 99)
+    rng = keyed_stream(seed, 99)
     w0 = rng.normal(0.0, np.sqrt(pop.grid.dt), pop.grid.n_steps)
     flow = FlowModel(pop, sol)
     mu_hat = flow.mu_values(w0)
@@ -334,16 +333,16 @@ class TestRelations:
         for seed in (3, 8):
             pop = make_random_population(seed, grid)
             sol = solve_equilibrium(pop)
-            rep = relation_check(pop, sol, seed=seed)
+            rep = relation_check(pop, sol)
             assert rep.max_err_investment <= 1e-12
             assert rep.max_err_nu_hat <= 1e-8
             assert rep.max_err_z0 <= 1e-12
 
     @pytest.mark.parametrize("case", ["reference", 0, 1, 2, 3, 4])
     def test_consumption_relation_is_path_free(self, case):
-        # mu_hat enters both sides of relation (ii) alike, so on a zero path
-        # and on the seeded one it checks one path-free identity, and the
-        # path moves the error by rounding only
+        # mu_hat enters both sides of relation (ii) alike, so the check
+        # compares E[log c*] with the path-free aggregate of the backward
+        # components, at rounding level
         if case == "reference":
             pop = load_config(REFERENCE).population
         else:
@@ -353,14 +352,5 @@ class TestRelations:
         rhs = pop.mean((np.log(pop.alphas)[:, None] - sol.y_tilde) / omg[:, None])
         rhs /= 1.0 + pop.mean(pop.thetas * pop.gammas / omg)
         free = np.abs(rhs - pop.mean(np.log(sol.c_star))).max()
-        for w0 in (np.zeros(pop.grid.n_steps), None):
-            err = relation_check(pop, sol, w0, seed=3).max_err_nu_hat
-            assert err <= 1e-15 and abs(err - free) <= 1e-15
-
-    def test_seeded_path_is_the_consistency_tests_path_zero(self, grid):
-        # one function draws a single common-noise path; the errors are
-        # rounding, and on these seeds they differ from path to path
-        pop = make_random_population(2, grid)
-        sol = solve_equilibrium(pop)
-        for seed in (0, 1, 2):
-            assert relation_check(pop, sol, seed=seed) == relation_check(pop, sol, consistency_w0(pop.grid, seed, 0))
+        err = relation_check(pop, sol).max_err_nu_hat
+        assert err <= 1e-15 and abs(err - free) <= 1e-15
