@@ -18,13 +18,14 @@ paths are built and reduced in row blocks whose path buffers take about
 calls per sample. A block holds three path buffers (R, R' and R + R'), four
 more when a strategy steps off the reference (N, E, R F and R' / F; see
 ``_payoffs``), and two draw buffers (dW, dW0), each reused across blocks; a
-build's common-noise term goes into a path buffer that is free while it
-runs. Each block draws its own increments, in row order, from the chunk's
-two streams: a stream fills row after row, so these draws equal one
-chunk-sized draw per stream bit for bit, and no chunk-sized draw array is
-held. Every sample row is computed by the same
-operations in any block, and reduced by one ``einsum`` pass along the row
-(no BLAS), so outputs depend on neither the block size nor the thread count.
+build forms its increments and its common-noise term in two contiguous work
+arrays, views of path buffers that are free while it runs. Each block draws
+its own increments, in row order, from the chunk's two streams: a stream
+fills row after row, so these draws equal one chunk-sized draw per stream
+bit for bit, and no chunk-sized draw array is held. Every sample row is
+computed by the same operations in any block, and reduced by one ``einsum``
+pass along the row (no BLAS), so outputs depend on neither the block size
+nor the thread count.
 
 The utility estimate and the deviation test draw antithetic pairs: each
 drawn row prices the path on (dW, dW0) and its mirror on (-dW, -dW0), so
@@ -195,23 +196,29 @@ def _euler_rows(h, sigma, sigma0, pi, c, dt: float) -> tuple[NDArray, NDArray, N
 
 
 def _build_paths(
-    out: NDArray, log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0, scratch: NDArray | None = None
+    out: NDArray, log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0,
+    inc: NDArray | None = None, noise: NDArray | None = None,
 ) -> NDArray:
     """Log-wealth paths from Euler coefficient rows and increments, written
     into ``out`` of any leading shape, one path per last-axis row, with every
     input broadcast to it: the consistency test builds (paths, K, n+1) at
-    once. ``scratch``, shaped like ``out[..., 1:]``, takes the common-noise
-    term; without it that term is a new array. A drift or start that is all
-    zero is not added."""
-    inc = out[..., 1:]
+    once. The increments and the common-noise term are formed, and summed,
+    in the C-contiguous work arrays ``inc`` and ``noise``, shaped like
+    ``out[..., 1:]`` (new arrays where not given), so only the last pass
+    writes through the strided ``out[..., 1:]``, adding the start on the
+    way. A drift or start that is all zero is not added."""
+    if inc is None:
+        inc = np.empty(out[..., 1:].shape)
     np.multiply(vol_w, dw, out=inc)
     if np.any(drift):
         inc += drift
-    inc += np.multiply(vol_w0, dw0, out=scratch)
+    inc += np.multiply(vol_w0, dw0, out=noise)
     np.cumsum(inc, axis=-1, out=inc)
     out[..., 0] = log_x0
     if np.any(log_x0):
-        out[..., 1:] += out[..., :1]
+        np.add(inc, out[..., :1], out=out[..., 1:])
+    else:
+        out[..., 1:] = inc
     return out
 
 
@@ -369,11 +376,6 @@ def exact_utility(agent: AgentType, strategy: Strategy, flow: FlowModel) -> floa
     return float(np.dot(_utility_weights(agent, np.zeros(m.size), off_t), np.exp(m + v / 2)))
 
 
-def _row_sum(z: NDArray, w: NDArray) -> NDArray | float:
-    """One ``einsum`` pass of weighted row sums; 0 on an empty knot range."""
-    return np.einsum("ij,j->i", z, w) if w.size else 0.0
-
-
 def _pair_exp(z: NDArray, twice_mean: NDArray, mirror: NDArray, out: NDArray) -> NDArray:
     """exp(z) + exp(z'), into ``out``, with z' = 2m - z the exponent on the
     mirrored increments (-dW, -dW0), m the noise-free path: the noise part
@@ -386,13 +388,10 @@ def _pair_exp(z: NDArray, twice_mean: NDArray, mirror: NDArray, out: NDArray) ->
     return np.add(z, mirror, out=out)
 
 
-def _step_part(ez: NDArray, r: NDArray, e: NDArray, lo: int, hi: int, w: NDArray, up: bool) -> NDArray:
-    """One path's payoff of a step on [lo, hi] past lo: R F on [lo, hi] over
-    F[lo], and R after hi times F[hi] / F[lo], with ``ez`` = R F and F = E
-    or 1 / E as ``up``."""
-    mid = _row_sum(ez[:, lo : hi + 1], w[lo : hi + 1])
-    after = _row_sum(r[:, hi + 1 :], w[hi + 1 :])
-    return (mid + after * e[:, hi]) / e[:, lo] if up else (mid + after / e[:, hi]) * e[:, lo]
+def _work(plane: NDArray, n: int) -> NDArray:
+    """A C-contiguous (rows, n) view of the first rows * n values of a
+    C-contiguous (rows, n + 1) path plane: a build's work array."""
+    return plane.reshape(-1)[: len(plane) * n].reshape(len(plane), n)
 
 
 def _payoffs(
@@ -422,26 +421,31 @@ def _payoffs(
     exponents. As sigma + sigma0 >= sigma_lb > 0, the rows move exactly
     where ``pi`` moves on a left knot. The plan holds ``reads``, the empty
     steps (lo = hi: a change of ``c`` alone, and the reference itself), one
-    row sum of R + R' each; ``sizes``, the other steps by |d| (equal up to
-    the rounding of ``pi``) and then by the sign of d; and ``own``. With N
+    row sum of R + R' each, all in one ``einsum`` per block; ``sizes``, the
+    other steps by |d| (equal up to the rounding of ``pi``) and then by the
+    sign of d; and ``own``. With N
     the unit-pi noise sum, E = exp(|d| N) and F = E or 1 / E as d > 0 or
     d < 0, a step's exp(z) is R e^D F[clip(q, lo, hi)] / F[lo]. On the
     mirror N is -N, so E is 1 / E and the step reads R' with the sign of d
     flipped. e^D goes into the weights, so per block E is taken once per
-    size and R F and R' / F once per sign, and a step's pair payoff is five
-    row sums: R + R' before lo, and for each path ``_step_part``. A sample
-    row with |d| max|N| at ``_MAX_SHIFT`` or past it (the same rows on the
-    mirror: its span is the same) cannot read R: its E is zeroed, and the
-    row is rebuilt from the reference's deterministic rows and the step's
+    size and R F and R' / F once per sign. A step's pair payoff takes row
+    sums by its window: for each path, R F on [lo, hi], and R after hi,
+    times F[hi], when hi < n; then, when lo > 0, the division by F[lo] and
+    R + R' before lo. That is five row sums at most and two for a step on
+    [0, n]; at lo = 0 nothing is divided by, as N[:, 0] is 0 and so F[0] is
+    exp(0) = 1 exactly. A sample row with |d| max|N| at ``_MAX_SHIFT`` or
+    past it (the same rows on the mirror: its span is the same) cannot read
+    R: its E is zeroed, and the row is rebuilt from the reference's deterministic rows and the step's
     noise rows, so outputs do not depend on the block size. These rebuilds
     and the ``own`` builds, each with its mirror, run in one loop after
     every read of R, into the buffers of R and R'.
 
     Row blocks are as in the module docstring: ``draws(dw, dw0)``
     (``_utility_draws``) fills each block's increments into two
-    (rows, n_steps) buffers that this call owns. A build's common-noise term
-    goes into a path buffer that is free while it runs: R + R' for the
-    reference build and the rebuilds, E for the unit-pi noise sum."""
+    (rows, n_steps) buffers that this call owns. A build's two work arrays
+    (``_build_paths``) are contiguous views of path buffers that are free
+    while it runs: R + R' and R' for the reference build and the rebuilds,
+    R F and E for the unit-pi noise sum, so no buffer is added."""
     if flow.grid != agent.grid or any(s.grid != agent.grid for s in strategies):
         raise ValueError("every strategy and the flow must be on the agent's time grid")
     g, dt, n = agent.gamma, agent.grid.dt, agent.grid.n_steps
@@ -474,6 +478,8 @@ def _payoffs(
             # a far row keeps the reference's deterministic rows: the weights carry e^D
             sizes.setdefault(size, {}).setdefault(d > 0, []).append((lo, hi, j, (*ref[:2], *rows[2:]), w))
 
+    read_j = [j for j, _ in reads]
+    read_w = np.stack([w for _, w in reads])
     n_buf = 3 + 4 * bool(sizes)  # R, R' and R + R', and N, E, R F and R' / F when a step has a size
     blocks = _blocks(m, n, n_buf)
     buf = np.empty((n_buf, blocks[0].stop, n + 1))
@@ -483,13 +489,13 @@ def _payoffs(
         r, rm, pair, *views = buf[:, : b.stop - b.start]
         dw, dw0 = drawn[:, : b.stop - b.start]
         draws(dw, dw0)
-        _pair_exp(_build_paths(r, *ref, dw, dw0, pair[:, 1:]), ref_twice, rm, pair)
-        for j, w in reads:
-            out[j, b] = _row_sum(pair, w)
+        _build_paths(r, *ref, dw, dw0, _work(pair, n), _work(rm, n))
+        _pair_exp(r, ref_twice, rm, pair)
+        out[read_j, b] = np.einsum("ij,kj->ki", pair, read_w)
         builds = []  # (j, rows, weights, sample rows, 2m) of the rows that cannot read R
         if sizes:
             noise, e, ez, ezm = views
-            _build_paths(noise, 0.0, 0.0, *unit, dw, dw0, e[:, 1:])
+            _build_paths(noise, 0.0, 0.0, *unit, dw, dw0, _work(ez, n), _work(e, n))
             span = np.maximum(noise.max(axis=1), -noise.min(axis=1))
         for size, signs in sizes.items():
             far = np.flatnonzero(size * span >= _MAX_SHIFT)
@@ -500,15 +506,27 @@ def _payoffs(
                 (np.multiply if up else np.divide)(r, e, out=ez)
                 (np.divide if up else np.multiply)(rm, e, out=ezm)
                 for lo, hi, j, rows, w in steps:
-                    mirror = _step_part(ezm, rm, e, lo, hi, w, not up)
-                    out[j, b] = _row_sum(pair[:, :lo], w[:lo]) + _step_part(ez, r, e, lo, hi, w, up) + mirror
+                    # each path: R F on [lo, hi], and R after hi times F[hi], over F[lo],
+                    # F = E or 1 / E as the path steps up; e[:, 0] is exp(0) = 1
+                    parts = []
+                    for zf, z, f_up in ((ez, r, up), (ezm, rm, not up)):
+                        part = np.einsum("ij,j->i", zf[:, lo : hi + 1], w[lo : hi + 1])
+                        if hi < n:
+                            after = np.einsum("ij,j->i", z[:, hi + 1 :], w[hi + 1 :])
+                            part += after * e[:, hi] if f_up else after / e[:, hi]
+                        if lo:
+                            (np.divide if f_up else np.multiply)(part, e[:, lo], out=part)
+                        parts.append(part)
+                    if lo:  # R + R' before lo
+                        parts[0] = np.einsum("ij,j->i", pair[:, :lo], w[:lo]) + parts[0]
+                    out[j, b] = parts[0] + parts[1]
                     if far.size:
                         builds.append((j, rows, w, far, ref_twice))
         for j, rows, w, rel, twice in builds + own:
             x, x0 = dw[rel], dw0[rel]
-            z, zm = r[: len(x)], rm[: len(x)]
-            _pair_exp(_build_paths(z, *rows, x, x0, pair[: len(x), 1:]), twice, zm, z)
-            out[j, b][rel] = _row_sum(z, w)
+            z, zm, zp = r[: len(x)], rm[: len(x)], pair[: len(x)]
+            _build_paths(z, *rows, x, x0, _work(zp, n), _work(zm, n))
+            out[j, b][rel] = np.einsum("ij,j->i", _pair_exp(z, twice, zm, z), w)
     return out
 
 

@@ -173,6 +173,62 @@ class TestSimulateWealth:
             assert abs(payoff.mean() - oracle) <= 3.5 * se
 
 
+def _in_place_build(out, log_x0, drift, vol_w, vol_w0, dw, dw0):
+    """The former ``_build_paths``: every pass writes through ``out[..., 1:]``."""
+    inc = out[..., 1:]
+    np.multiply(vol_w, dw, out=inc)
+    if np.any(drift):
+        inc += drift
+    inc += np.multiply(vol_w0, dw0)
+    np.cumsum(inc, axis=-1, out=inc)
+    out[..., 0] = log_x0
+    if np.any(log_x0):
+        out[..., 1:] += out[..., :1]
+    return out
+
+
+class TestBuildPaths:
+    @pytest.mark.parametrize("lead", [(37,), (3, 4)])
+    @pytest.mark.parametrize("drift", ["zero", "rows"])
+    @pytest.mark.parametrize("start", ["zero", "scalar", "per-row"])
+    def test_work_arrays_give_the_in_place_build_bit_for_bit(self, lead, drift, start):
+        # (rows,) as a payoff block, (paths, K) as the consistency test, with
+        # one common-noise row per path; work arrays that are views of larger
+        # planes, as _payoffs passes them, and new ones
+        n = 65
+        rng = keyed_stream(11, len(lead))
+        rows = rng.standard_normal((3, *lead[1:], n)) * np.array([0.01, 0.3, 0.2]).reshape(-1, *(1,) * len(lead))
+        rows[0] *= drift == "rows"
+        log_x0 = {"zero": 0.0, "scalar": 0.7, "per-row": rng.standard_normal(lead[-1:])}[start]
+        dw = rng.standard_normal((*lead, n))
+        dw0 = rng.standard_normal((lead[0], *(1,) * (len(lead) - 1), n))
+        want = _in_place_build(np.empty((*lead, n + 1)), log_x0, *rows, dw, dw0)
+        planes = np.empty((2, *lead, n + 1))
+        work = [p.reshape(-1)[: math.prod(lead) * n].reshape(*lead, n) for p in planes]
+        got = montecarlo._build_paths(np.empty((*lead, n + 1)), log_x0, *rows, dw, dw0, *work)
+        assert np.array_equal(got, want)
+        assert np.array_equal(montecarlo._build_paths(np.empty((*lead, n + 1)), log_x0, *rows, dw, dw0), want)
+
+    def test_the_noise_sum_starts_at_exactly_zero(self):
+        # _payoffs skips the division by E[:, lo] at lo = 0: the unit-pi noise
+        # sum's knot 0 is 0.0, so exp(size N[:, 0]) is 1.0 for every size,
+        # on rows past the step bound too
+        grid = TimeGrid(1.0, 64)
+        agent = single(grid, gamma=-30.0, sigma=0.5, sigma0=0.3).types[0]
+        ones = np.ones(grid.n_steps + 1)
+        unit = [agent.gamma * u for u in montecarlo._euler_rows(
+            agent.h.values, agent.sigma.values, agent.sigma0.values, ones, 0.0, grid.dt)[1:]]
+        m = 300
+        dw, dw0 = np.empty((2, m, grid.n_steps))
+        montecarlo._utility_draws(grid, 3, 0)(dw, dw0)
+        noise = montecarlo._build_paths(np.empty((m, grid.n_steps + 1)), 0.0, 0.0, *unit, dw, dw0)
+        span = np.abs(noise).max(axis=1)
+        assert np.all(noise[:, 0] == 0.0)
+        sizes = (1e-3, 0.1, 1.0, 10.0, 1e300)
+        assert np.any(sizes[-1] * span >= montecarlo._MAX_SHIFT)
+        assert all(np.all(np.exp(size * noise[:, 0]) == 1.0) for size in sizes)
+
+
 class TestFlow:
     def test_initial_value(self, grid):
         pop = single(grid, x0=1.7)
@@ -574,16 +630,24 @@ class TestDeviation:
         pytest.param("first", marks=pytest.mark.xfail(strict=True, reason=(
             "ROADMAP item 2: the Euler step loads dW_0 with knot 0's exposure alone, so pi[0] = 10 "
             "pays (exact delta -1.80e-3 at 256 steps, -2.30e-4 at 2000)"))),
+        pytest.param("last", marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 2: no increment loads knot n's exposure, so pi[n] - 1 "
+            "pays (exact delta -1.074e-4 at 256 steps, -1.373e-5 at 2000)"))),
     ])
     def test_a_one_knot_deviation_does_not_pay(self, knot, n_steps):
-        # type 0 keeps its equilibrium but for pi = 10 at one knot; in the
-        # middle the exact delta is +2.44e-3 at 256 steps, +3.12e-4 at 2000
+        # type 0 keeps its equilibrium but for pi = 10 at one knot, or, at
+        # knot n, pi - 1 (pi[n] = +-10 does not pay there: +2.585e-3 and
+        # +5.975e-3 at 256 steps); in the middle the exact delta is +2.44e-3
+        # at 256 steps, +3.12e-4 at 2000
         pop = load_config(REFERENCE, steps=n_steps).population
         sol = solve_equilibrium(pop)
         flow = FlowModel(pop, sol)
         eq = equilibrium_strategy(sol, 0)
         pi = eq.pi.copy()
-        pi[{"middle": n_steps // 2, "first": 0}[knot]] = 10.0
+        if knot == "last":
+            pi[n_steps] -= 1.0
+        else:
+            pi[{"middle": n_steps // 2, "first": 0}[knot]] = 10.0
         delta = exact_utility(pop.types[0], eq, flow) - exact_utility(pop.types[0], Strategy(pop.grid, pi, eq.c), flow)
         assert delta > 0.0
 
@@ -832,6 +896,19 @@ class TestPayoffs:
             got.append(montecarlo._payoffs(agent, strategies, flow, m, draws()))
             assert np.all(np.abs(got[-1] - want) <= 1e-12 * np.abs(want))
         assert all(np.array_equal(got[0], other) for other in got[1:])
+
+    @pytest.mark.parametrize("rows", [1, 7, 109])
+    @pytest.mark.parametrize("knots", [33, 257, 2001])
+    def test_batched_reads_equal_one_row_sum_per_strategy(self, rows, knots):
+        # _payoffs sums every strategy that reads R + R' in one einsum per
+        # block; outputs stay independent of how many strategies read it only
+        # while that einsum sums each row as the one-strategy einsum does;
+        # nine strategies read it in the default library
+        rng = keyed_stream(rows, knots)
+        z = np.exp(rng.standard_normal((rows, knots)))
+        weights = rng.standard_normal((9, knots))
+        want = np.stack([np.einsum("ij,j->i", z, w) for w in weights])
+        assert np.array_equal(np.einsum("ij,kj->ki", z, weights), want)
 
     def test_euler_rows_run_once_per_strategy_and_once_for_the_unit_rows(self, monkeypatch):
         # the step decisions read the folded rows; they call no scheme of their own
