@@ -18,14 +18,13 @@ paths are built and reduced in row blocks whose path buffers take about
 calls per sample. A block holds three path buffers (R, R' and R + R'), four
 more when a strategy steps off the reference (N, E, R F and R' / F; see
 ``_payoffs``), and two draw buffers (dW, dW0), each reused across blocks; a
-build forms its increments and its common-noise term in two contiguous work
-arrays, views of path buffers that are free while it runs. Each block draws
-its own increments, in row order, from the chunk's two streams: a stream
-fills row after row, so these draws equal one chunk-sized draw per stream
-bit for bit, and no chunk-sized draw array is held. Every sample row is
-computed by the same operations in any block, and reduced by one ``einsum``
-pass along the row (no BLAS), so outputs depend on neither the block size
-nor the thread count.
+build sums its increments in a contiguous work array of its own. Each
+block draws its own increments, in row order, from the chunk's two streams:
+a stream fills row after row, so these draws equal one chunk-sized draw per
+stream bit for bit, and no chunk-sized draw array is held. Every sample row
+is computed by the same operations in any block, and reduced by one
+``einsum`` pass along the row (no BLAS), so outputs depend on neither the
+block size nor the thread count.
 
 The utility estimate and the deviation test draw antithetic pairs: each
 drawn row prices the path on (dW, dW0) and its mirror on (-dW, -dW0), so
@@ -98,7 +97,8 @@ def keyed_stream(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
-philox_stream = keyed_stream  # the former name, for callers not yet moved to keyed_stream
+# the former name, which perfbench's traced probe still calls; ROADMAP item 7 moves the probe and drops it
+philox_stream = keyed_stream
 
 
 def _n_threads() -> int:
@@ -195,30 +195,22 @@ def _euler_rows(h, sigma, sigma0, pi, c, dt: float) -> tuple[NDArray, NDArray, N
     return (g[..., :-1] + g[..., 1:]) * (dt / 2), (pi * sigma)[..., :-1], (pi * sigma0)[..., :-1]
 
 
-def _build_paths(
-    out: NDArray, log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0,
-    inc: NDArray | None = None, noise: NDArray | None = None,
-) -> NDArray:
+def _build_paths(out: NDArray, log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0) -> NDArray:
     """Log-wealth paths from Euler coefficient rows and increments, written
     into ``out`` of any leading shape, one path per last-axis row, with every
     input broadcast to it: the consistency test builds (paths, K, n+1) at
-    once. The increments and the common-noise term are formed, and summed,
-    in the C-contiguous work arrays ``inc`` and ``noise``, shaped like
-    ``out[..., 1:]`` (new arrays where not given), so only the last pass
-    writes through the strided ``out[..., 1:]``, adding the start on the
-    way. A drift or start that is all zero is not added."""
-    if inc is None:
-        inc = np.empty(out[..., 1:].shape)
-    np.multiply(vol_w, dw, out=inc)
+    once. The increments are formed, the common-noise term added, and the
+    cumulative sum taken in a C-contiguous work array of its own, shaped
+    like ``out[..., 1:]``, so only the last pass writes through the strided
+    ``out[..., 1:]``, adding the start on the way. A drift that is all zero
+    is not added."""
+    inc = np.multiply(vol_w, dw, out=np.empty(out[..., 1:].shape))
     if np.any(drift):
         inc += drift
-    inc += np.multiply(vol_w0, dw0, out=noise)
+    inc += np.multiply(vol_w0, dw0)
     np.cumsum(inc, axis=-1, out=inc)
     out[..., 0] = log_x0
-    if np.any(log_x0):
-        np.add(inc, out[..., :1], out=out[..., 1:])
-    else:
-        out[..., 1:] = inc
+    np.add(inc, out[..., :1], out=out[..., 1:])
     return out
 
 
@@ -388,12 +380,6 @@ def _pair_exp(z: NDArray, twice_mean: NDArray, mirror: NDArray, out: NDArray) ->
     return np.add(z, mirror, out=out)
 
 
-def _work(plane: NDArray, n: int) -> NDArray:
-    """A C-contiguous (rows, n) view of the first rows * n values of a
-    C-contiguous (rows, n + 1) path plane: a build's work array."""
-    return plane.reshape(-1)[: len(plane) * n].reshape(len(plane), n)
-
-
 def _payoffs(
     agent: AgentType,
     strategies: Sequence[Strategy],
@@ -442,10 +428,8 @@ def _payoffs(
 
     Row blocks are as in the module docstring: ``draws(dw, dw0)``
     (``_utility_draws``) fills each block's increments into two
-    (rows, n_steps) buffers that this call owns. A build's two work arrays
-    (``_build_paths``) are contiguous views of path buffers that are free
-    while it runs: R + R' and R' for the reference build and the rebuilds,
-    R F and E for the unit-pi noise sum, so no buffer is added."""
+    (rows, n_steps) buffers that this call owns. Each build (``_build_paths``)
+    allocates its own contiguous work array."""
     if flow.grid != agent.grid or any(s.grid != agent.grid for s in strategies):
         raise ValueError("every strategy and the flow must be on the agent's time grid")
     g, dt, n = agent.gamma, agent.grid.dt, agent.grid.n_steps
@@ -489,13 +473,13 @@ def _payoffs(
         r, rm, pair, *views = buf[:, : b.stop - b.start]
         dw, dw0 = drawn[:, : b.stop - b.start]
         draws(dw, dw0)
-        _build_paths(r, *ref, dw, dw0, _work(pair, n), _work(rm, n))
+        _build_paths(r, *ref, dw, dw0)
         _pair_exp(r, ref_twice, rm, pair)
         out[read_j, b] = np.einsum("ij,kj->ki", pair, read_w)
         builds = []  # (j, rows, weights, sample rows, 2m) of the rows that cannot read R
         if sizes:
             noise, e, ez, ezm = views
-            _build_paths(noise, 0.0, 0.0, *unit, dw, dw0, _work(ez, n), _work(e, n))
+            _build_paths(noise, 0.0, 0.0, *unit, dw, dw0)
             span = np.maximum(noise.max(axis=1), -noise.min(axis=1))
         for size, signs in sizes.items():
             far = np.flatnonzero(size * span >= _MAX_SHIFT)
@@ -524,8 +508,8 @@ def _payoffs(
                         builds.append((j, rows, w, far, ref_twice))
         for j, rows, w, rel, twice in builds + own:
             x, x0 = dw[rel], dw0[rel]
-            z, zm, zp = r[: len(x)], rm[: len(x)], pair[: len(x)]
-            _build_paths(z, *rows, x, x0, _work(zp, n), _work(zm, n))
+            z, zm = r[: len(x)], rm[: len(x)]
+            _build_paths(z, *rows, x, x0)
             out[j, b][rel] = np.einsum("ij,j->i", _pair_exp(z, twice, zm, z), w)
     return out
 

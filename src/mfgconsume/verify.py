@@ -319,7 +319,8 @@ def relation_check(pop: Population, sol: EquilibriumSolution, *_unused: object) 
     no common-noise path is drawn: it compares E[log c*] with
     (E[log alpha/(1-gamma)] - E[Ytilde/(1-gamma)]) / (1 + E[theta gamma/(1-gamma)]).
     Further positional arguments, the path and seed that (ii) once read,
-    are ignored.
+    are ignored: perfbench's traced probe still passes them (ROADMAP item 7
+    moves the probe and drops them).
     """
     if sol.grid != pop.grid:
         raise ValueError("the equilibrium must be solved on the population's time grid")

@@ -210,6 +210,19 @@ class TestSimulateAndDeviate:
         assert len(rows) == 10  # 2 paths x 5 probes
         assert all(float(r["deviation_units"]) <= 3.0 for r in rows)
 
+    @pytest.mark.parametrize("units, code", [(3.5, 1), (2.5, 0)])
+    def test_simulate_fails_past_three_units(self, tmp_path, monkeypatch, units, code):
+        from mfgconsume import montecarlo
+
+        real = montecarlo.consistency_test
+        monkeypatch.setattr(montecarlo, "consistency_test",
+                            lambda *a: replace(real(*a), max_deviation_units=units))
+        cfg = load_config(write_config(tmp_path), out_dir=str(tmp_path / "out"))
+        assert run("simulate", cfg) == code
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        check = next(c for c in man["checks"] if c["name"] == "consistency_max_units")
+        assert (check["value"], check["passed"], man["ok"]) == (units, code == 0, code == 0)
+
     def test_flow_csv_is_the_flow_model_bit_for_bit(self, tmp_path):
         from mfgconsume import FlowModel, solve_equilibrium
         from mfgconsume.montecarlo import consistency_w0

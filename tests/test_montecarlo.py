@@ -193,8 +193,8 @@ class TestBuildPaths:
     @pytest.mark.parametrize("start", ["zero", "scalar", "per-row"])
     def test_work_arrays_give_the_in_place_build_bit_for_bit(self, lead, drift, start):
         # (rows,) as a payoff block, (paths, K) as the consistency test, with
-        # one common-noise row per path; work arrays that are views of larger
-        # planes, as _payoffs passes them, and new ones
+        # one common-noise row per path; at a zero start the in-place build
+        # added nothing, and the build adds 0.0
         n = 65
         rng = keyed_stream(11, len(lead))
         rows = rng.standard_normal((3, *lead[1:], n)) * np.array([0.01, 0.3, 0.2]).reshape(-1, *(1,) * len(lead))
@@ -203,10 +203,6 @@ class TestBuildPaths:
         dw = rng.standard_normal((*lead, n))
         dw0 = rng.standard_normal((lead[0], *(1,) * (len(lead) - 1), n))
         want = _in_place_build(np.empty((*lead, n + 1)), log_x0, *rows, dw, dw0)
-        planes = np.empty((2, *lead, n + 1))
-        work = [p.reshape(-1)[: math.prod(lead) * n].reshape(*lead, n) for p in planes]
-        got = montecarlo._build_paths(np.empty((*lead, n + 1)), log_x0, *rows, dw, dw0, *work)
-        assert np.array_equal(got, want)
         assert np.array_equal(montecarlo._build_paths(np.empty((*lead, n + 1)), log_x0, *rows, dw, dw0), want)
 
     def test_the_noise_sum_starts_at_exactly_zero(self):
@@ -554,6 +550,23 @@ class TestDeviation:
         back = {r.name: r for r in rep.rows if r.name in ("pi-0.5", "pi-1")}
         assert all(r.flagged and r.delta < -2 * r.stderr for r in back.values())
         assert len(back) == 2 and not rep.passed
+
+    def test_flagged_margin_and_passed_read_two_stderrs(self, grid, monkeypatch):
+        # one row at -2.5 stderr, between the 2- and 3-stderr lines, one at -1.5
+        pop = single(grid)
+        sol = solve_equilibrium(pop)
+        pair_moments = montecarlo._pair_moments
+
+        def at_units(*a):
+            delta, stderr, used = pair_moments(*a)
+            return np.array([-2.5, -1.5]) * stderr, stderr, used
+
+        monkeypatch.setattr(montecarlo, "_pair_moments", at_units)
+        rep = deviation_test(pop, 0, sol, default_perturbations(sol, 0)[:2], 2000, seed=5)
+        assert all(r.stderr > 0.0 for r in rep.rows)
+        assert [r.flagged for r in rep.rows] == [True, False]
+        assert rep.margin / rep.rows[0].stderr == pytest.approx(-0.5, rel=1e-12)
+        assert not rep.passed
 
     def test_planted_payoff_bias_is_caught(self, grid, monkeypatch):
         # a bias of three plain-sampling stderrs, at the same path count,
