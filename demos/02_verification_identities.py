@@ -45,7 +45,7 @@ print(f"Riccati sweep vs quadrature closed form: sup rel err {ric.max():.3e}")
 # 4. Drift bracket: zero at the solved controls, negative elsewhere.
 w0 = keyed_stream(0, 1).normal(0, np.sqrt(grid.dt), grid.n_steps)
 flow = FlowModel(pop, sol)
-mu_hat = flow.mu_values(w0)
+mu_hat = flow.mu_batch(w0[None])[0]
 i = grid.n_steps // 2
 k = 0
 tp = pop.types[k]

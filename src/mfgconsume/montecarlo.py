@@ -196,17 +196,17 @@ def _euler_rows(h, sigma, sigma0, pi, c, dt: float) -> tuple[NDArray, NDArray, N
 
 
 def _build_paths(out: NDArray, log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0) -> NDArray:
-    """Log-wealth paths from Euler coefficient rows and increments, written
-    into ``out`` of any leading shape, one path per last-axis row, with every
-    input broadcast to it: the consistency test builds (paths, K, n+1) at
-    once. The increments are formed, the common-noise term added, and the
-    cumulative sum taken in a C-contiguous work array of its own, shaped
+    """Log-wealth paths from Euler coefficient rows and drawn increments,
+    written into ``out`` of any leading shape, one path per last-axis row,
+    with every input broadcast to it: the consistency test builds
+    (paths, K, n+1) at once. With no branch (a zero drift adds 0.0), the
+    increments are formed, the drift and the common-noise term added, and
+    the cumulative sum taken in a C-contiguous work array of its own, shaped
     like ``out[..., 1:]``, so only the last pass writes through the strided
-    ``out[..., 1:]``, adding the start on the way. A drift that is all zero
-    is not added."""
+    ``out[..., 1:]``, adding the start on the way. Noise-free moments come
+    from ``_gaussian_moments``."""
     inc = np.multiply(vol_w, dw, out=np.empty(out[..., 1:].shape))
-    if np.any(drift):
-        inc += drift
+    inc += drift
     inc += np.multiply(vol_w0, dw0)
     np.cumsum(inc, axis=-1, out=inc)
     out[..., 0] = log_x0
@@ -246,8 +246,9 @@ class FlowModel:
     ``rows`` holds the per-type Euler rows (``_euler_rows``) of the
     equilibrium controls, each (K, n). ``index_rows``, the start and rows
     (E[log x0], E[drift], 0.0, E[vol_w0]) of that path, is the one statement
-    of the index: ``mu_batch`` builds it and ``_folded_rows`` subtracts it.
-    A ``sol`` of another population, same grid and type count, goes undetected.
+    of the index: ``mu_batch``, the flow's one call, builds it along drawn
+    common-noise paths, and ``_folded_rows`` subtracts it. A ``sol`` of
+    another population, same grid and type count, goes undetected.
     """
 
     def __init__(self, pop: Population, sol: EquilibriumSolution):
@@ -261,19 +262,12 @@ class FlowModel:
         self.index_rows = (start, pop.mean(self.rows[0]), 0.0, pop.mean(self.rows[2]))
         self.e_logc = pop.mean(np.log(sol.c_star))
 
-    def mu_values(self, w0_increments: NDArray) -> NDArray:
-        """``mu_hat(t) = E[log X* | common noise]`` at every knot for one
-        common-noise path of ``n_steps`` increments, shape (n+1,), with
-        ``mu_hat(0) = E[log x0]``. The log consumption index along the same
-        path is ``nu_hat = e_logc + mu_hat``, ``e_logc = E[log c*]``."""
-        w0 = np.asarray(w0_increments, dtype=float)
-        if w0.shape != (self.grid.n_steps,):
-            raise ValueError(f"need {self.grid.n_steps} increments, got {w0.shape}")
-        return self.mu_batch(w0[None, :])[0]
-
     def mu_batch(self, dw0: NDArray) -> NDArray:
-        """mu_hat curves, shape (m, n+1), of m common-noise paths, ``dw0``
-        of shape (m, n_steps)."""
+        """``mu_hat(t) = E[log X* | common noise]`` at every knot, shape
+        (m, n+1), along each of m common-noise paths, ``dw0`` of shape
+        (m, n_steps), with ``mu_hat(0) = E[log x0]``. The log consumption
+        index along the same path is ``nu_hat = e_logc + mu_hat``,
+        ``e_logc = E[log c*]``; one path is ``mu_batch(w0[None])[0]``."""
         dw0 = np.asarray(dw0, dtype=float)
         if dw0.ndim != 2 or dw0.shape[1] != self.grid.n_steps:
             raise ValueError(f"need (m, {self.grid.n_steps}) increments, got {dw0.shape}")
@@ -334,13 +328,18 @@ def _folded_rows(agent: AgentType, strategy: Strategy, flow: FlowModel) -> tuple
 
 
 def _gaussian_moments(rows: tuple, dt: float) -> tuple[NDArray, NDArray]:
-    """Mean m and variance v, shape (n+1,), of the Euler path of ``rows``
-    (start, drift, vol_w, vol_w0) at every knot, for deterministic rows: m_q
-    = start + sum_{i<q} drift_i and v_q = sum_{i<q} (vol_w_i^2 + vol_w0_i^2) dt."""
+    """Mean m and variance v at every knot of the Euler paths of ``rows``
+    (start, drift, vol_w, vol_w0), deterministic rows of any leading shape,
+    one path per last-axis row; m and v are shaped like the drift, one knot
+    longer: m_q = start + sum_{i<q} drift_i and v_q = sum_{i<q} (vol_w_i^2
+    + vol_w0_i^2) dt. The one running sum of noise-free quantities:
+    ``exact_utility``, the payoff's mirror path 2m and step shift D, and
+    the consistency test's segment variances read it."""
     start, drift, vol_w, vol_w0 = rows
-    m = start + np.concatenate(([0.0], np.cumsum(drift)))
-    v = np.concatenate(([0.0], np.cumsum((vol_w**2 + vol_w0**2) * dt)))
-    return m, v
+    m, v = np.zeros((2, *drift.shape[:-1], drift.shape[-1] + 1))
+    np.cumsum(drift, axis=-1, out=m[..., 1:])
+    np.cumsum((vol_w**2 + vol_w0**2) * dt, axis=-1, out=v[..., 1:])
+    return np.asarray(start)[..., None] + m, v
 
 
 def _utility_weights(agent: AgentType, dz: NDArray, off_t: float) -> NDArray:
@@ -368,13 +367,13 @@ def exact_utility(agent: AgentType, strategy: Strategy, flow: FlowModel) -> floa
     return float(np.dot(_utility_weights(agent, np.zeros(m.size), off_t), np.exp(m + v / 2)))
 
 
-def _pair_exp(z: NDArray, twice_mean: NDArray, mirror: NDArray, out: NDArray) -> NDArray:
+def _pair_exp(z: NDArray, two_m: NDArray, mirror: NDArray, out: NDArray) -> NDArray:
     """exp(z) + exp(z'), into ``out``, with z' = 2m - z the exponent on the
     mirrored increments (-dW, -dW0), m the noise-free path: the noise part
     of an Euler path is linear in the increments. ``mirror`` takes exp(z')
     and ``z`` exp(z); z' is taken before either exp, so no exp that
     underflowed is divided by."""
-    np.subtract(twice_mean, z, out=mirror)
+    np.subtract(two_m, z, out=mirror)
     np.exp(z, out=z)
     np.exp(mirror, out=mirror)
     return np.add(z, mirror, out=out)
@@ -398,19 +397,20 @@ def _payoffs(
     for the pair mean.
 
     The mirror takes no draw and no build: z' = 2m - z (``_pair_exp``), m
-    the noise-free path of z's rows, built once per call. A strategy either
-    reads R = exp(z_ref) and R' = exp(z'_ref) of the reference
-    ``strategies[0]`` or takes its own build. It reads them only if
-    ``_step_window`` finds its folded noise rows to be the reference's plus
-    d times the unit-pi noise rows on the steps [lo, hi) and equal elsewhere,
-    and max|D| < ``_MAX_SHIFT``, D the deterministic difference of the two
-    exponents. As sigma + sigma0 >= sigma_lb > 0, the rows move exactly
-    where ``pi`` moves on a left knot. The plan holds ``reads``, the empty
-    steps (lo = hi: a change of ``c`` alone, and the reference itself), one
-    row sum of R + R' each, all in one ``einsum`` per block; ``sizes``, the
-    other steps by |d| (equal up to the rounding of ``pi``) and then by the
-    sign of d; and ``own``. With N
-    the unit-pi noise sum, E = exp(|d| N) and F = E or 1 / E as d > 0 or
+    the noise-free path of z's rows by ``_gaussian_moments``, taken once per
+    call for the reference and for each own build. A strategy either reads
+    R = exp(z_ref) and R' = exp(z'_ref) of the reference ``strategies[0]``
+    or takes its own build. It reads them only if ``_step_window`` finds
+    its folded noise rows to be the reference's plus d times the unit-pi
+    noise rows on the steps [lo, hi) and equal elsewhere, and max|D| <
+    ``_MAX_SHIFT``, D the deterministic difference of the two exponents:
+    the mean path of the difference of their rows. As sigma + sigma0 >=
+    sigma_lb > 0, the rows move exactly where ``pi`` moves on a left knot.
+    The plan holds ``reads``, the empty steps (lo = hi: a change of ``c``
+    alone, and the reference itself), one row sum of R + R' each, all in
+    one ``einsum`` per block; ``sizes``, the other steps by |d| (equal up
+    to the rounding of ``pi``) and then by the sign of d; and ``own``. With
+    N the unit-pi noise sum, E = exp(|d| N) and F = E or 1 / E as d > 0 or
     d < 0, a step's exp(z) is R e^D F[clip(q, lo, hi)] / F[lo]. On the
     mirror N is -N, so E is 1 / E and the step reads R' with the sign of d
     flipped. e^D goes into the weights, so per block E is taken once per
@@ -428,14 +428,13 @@ def _payoffs(
 
     Row blocks are as in the module docstring: ``draws(dw, dw0)``
     (``_utility_draws``) fills each block's increments into two
-    (rows, n_steps) buffers that this call owns. Each build (``_build_paths``)
-    allocates its own contiguous work array."""
+    (rows, n_steps) buffers that this call owns. Each build (``_build_paths``),
+    always on drawn increments, allocates its own contiguous work array."""
     if flow.grid != agent.grid or any(s.grid != agent.grid for s in strategies):
         raise ValueError("every strategy and the flow must be on the agent's time grid")
     g, dt, n = agent.gamma, agent.grid.dt, agent.grid.n_steps
     market = (agent.h.values, agent.sigma.values, agent.sigma0.values)
     unit = tuple(g * u for u in _euler_rows(*market, np.ones(n + 1), 0.0, dt)[1:])  # g times the noise rows at pi = 1
-    twice_mean = lambda rows: 2.0 * _build_paths(np.empty(n + 1), *rows, 0.0, 0.0)
     # step sizes equal up to the rounding of pi share one exp(|d| N)
     top = max(float(np.abs(s.pi).max()) for s in strategies)
     tol = 4.0 * np.spacing(top)
@@ -445,15 +444,15 @@ def _payoffs(
     for j, s in enumerate(strategies):
         rows, off_t = _folded_rows(agent, s, flow)
         if j == 0:
-            ref, ref_twice = rows, twice_mean(rows)
+            ref, ref_twice = rows, 2.0 * _gaussian_moments(rows, dt)[0]
         # D: z - z_ref less its noise terms, which a step's weights carry
-        dz = rows[0] - ref[0] + np.concatenate(([0.0], np.cumsum(rows[1] - ref[1])))
+        dz = _gaussian_moments(tuple(a - b for a, b in zip(rows, ref)), dt)[0]
         step = _step_window(rows[2:], ref[2:], unit, s.pi - strategies[0].pi, top, tol)
         if j and (step is None or np.abs(dz).max() >= _MAX_SHIFT):
             step, dz = None, np.zeros_like(dz)
         w = 0.5 * _utility_weights(agent, dz, off_t)  # halved: a pair mean
         if step is None:
-            own.append((j, rows, w, slice(None), twice_mean(rows)))
+            own.append((j, rows, w, slice(None), 2.0 * _gaussian_moments(rows, dt)[0]))
         elif step[0] == step[1]:
             reads.append((j, w))
         else:
@@ -818,8 +817,7 @@ def consistency_test(
     flow = FlowModel(pop, sol)
     drift, vol_w, vol_w0 = flow.rows
     log_x0 = np.log(pop.x0s)
-    var = np.zeros((pop.n_types, grid.n_steps + 1))
-    np.cumsum(vol_w**2 * grid.dt, axis=1, out=var[:, 1:])
+    var = _gaussian_moments((log_x0, drift, vol_w, 0.0), grid.dt)[1]  # of the idiosyncratic noise alone
     seg_sd = np.sqrt(np.diff(var[:, knots], axis=1, prepend=0.0))  # (K, probes)
     weights = pop.weights / pop.weights.sum()  # the multinomial sees no stray rounding of the sum
 

@@ -231,7 +231,7 @@ class TestSimulateAndDeviate:
         assert run("simulate", cfg) == 0
         pop = cfg.population
         flow = FlowModel(pop, solve_equilibrium(pop))
-        mu = flow.mu_values(consistency_w0(pop.grid, cfg.mc.seed, 0))
+        mu = flow.mu_batch(consistency_w0(pop.grid, cfg.mc.seed, 0)[None])[0]
         rows = read_csv(tmp_path / "out" / "flow.csv")
         assert np.array_equal([float(r["t"]) for r in rows], pop.grid.times)
         assert np.array_equal([float(r["mu_hat"]) for r in rows], mu)

@@ -230,15 +230,15 @@ class TestFlow:
         pop = single(grid, x0=1.7)
         sol = solve_equilibrium(pop)
         w0 = keyed_stream(1, 2).normal(0, np.sqrt(grid.dt), grid.n_steps)
-        assert FlowModel(pop, sol).mu_values(w0)[0] == math.log(1.7)
+        assert FlowModel(pop, sol).mu_batch(w0[None])[0][0] == math.log(1.7)
 
     def test_deterministic_without_common_noise(self, grid):
         pop = single(grid, sigma0=0.0)
         sol = solve_equilibrium(pop)
         w0 = keyed_stream(1, 2).normal(0, np.sqrt(grid.dt), grid.n_steps)
         flow = FlowModel(pop, sol)
-        mu = flow.mu_values(w0)
-        assert np.array_equal(mu, flow.mu_values(np.zeros(grid.n_steps)))
+        mu = flow.mu_batch(w0[None])[0]
+        assert np.array_equal(mu, flow.mu_batch(np.zeros((1, grid.n_steps)))[0])
         # and equals the deterministic quadrature directly
         sig2 = pop.sigma_mat**2 + pop.sigma0_mat**2
         gbar = pop.mean(sol.pi_star * pop.h_mat - sol.c_star - 0.5 * sol.pi_star**2 * sig2)
@@ -250,7 +250,7 @@ class TestFlow:
         sol = solve_equilibrium(pop)
         w0 = keyed_stream(4, 2).normal(0, np.sqrt(grid.dt), grid.n_steps)
         flow = FlowModel(pop, sol)
-        mu = flow.mu_values(w0)
+        mu = flow.mu_batch(w0[None])[0]
         want = pop.mean(np.log(sol.c_star)) + mu
         assert np.abs(flow.e_logc + mu - want).max() <= 1e-15
 
@@ -269,17 +269,17 @@ class TestFlow:
         w0 = keyed_stream(6, 1).normal(0, np.sqrt(grid.dt), grid.n_steps)
         rows = montecarlo._euler_rows(pop.h_mat, pop.sigma_mat, pop.sigma0_mat, sol.pi_star, sol.c_star, grid.dt)
         paths = montecarlo._build_paths(np.empty((3, grid.n_steps + 1)), np.log(pop.x0s), *rows, 0.0, w0)
-        assert np.abs(FlowModel(pop, sol).mu_values(w0) - pop.mean(paths)).max() <= 1e-12
+        assert np.abs(FlowModel(pop, sol).mu_batch(w0[None])[0] - pop.mean(paths)).max() <= 1e-12
 
-    @pytest.mark.parametrize("caller", ["mu_values", "mu_batch-one-path", "mu_batch-one-step"])
+    @pytest.mark.parametrize("caller", ["mu_batch-short-path", "mu_batch-one-path", "mu_batch-one-step"])
     def test_wrong_increment_count(self, grid, caller):
         # mu_batch takes (m, n_steps): a bare path would give n_steps copies
         # of it, and an (m, 1) column would broadcast one increment over the steps
         pop = single(grid)
         sol = solve_equilibrium(pop)
         with pytest.raises(ValueError, match="increments"):
-            if caller == "mu_values":
-                FlowModel(pop, sol).mu_values(np.zeros(5))
+            if caller == "mu_batch-short-path":
+                FlowModel(pop, sol).mu_batch(np.zeros((1, 5)))
             elif caller == "mu_batch-one-path":
                 FlowModel(pop, sol).mu_batch(np.zeros(grid.n_steps))
             else:
@@ -374,7 +374,7 @@ class TestEstimateUtility:
         assert est.stderr == 0.0
         # deterministic oracle computed directly from the definitions
         x = np.log(1.0) - 0.4 * grid.times
-        mu = flow.mu_values(np.zeros(grid.n_steps))
+        mu = flow.mu_batch(np.zeros((1, grid.n_steps)))[0]
         nu = flow.e_logc + mu
         g, th, al = 0.5, 0.5, 1.0
         terminal = (1 / g) * math.exp(g * (x[-1] - th * mu[-1]))
@@ -407,7 +407,7 @@ class TestEstimateUtility:
         with pytest.raises(ValueError, match="need n >= 1"):
             deviation_test(pop, 0, sol, [], 0, 1)
 
-    @pytest.mark.parametrize("estimator", ["estimate_utility", "deviation_test"])
+    @pytest.mark.parametrize("estimator", ["estimate_utility", "exact_utility", "deviation_test"])
     def test_rejects_a_strategy_on_another_grid(self, grid, estimator):
         # same knot count, another horizon: the curves would broadcast
         pop = single(grid)
@@ -418,13 +418,17 @@ class TestEstimateUtility:
         with pytest.raises(ValueError, match="time grid"):
             if estimator == "estimate_utility":
                 estimate_utility(pop.types[0], other, FlowModel(pop, sol), 100, 1)
+            elif estimator == "exact_utility":
+                exact_utility(pop.types[0], other, FlowModel(pop, sol))
             else:
                 deviation_test(pop, 0, sol, [Perturbation("other", other, False)], 100, 1)
-        # a flow from another grid: estimate_utility is handed it, and
+        # a flow from another grid: the utilities are handed it, and
         # deviation_test builds it from an equilibrium solved there
         with pytest.raises(ValueError, match="time grid"):
             if estimator == "estimate_utility":
                 estimate_utility(pop.types[0], equilibrium_strategy(sol, 0), FlowModel(other_pop, other_sol), 100, 1)
+            elif estimator == "exact_utility":
+                exact_utility(pop.types[0], equilibrium_strategy(sol, 0), FlowModel(other_pop, other_sol))
             else:
                 deviation_test(pop, 0, other_sol, default_perturbations(sol, 0), 100, 1)
 
@@ -745,8 +749,10 @@ class TestPayoffs:
         moved = eq.pi.copy()
         moved[10:30] += 0.5
         moved[20] += 1e-9  # one knot off the step by far more than rounding
+        near = eq.pi + 0.5
+        near[20] += 64 * np.spacing(np.abs(near).max())  # one knot off by 64 roundings of pi, past the tolerance
         both = Strategy(grid, eq.pi * 0.8 + 0.1, eq.c * 1.3)  # changes pi and c
-        non_steps = [*(Strategy(grid, pi, eq.c) for pi in (ramp, bumps, moved)), both]
+        non_steps = [*(Strategy(grid, pi, eq.c) for pi in (ramp, bumps, moved, near)), both]
         assert all(step_window(agent, flow, s, eq) is None for s in non_steps)
         strategies = [eq, *library, *non_steps]
         m = 300
@@ -758,13 +764,13 @@ class TestPayoffs:
         build = montecarlo._build_paths
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
         got = montecarlo._payoffs(agent, strategies, flow, m, draws())
-        # the reference and its noise-free path, the unit-pi noise sum, and
-        # the four strategies that are not steps of the reference, each a
-        # build and a noise-free path; the 20 perturbations take none, or two
-        # each and no noise sum is built when no step may read exp(z_ref).
-        # Under the two-knot rule a step's boundary increments load half of
-        # it, so the six thirds, which do not span the grid, take two each
-        assert len(builds) == {True: 3, False: 2 + 2 * len(library), "two-knot": 3 + 2 * 6}[shared] + 2 * len(non_steps)
+        # the reference, the unit-pi noise sum, and the five strategies that
+        # are not steps of the reference, one build each; the 20 perturbations
+        # take none, or one each and no noise sum is built when no step may
+        # read exp(z_ref). Under the two-knot rule a step's boundary
+        # increments load half of it, so the six thirds, which do not span
+        # the grid, take one each. Noise-free paths take no build
+        assert len(builds) == {True: 2, False: 1 + len(library), "two-knot": 2 + 6}[shared] + len(non_steps)
         want = _oracle_pairs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         for j, s in enumerate(strategies):
@@ -796,7 +802,7 @@ class TestPayoffs:
         build = montecarlo._build_paths
         monkeypatch.setattr(montecarlo, "_build_paths", lambda out, *a: rows.append(out.shape[:-1]) or build(out, *a))
         got = montecarlo._payoffs(agent, strategies, flow, m, draws())
-        rebuilt = sum(r[0] for r in rows if r and r[0] < m)  # far rows: not the block, not a 1-D noise-free path
+        rebuilt = sum(r[0] for r in rows if r[0] < m)  # far rows: not the block
         assert (rebuilt > 0) == (config == "steep")
         want = _oracle_pairs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -826,10 +832,9 @@ class TestPayoffs:
         build = montecarlo._build_paths
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
         got = montecarlo._payoffs(agent, strategies, flow, m, draws())
-        # the reference, which the empty step reads, and its noise-free path;
-        # a build and a noise-free path each for the rescaling and the two
-        # strategies with the ramp; no noise sum
-        assert len(builds) == 2 + 2 * 3
+        # the reference, which the empty step reads, and a build each for the
+        # rescaling and the two strategies with the ramp; no noise sum
+        assert len(builds) == 1 + 3
         want = _oracle_pairs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -863,10 +868,9 @@ class TestPayoffs:
         build = montecarlo._build_paths
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
         got = montecarlo._payoffs(agent, strategies, flow, m, draws())
-        # the reference, its noise-free path and N; under the two-knot rule,
-        # a build and a noise-free path each for the two strategies that
-        # move at knot n
-        assert len(builds) == {"left-endpoint": 3, "two-knot": 3 + 2 * 2}[rule]
+        # the reference and N; under the two-knot rule, a build each for the
+        # two strategies that move at knot n
+        assert len(builds) == {"left-endpoint": 2, "two-knot": 2 + 2}[rule]
         want = _oracle_pairs(agent, strategies, flow, dw, dw0)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -943,18 +947,19 @@ class TestPayoffs:
     ])
     def test_one_strategy_takes_one_build_per_block(self, monkeypatch, block_rows, n, blocks, chunks):
         # a single strategy has no step to serve, so no unit-pi noise sum is
-        # built; its mirror takes none either, only the noise-free path once
-        # per chunk; a block holds R, R' and R + R'
+        # built; its mirror takes none either, only the noise-free moments
+        # once per chunk (its 2m and its D); a block holds R, R' and R + R'
         grid = TimeGrid(1.0, 64)
         pop = make_random_population(3, grid, n_types=2)
         sol = solve_equilibrium(pop)
         flow = FlowModel(pop, sol)
         monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_rows * 3 * 8 * (grid.n_steps + 1))
-        builds = []
-        build = montecarlo._build_paths
+        builds, moments = [], []
+        build, gaussian = montecarlo._build_paths, montecarlo._gaussian_moments
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
+        monkeypatch.setattr(montecarlo, "_gaussian_moments", lambda *a: moments.append(1) or gaussian(*a))
         estimate_utility(pop.types[0], equilibrium_strategy(sol, 0), flow, n, seed=3)
-        assert len(builds) == blocks + chunks
+        assert (len(builds), len(moments)) == (blocks, 2 * chunks)
 
 
 class TestConsistency:
@@ -1139,7 +1144,7 @@ class TestConsistency:
                              for tp, s in zip(pop.types, strategies)]).T
             types = sample_agents(pop, n_agents, rng)
             x = base[:, types] + np.cumsum(rng.standard_normal((probes, n_agents)) * sd[:, types], axis=0)
-            gap = x.mean(axis=1) - flow.mu_values(w0)[knots]
+            gap = x.mean(axis=1) - flow.mu_batch(w0[None])[0][knots]
             se = x.std(axis=1, ddof=1) / math.sqrt(n_agents)
             want[p] = np.column_stack([gap, se, np.abs(gap) / se])
 

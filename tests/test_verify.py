@@ -166,7 +166,7 @@ def equilibrium_states(pop, sol, seed=0):
     rng = keyed_stream(seed, 99)
     w0 = rng.normal(0.0, np.sqrt(pop.grid.dt), pop.grid.n_steps)
     flow = FlowModel(pop, sol)
-    mu_hat = flow.mu_values(w0)
+    mu_hat = flow.mu_batch(w0[None])[0]
     nu_hat = flow.e_logc + mu_hat
     omg = 1.0 - pop.gammas
     out = []
