@@ -405,7 +405,7 @@ def _cmd_deviate(cfg: ScenarioConfig, out: Path, manifest: RunManifest, probe_ty
     try:
         perts = montecarlo.default_perturbations(sol, probe_type, b.pi_cap, b.c_min, b.c_max)
     except ValueError as e:
-        raise ConfigError(f"equilibrium incompatible with strategy bounds: {e}") from e
+        raise ConfigError(f"cannot build the deviation library: {e}") from e
     rep = montecarlo.deviation_test(
         pop, probe_type, sol, perts, cfg.mc.n_samples, cfg.mc.seed, b.pi_cap, b.c_min, b.c_max
     )

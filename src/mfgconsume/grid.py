@@ -1,4 +1,4 @@
-"""Shared uniform time grid and piecewise-linear curves.
+"""Shared uniform time grid, piecewise-linear curves, and two step primitives.
 
 Every module in the package (closed-form formulas, quadrature, ODE sweeps,
 path simulation) works on one uniform grid over [0, T], so there is no
@@ -18,6 +18,23 @@ from .errors import StructuralError
 # relative slack for "t inside [0, T]" checks, absorbs float noise from t
 # arithmetic without silently extrapolating
 _DOMAIN_RTOL = 1e-12
+
+
+def step_means(values) -> NDArray[np.float64]:
+    """Mean of each step's two knots along the last axis, one knot shorter: the
+    RK4 midpoint, and times dt the trapezoid step (bit for bit, as halving is exact)."""
+    v = np.asarray(values, dtype=np.float64)
+    return (v[..., :-1] + v[..., 1:]) / 2
+
+
+def running_sum(start, steps, out=None) -> NDArray[np.float64]:
+    """``start``, then ``start`` plus the running sum of ``steps`` along the last axis (one
+    knot longer, ``start`` broadcast), summed in a contiguous array and written once to ``out``."""
+    total = np.cumsum(steps, axis=-1, dtype=np.float64)
+    out = np.empty((*total.shape[:-1], total.shape[-1] + 1)) if out is None else out
+    out[..., 0] = start
+    np.add(total, out[..., :1], out=out[..., 1:])
+    return out
 
 
 @dataclass(frozen=True)

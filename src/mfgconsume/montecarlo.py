@@ -18,7 +18,7 @@ paths are built and reduced in row blocks whose path buffers take about
 calls per sample. A block holds three path buffers (R, R' and R + R'), four
 more when a strategy steps off the reference (N, E, R F and R' / F; see
 ``_payoffs``), and two draw buffers (dW, dW0), each reused across blocks; a
-build sums its increments in a contiguous work array of its own. Each
+build forms and sums its increments in contiguous arrays of its own. Each
 block draws its own increments, in row order, from the chunk's two streams:
 a stream fills row after row, so these draws equal one chunk-sized draw per
 stream bit for bit, and no chunk-sized draw array is held. Every sample row
@@ -36,13 +36,14 @@ mirrored exponent is 2m - z, m the noise-free path.
 
 Simulation is Euler in log-wealth coordinates: volatilities at the left
 endpoint, matching the Ito integral, and the drift by the trapezoid rule.
-``_euler_rows`` is the one statement of the step. ``FlowModel`` is the
-population mean of its rows, and payoffs fold that index into each
-strategy's rows (``_folded_rows``), so no index is built per block. A
-block builds the reference strategy's path once. A strategy whose folded
-noise rows step off the reference's by a multiple of the unit-pi rows
-reads that build, its mirror and one unit-pi noise sum; any other takes
-its own. For constant coefficients the scheme is exact in distribution.
+``_euler_rows`` is the one statement of the step, and a path is the
+``running_sum`` of its steps. ``FlowModel`` is the population mean of its
+rows, and payoffs fold that index into each strategy's rows
+(``_folded_rows``), so no index is built per block. A block builds the
+reference strategy's path once. A strategy whose folded noise rows step
+off the reference's by a multiple of the unit-pi rows reads that build,
+its mirror and one unit-pi noise sum; any other takes its own. For
+constant coefficients the scheme is exact in distribution.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .closedform import EquilibriumSolution
-from .grid import TimeGrid
+from .grid import TimeGrid, running_sum, step_means
 from .population import AgentType, Population
 
 CHUNK = 4096
@@ -192,7 +193,7 @@ def _euler_rows(h, sigma, sigma0, pi, c, dt: float) -> tuple[NDArray, NDArray, N
     integrated by the trapezoid rule over the step, and pi * sigma and
     pi * sigma0 at its left endpoint."""
     g = pi * h - c - 0.5 * pi**2 * (sigma**2 + sigma0**2)
-    return (g[..., :-1] + g[..., 1:]) * (dt / 2), (pi * sigma)[..., :-1], (pi * sigma0)[..., :-1]
+    return step_means(g) * dt, (pi * sigma)[..., :-1], (pi * sigma0)[..., :-1]
 
 
 def _build_paths(out: NDArray, log_x0, drift: NDArray, vol_w: NDArray, vol_w0: NDArray, dw, dw0) -> NDArray:
@@ -200,18 +201,12 @@ def _build_paths(out: NDArray, log_x0, drift: NDArray, vol_w: NDArray, vol_w0: N
     written into ``out`` of any leading shape, one path per last-axis row,
     with every input broadcast to it: the consistency test builds
     (paths, K, n+1) at once. With no branch (a zero drift adds 0.0), the
-    increments are formed, the drift and the common-noise term added, and
-    the cumulative sum taken in a C-contiguous work array of its own, shaped
-    like ``out[..., 1:]``, so only the last pass writes through the strided
-    ``out[..., 1:]``, adding the start on the way. Noise-free moments come
-    from ``_gaussian_moments``."""
+    increments are formed in a contiguous array of their own and summed onto
+    the start by ``running_sum``."""
     inc = np.multiply(vol_w, dw, out=np.empty(out[..., 1:].shape))
     inc += drift
     inc += np.multiply(vol_w0, dw0)
-    np.cumsum(inc, axis=-1, out=inc)
-    out[..., 0] = log_x0
-    np.add(inc, out[..., :1], out=out[..., 1:])
-    return out
+    return running_sum(log_x0, inc, out)
 
 
 def simulate_wealth(agent: AgentType, strategy: Strategy, dw, dw0) -> NDArray:
@@ -327,21 +322,6 @@ def _folded_rows(agent: AgentType, strategy: Strategy, flow: FlowModel) -> tuple
     return (start + off[0], drift + np.diff(off), vol_w, vol_w0), off[-1]
 
 
-def _gaussian_moments(rows: tuple, dt: float) -> tuple[NDArray, NDArray]:
-    """Mean m and variance v at every knot of the Euler paths of ``rows``
-    (start, drift, vol_w, vol_w0), deterministic rows of any leading shape,
-    one path per last-axis row; m and v are shaped like the drift, one knot
-    longer: m_q = start + sum_{i<q} drift_i and v_q = sum_{i<q} (vol_w_i^2
-    + vol_w0_i^2) dt. The one running sum of noise-free quantities:
-    ``exact_utility``, the payoff's mirror path 2m and step shift D, and
-    the consistency test's segment variances read it."""
-    start, drift, vol_w, vol_w0 = rows
-    m, v = np.zeros((2, *drift.shape[:-1], drift.shape[-1] + 1))
-    np.cumsum(drift, axis=-1, out=m[..., 1:])
-    np.cumsum((vol_w**2 + vol_w0**2) * dt, axis=-1, out=v[..., 1:])
-    return np.asarray(start)[..., None] + m, v
-
-
 def _utility_weights(agent: AgentType, dz: NDArray, off_t: float) -> NDArray:
     """Knot weights of the payoff sum_q w_q exp(z_q) read off exp(z_q - dz_q):
     trapezoid weights (al/g) dt times exp(dz), plus exp(dz_T - off_T)/g at T
@@ -358,12 +338,12 @@ def exact_utility(agent: AgentType, strategy: Strategy, flow: FlowModel) -> floa
     """The expected utility of ``strategy`` under the Euler scheme, exactly,
     which ``estimate_utility`` estimates without bias. The controls and
     curves are deterministic, so the payoff's exponent z (``_folded_rows``)
-    is Gaussian at each knot, N(m, v) by ``_gaussian_moments``, and the
+    is Gaussian at each knot, N(m, v) by ``running_sum`` of its rows, and the
     payoff sum_q w_q exp(z_q) has expectation sum_q w_q exp(m_q + v_q / 2)."""
     if flow.grid != agent.grid or strategy.grid != agent.grid:
         raise ValueError("the strategy and the flow must be on the agent's time grid")
-    rows, off_t = _folded_rows(agent, strategy, flow)
-    m, v = _gaussian_moments(rows, agent.grid.dt)
+    (start, drift, vol_w, vol_w0), off_t = _folded_rows(agent, strategy, flow)
+    m, v = running_sum(start, drift), running_sum(0.0, (vol_w**2 + vol_w0**2) * agent.grid.dt)
     return float(np.dot(_utility_weights(agent, np.zeros(m.size), off_t), np.exp(m + v / 2)))
 
 
@@ -397,14 +377,14 @@ def _payoffs(
     for the pair mean.
 
     The mirror takes no draw and no build: z' = 2m - z (``_pair_exp``), m
-    the noise-free path of z's rows by ``_gaussian_moments``, taken once per
+    the noise-free path of z's rows (``running_sum``), taken once per
     call for the reference and for each own build. A strategy either reads
     R = exp(z_ref) and R' = exp(z'_ref) of the reference ``strategies[0]``
     or takes its own build. It reads them only if ``_step_window`` finds
     its folded noise rows to be the reference's plus d times the unit-pi
     noise rows on the steps [lo, hi) and equal elsewhere, and max|D| <
     ``_MAX_SHIFT``, D the deterministic difference of the two exponents:
-    the mean path of the difference of their rows. As sigma + sigma0 >=
+    the difference of their noise-free paths. As sigma + sigma0 >=
     sigma_lb > 0, the rows move exactly where ``pi`` moves on a left knot.
     The plan holds ``reads``, the empty steps (lo = hi: a change of ``c``
     alone, and the reference itself), one row sum of R + R' each, all in
@@ -429,7 +409,7 @@ def _payoffs(
     Row blocks are as in the module docstring: ``draws(dw, dw0)``
     (``_utility_draws``) fills each block's increments into two
     (rows, n_steps) buffers that this call owns. Each build (``_build_paths``),
-    always on drawn increments, allocates its own contiguous work array."""
+    always on drawn increments, allocates its own contiguous work arrays."""
     if flow.grid != agent.grid or any(s.grid != agent.grid for s in strategies):
         raise ValueError("every strategy and the flow must be on the agent's time grid")
     g, dt, n = agent.gamma, agent.grid.dt, agent.grid.n_steps
@@ -444,15 +424,15 @@ def _payoffs(
     for j, s in enumerate(strategies):
         rows, off_t = _folded_rows(agent, s, flow)
         if j == 0:
-            ref, ref_twice = rows, 2.0 * _gaussian_moments(rows, dt)[0]
+            ref, ref_twice = rows, 2.0 * running_sum(*rows[:2])
         # D: z - z_ref less its noise terms, which a step's weights carry
-        dz = _gaussian_moments(tuple(a - b for a, b in zip(rows, ref)), dt)[0]
+        dz = running_sum(rows[0] - ref[0], rows[1] - ref[1])
         step = _step_window(rows[2:], ref[2:], unit, s.pi - strategies[0].pi, top, tol)
         if j and (step is None or np.abs(dz).max() >= _MAX_SHIFT):
             step, dz = None, np.zeros_like(dz)
         w = 0.5 * _utility_weights(agent, dz, off_t)  # halved: a pair mean
         if step is None:
-            own.append((j, rows, w, slice(None), 2.0 * _gaussian_moments(rows, dt)[0]))
+            own.append((j, rows, w, slice(None), 2.0 * running_sum(*rows[:2])))
         elif step[0] == step[1]:
             reads.append((j, w))
         else:
@@ -569,6 +549,8 @@ def _pair_moments(
         return mean, np.square(x, out=x).sum(axis=1), r, lo, hi
 
     workers = min(_n_threads(), len(sizes))
+    # serial, not a one-worker pool: its thread's malloc arena raised peak RSS 39.8-40.0 -> 40.8-41.0 MiB
+    # (4 process pairs of 30 deviation_test calls, 256 steps, 8192 paths), half of peak_rss_mb's 5 % bound
     if workers <= 1:
         parts = [one(i) for i in range(len(sizes))]
     else:
@@ -653,11 +635,14 @@ def default_perturbations(
 ) -> list[Perturbation]:
     """The standard 20-entry deviation library around type ``k``'s
     equilibrium: constant investment shifts, consumption rescalings, and
-    time-localised bumps of both controls."""
+    time-localised bumps of both controls; ValueError below 3 steps, where
+    a third of the grid is empty and its bump no deviation."""
     grid = sol.grid
     pi0 = sol.pi_star[k]
     c0 = sol.c_star[k]
     n = grid.n_steps
+    if n < 3:
+        raise ValueError(f"at least 3 steps are needed, got {n}")
     mk = lambda pi, c: Strategy(grid, pi, c, pi_cap, c_min, c_max)
 
     out: list[Perturbation] = []
@@ -817,7 +802,7 @@ def consistency_test(
     flow = FlowModel(pop, sol)
     drift, vol_w, vol_w0 = flow.rows
     log_x0 = np.log(pop.x0s)
-    var = _gaussian_moments((log_x0, drift, vol_w, 0.0), grid.dt)[1]  # of the idiosyncratic noise alone
+    var = running_sum(0.0, vol_w**2 * grid.dt)  # of the idiosyncratic noise alone
     seg_sd = np.sqrt(np.diff(var[:, knots], axis=1, prepend=0.0))  # (K, probes)
     weights = pop.weights / pop.weights.sum()  # the multinomial sees no stray rounding of the sum
 

@@ -1,9 +1,10 @@
 """Deterministic numerical kernels on the shared grid.
 
 Two tools only: the backward classical fourth-order Runge-Kutta sweep of the
-consumption Riccati equation, and composite trapezoid running integrals.
-Trapezoid is deliberate: second order matches the piecewise-linear curve
-model exactly, so a higher-order rule would buy nothing.
+consumption Riccati equation, and composite trapezoid running integrals,
+both on the grid's ``step_means`` and ``running_sum``. Trapezoid is
+deliberate: second order matches the piecewise-linear curve model exactly,
+so a higher-order rule would buy nothing.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import IntegrationBlowUpError
+from .grid import running_sum, step_means
 
 
 def riccati_sweep(b: NDArray, d: NDArray, dt: float) -> NDArray[np.float64]:
@@ -26,7 +28,7 @@ def riccati_sweep(b: NDArray, d: NDArray, dt: float) -> NDArray[np.float64]:
     """
     n = b.shape[1] - 1
     h = -dt
-    b_mid = (b[:, :-1] + b[:, 1:]) / 2.0
+    b_mid = step_means(b)
     y = np.array(d, dtype=np.float64)
     out = np.empty(b.shape)
     out[:, n] = y
@@ -52,11 +54,7 @@ def riccati_sweep(b: NDArray, d: NDArray, dt: float) -> NDArray[np.float64]:
 def cumtrapz_left(values: NDArray, dt: float) -> NDArray[np.float64]:
     """Composite-trapezoid running integral from the left edge, along the
     last axis: out[..., i] approximates the integral of f over [t_0, t_i]."""
-    v = np.asarray(values, dtype=np.float64)
-    steps = (v[..., :-1] + v[..., 1:]) * (dt / 2.0)
-    out = np.zeros(v.shape)
-    np.cumsum(steps, axis=-1, out=out[..., 1:])
-    return out
+    return running_sum(0.0, step_means(values) * dt)
 
 
 def cumtrapz_right(values: NDArray, dt: float) -> NDArray[np.float64]:

@@ -419,6 +419,7 @@ class TestConfigErrorsExitTwo:
 
     @pytest.mark.parametrize("command, flags, edit", [
         pytest.param("deviate", ["--samples", "0"], None, id="samples-0"),
+        pytest.param("deviate", ["--steps", "2"], None, id="deviate-steps-2"),
         pytest.param("simulate", ["--steps", "0"], None, id="steps-0"),
         pytest.param("solve", ["--steps", "-3"], None, id="steps-negative"),
         pytest.param("solve", [], lambda raw: raw.update(horizon=-1), id="horizon-negative"),

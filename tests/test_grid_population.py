@@ -15,6 +15,7 @@ from mfgconsume import (
     optimal_consumption,
     validate,
 )
+from mfgconsume.grid import running_sum, step_means
 
 
 def single(grid, **kw):
@@ -93,6 +94,37 @@ class TestCurves:
         c = GridCurve.constant(TimeGrid(1.0, 5), 2.0)
         with pytest.raises(ValueError):
             c.values[0] = 3.0
+
+
+class TestStepSums:
+    @pytest.mark.parametrize("lead", [(), (4,), (3, 4)], ids=["n", "rows-n", "paths-K-n"])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar-start", "per-row-start"])
+    @pytest.mark.parametrize("into", [False, True], ids=["new", "out"])
+    def test_running_sum_is_start_plus_zero_and_cumsum(self, lead, per_row, into):
+        rng = np.random.default_rng(11)
+        steps = rng.normal(size=(*lead, 40)) * 10.0 ** rng.uniform(-3, 3, size=(*lead, 40))
+        start = rng.normal(size=lead[-1:]) * 7.0 if per_row else -2.75
+        want = np.asarray(start)[..., None] + np.concatenate(
+            (np.zeros((*lead, 1)), np.cumsum(steps, axis=-1)), axis=-1)
+        # a strided view as the output, as a build writes into a block's buffer
+        buf = np.full((*lead, 82), np.nan)
+        got = running_sum(start, steps, buf[..., ::2] if into else None)
+        assert got.shape == (*lead, 41) and np.array_equal(got, want)
+        assert np.array_equal(got[..., 0], np.broadcast_to(start, lead))
+        if into:
+            assert np.shares_memory(got, buf) and np.all(np.isnan(buf[..., 1::2]))
+
+    def test_step_means_times_dt_is_the_trapezoid_step_bit_for_bit(self):
+        # halving is exact, so the Euler drift and the trapezoid integral
+        # keep the former (v[:-1] + v[1:]) * (dt / 2) bit for bit
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            v = rng.choice([-1.0, 1.0], 2001) * 10.0 ** rng.uniform(-30, 30, 2001)
+            dt = float(10.0 ** rng.uniform(-6, 1))
+            for values in (v, v.reshape(3, 667)):
+                got = step_means(values) * dt
+                assert got.shape == (*values.shape[:-1], values.shape[-1] - 1)
+                assert np.array_equal(got, (values[..., :-1] + values[..., 1:]) * (dt / 2))
 
 
 class TestAgentType:

@@ -542,6 +542,11 @@ class TestDeviation:
         assert len(perts) == 20
         assert sum(p.large for p in perts) == 12
         assert len({p.name for p in perts}) == 20
+        eq = equilibrium_strategy(sol, 0)
+        assert all(np.any(p.strategy.pi != eq.pi) or np.any(p.strategy.c != eq.c) for p in perts)
+        # below 3 steps a third of the grid is empty, so its bump is no deviation
+        with pytest.raises(ValueError, match="at least 3 steps"):
+            default_perturbations(solve_equilibrium(single(TimeGrid(1.0, 2))), 0)
 
     def test_planted_profitable_deviation_is_flagged(self, grid, monkeypatch):
         # the library around a reference shifted off the equilibrium by
@@ -947,17 +952,24 @@ class TestPayoffs:
     ])
     def test_one_strategy_takes_one_build_per_block(self, monkeypatch, block_rows, n, blocks, chunks):
         # a single strategy has no step to serve, so no unit-pi noise sum is
-        # built; its mirror takes none either, only the noise-free moments
-        # once per chunk (its 2m and its D); a block holds R, R' and R + R'
+        # built; its mirror takes none either, only the noise-free sums once
+        # per chunk (its 2m and its D), the running sums of 1-D steps; a
+        # block holds R, R' and R + R'
         grid = TimeGrid(1.0, 64)
         pop = make_random_population(3, grid, n_types=2)
         sol = solve_equilibrium(pop)
         flow = FlowModel(pop, sol)
         monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_rows * 3 * 8 * (grid.n_steps + 1))
         builds, moments = [], []
-        build, gaussian = montecarlo._build_paths, montecarlo._gaussian_moments
+        build, running_sum = montecarlo._build_paths, montecarlo.running_sum
         monkeypatch.setattr(montecarlo, "_build_paths", lambda *a: builds.append(1) or build(*a))
-        monkeypatch.setattr(montecarlo, "_gaussian_moments", lambda *a: moments.append(1) or gaussian(*a))
+
+        def counted(start, steps, out=None):
+            if np.ndim(steps) == 1:
+                moments.append(1)
+            return running_sum(start, steps, out)
+
+        monkeypatch.setattr(montecarlo, "running_sum", counted)
         estimate_utility(pop.types[0], equilibrium_strategy(sol, 0), flow, n, seed=3)
         assert (len(builds), len(moments)) == (blocks, 2 * chunks)
 
