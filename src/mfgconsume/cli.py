@@ -491,7 +491,11 @@ def _cmd_sweep(
         raise ConfigError("sweep needs at least 2 points")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"sweep ends must be finite, got lo={lo} hi={hi}")
-    rows = sweep_sensitivity(cfg, parameter, np.linspace(lo, hi, points), mode, probe_type)
+    try:
+        values = np.linspace(lo, hi, points)
+    except MemoryError as e:  # numpy refuses a sweep past memory at once
+        raise ConfigError(f"cannot hold {points} sweep points: {e}") from e
+    rows = sweep_sensitivity(cfg, parameter, values, mode, probe_type)
     vals, pis, cs, flagged = (np.array(c) for c in zip(*rows))
     manifest.write_csv(out / "sweep.csv", {"value": vals, "pi_star": pis, "c_star": cs, "flagged": flagged})
     manifest.extra("sweep", {"parameter": parameter, "mode": mode, "probe_type": probe_type})

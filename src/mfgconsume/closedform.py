@@ -62,9 +62,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ExponentRangeError, SingularAggregateError
-from .grid import GridCurve, TimeGrid
-from .odequad import cumtrapz_right, riccati_sweep
+from .errors import ExponentRangeError, IntegrationBlowUpError, SingularAggregateError
+from .grid import GridCurve, TimeGrid, running_sum, step_means
 from .population import AgentType, Population
 
 # treat 1 + psi (and 1 + E[theta*gamma/(1-gamma)]) as singular below this
@@ -183,13 +182,21 @@ def population_aggregates(pop: Population) -> Aggregates:
     return _at_knots(pop).agg
 
 
+def _integral_to_end(values: NDArray, dt: float) -> NDArray[np.float64]:
+    """Trapezoid running integral over [t_i, T] along the last axis, taken as
+    total minus the running integral from 0, so the two add up to the total
+    exactly at every knot."""
+    left = running_sum(0.0, step_means(values) * dt)
+    return left[..., -1:] - left
+
+
 def _consumption_from_b(b: NDArray, d: NDArray, dt: float):
     """c*, I = int_t^T B and G = int_t^T exp(-I) from per-type B curves."""
-    ib = cumtrapz_right(b, dt)
+    ib = _integral_to_end(b, dt)
     if np.max(np.abs(ib)) > _EXP_CAP:
         raise ExponentRangeError("integral of B exceeds exponent range")
     decay = np.exp(-ib)
-    g = cumtrapz_right(decay, dt)
+    g = _integral_to_end(decay, dt)
     d_col = np.asarray(d)[..., None]
     c = d_col * decay / (1.0 + d_col * g)
     return c, ib, g
@@ -350,6 +357,39 @@ def constant_consumption(b: float, d: float, horizon: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _riccati_sweep(b: NDArray, d: NDArray, dt: float) -> NDArray[np.float64]:
+    """Classical RK4 for ``y' = B y + y^2`` backward from ``y(T) = d``, taken
+    on ``u = log y``, so ``u' = B + e^u`` from ``u(T) = log d``.
+
+    ``b`` holds B at the knots of each row, shape (K, n+1), and ``d`` the K
+    terminal values; returns y at the knots, shape (K, n+1), the rows swept
+    jointly. The step from knot i to i-1 takes B at knot i, at the midpoint
+    as the mean of the two knots (exact for piecewise-linear B), and at knot
+    i-1. ``d = 0`` gives the zero solution. A NaN state raises
+    :class:`IntegrationBlowUpError` carrying the first bad knot.
+    """
+    n = b.shape[1] - 1
+    h = -dt
+    b_mid = step_means(b)
+    u_out = np.empty(b.shape)
+    # log(0) = -inf is the zero solution; e^u past the float range drives u to -inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = np.log(d)
+        u_out[:, n] = u
+        for i in range(n, 0, -1):
+            k1 = b[:, i] + np.exp(u)
+            k2 = b_mid[:, i - 1] + np.exp(u + (h / 2) * k1)
+            k3 = b_mid[:, i - 1] + np.exp(u + (h / 2) * k2)
+            k4 = b[:, i - 1] + np.exp(u + h * k3)
+            u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            u_out[:, i - 1] = u
+    bad = np.flatnonzero(np.isnan(u_out).any(axis=0))
+    if bad.size:
+        knot = int(bad[-1])
+        raise IntegrationBlowUpError(knot, knot * dt)
+    return np.exp(u_out)
+
+
 def solve_riccati_numeric(pop: Population) -> NDArray:
     """Backward RK4 sweep of the consumption Riccati equation
     ``y' = B(t) y + y^2`` from ``y(T) = D``, all types jointly: the (K, n+1)
@@ -359,7 +399,7 @@ def solve_riccati_numeric(pop: Population) -> NDArray:
     is the primary internal consistency check.
     """
     co = _at_knots(pop)
-    return riccati_sweep(co.b, co.d, pop.grid.dt)
+    return _riccati_sweep(co.b, co.d, pop.grid.dt)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ class ExponentRangeError(OverflowError):
 
 
 class IntegrationBlowUpError(ArithmeticError):
-    """An ODE sweep produced a non-finite state. Carries the first bad knot."""
+    """The RK4 cross-check of the Riccati equation reached a NaN state. It
+    runs on u = log c, where an overflow of e^u sends u to -inf, not to NaN;
+    NaN needs inf - inf, as when u itself overflows. Carries the first bad knot."""
 
     def __init__(self, knot_index: int, t: float):
         super().__init__(f"integration blew up at knot {knot_index} (t = {t:g})")

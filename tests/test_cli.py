@@ -192,6 +192,17 @@ class TestVerifyCommand:
         man = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert man["ok"] is False
 
+    def test_long_horizon_fails_its_checks_with_finite_values(self, tmp_path):
+        # T = 2000 on 64 steps: too coarse for the tolerances, but the RK4
+        # cross-check stays finite, so the run ends in exit 1, not exit 3
+        path = write_config(tmp_path, horizon=2000.0, n_steps=64)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "error" not in man
+        checks = {c["name"]: c["value"] for c in man["checks"]}
+        assert "riccati_relative_sup" in checks
+        assert all(math.isfinite(v) for v in checks.values())
+
     def test_rerun_reproduces_checks_bit_identically(self, tmp_path):
         p = write_config(tmp_path)
         run("verify", load_config(p, out_dir=str(tmp_path / "a")))
@@ -471,6 +482,9 @@ class TestConfigErrorsExitTwo:
                      id="sweep-probe-type-9"),
         pytest.param("sweep", ["--parameter", "h", "--lo", "0.1", "--hi", "0.3", "--points", "1"], None,
                      id="sweep-points-1"),
+        # numpy refuses the 7.28 TiB sweep at once, so nothing is allocated
+        pytest.param("sweep", ["--parameter", "h", "--lo", "0.1", "--hi", "0.3", "--points", "1000000000000"], None,
+                     id="sweep-points-past-memory"),
     ])
     def test_exit_two_with_error_line(self, tmp_path, capsys, command, flags, edit):
         path = write_config(tmp_path)
@@ -673,6 +687,7 @@ class TestFailureContract:
                 assert (code == 3) is ("error" in man)
                 if code == 3:
                     assert man["error"]["type"] in _NUMERICAL
+                    assert man["error"]["type"] != "IntegrationBlowUpError"
 
     # one type, 8 steps: each value overflows a coefficient of the closed
     # form (h, sigma0) or of the verification driver (gamma) to inf or NaN;

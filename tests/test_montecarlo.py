@@ -31,8 +31,8 @@ from mfgconsume import (
 )
 from mfgconsume import montecarlo
 from mfgconsume.cli import load_config
+from mfgconsume.grid import running_sum, step_means
 from mfgconsume.montecarlo import consistency_w0
-from mfgconsume.odequad import cumtrapz_left
 
 REFERENCE = Path(__file__).resolve().parents[1] / "demos" / "configs" / "reference.json"
 # the steep scenario of tools/diff_artifacts.sh: at type 0 (gamma -30) many
@@ -242,7 +242,7 @@ class TestFlow:
         # and equals the deterministic quadrature directly
         sig2 = pop.sigma_mat**2 + pop.sigma0_mat**2
         gbar = pop.mean(sol.pi_star * pop.h_mat - sol.c_star - 0.5 * sol.pi_star**2 * sig2)
-        want = math.log(1.0) + cumtrapz_left(gbar, grid.dt)
+        want = math.log(1.0) + running_sum(0.0, step_means(gbar) * grid.dt)
         assert np.abs(mu - want).max() <= 1e-15
 
     def test_nu_is_logc_plus_mu(self, grid):

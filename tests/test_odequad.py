@@ -16,7 +16,14 @@ from mfgconsume import (
     constant_consumption,
     solve_riccati_numeric,
 )
-from mfgconsume.odequad import cumtrapz_left, cumtrapz_right, riccati_sweep
+from mfgconsume.closedform import _integral_to_end as cumtrapz_right
+from mfgconsume.closedform import _riccati_sweep as riccati_sweep
+from mfgconsume.grid import running_sum, step_means
+
+
+def cumtrapz_left(values, dt):
+    # the running integral from 0, as _integral_to_end takes it
+    return running_sum(0.0, step_means(values) * dt)
 
 
 def one_type(grid, gamma=0.5, theta=0.5, alpha=1.0, h=0.1, sigma=0.2, sigma0=0.1):
@@ -55,11 +62,19 @@ class TestRk4:
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.9
 
-    def test_blowup_reported(self):
-        # a long horizon that the quadrature form of c* handles
+    def test_long_horizon_stays_finite(self):
+        # a long horizon that the quadrature form of c* handles: at dt = 31.25
+        # an RK4 step on y overflows, one on u = log y stays in range
+        out = solve_riccati_numeric(one_type(TimeGrid(2000.0, 64)))
+        assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+
+    def test_nan_state_reported(self):
+        # a NaN in B at knot 30 spoils the steps that read it, the first being 31 -> 30
+        b = np.ones((2, 51))
+        b[1, 30] = math.nan
         with pytest.raises(IntegrationBlowUpError) as exc:
-            solve_riccati_numeric(one_type(TimeGrid(2000.0, 64)))
-        assert (exc.value.knot_index, exc.value.t) == (62, 1937.5)
+            riccati_sweep(b, np.array([1.0, 1.0]), 1.0 / 50)
+        assert (exc.value.knot_index, exc.value.t) == (30, 30 / 50)
 
     def test_vector_state(self):
         rng = np.random.default_rng(11)

@@ -4,23 +4,27 @@
 #   tools/diff_artifacts.sh <rev>
 #
 # Runs eleven CLI commands on demos/configs/reference.json, two `deviate`
-# runs on a steep config, and one `simulate` run each on a small-crowd
-# config and on a config without idiosyncratic noise, at one, two and
-# three threads, once from the committed files of <rev> and once from the
-# working tree, and compares the two output trees with `diff -r`. It then
-# compares the working tree's one-thread outputs with its two-thread and
-# its three-thread ones, which must be identical whatever <rev> gives. The
-# steep, small-crowd and noise-free configs are written to temp files that
-# both trees read. In the steep one (a type with gamma -30), at probe
-# type 0 thousands of sample rows pass the payoff's exponent bound
-# `_MAX_SHIFT` and are rebuilt, a path that the reference config never
-# reaches. The small-crowd
-# one (simulate-crowd3) has 3 agents, fewer than the consistency test's 5
-# probes, and a type of weight 1e-6, so empty and one-agent types occur.
+# runs on a steep config, one `simulate` run each on a small-crowd config
+# and on a config without idiosyncratic noise, and one `verify` run on a
+# long-horizon config, at one, two and three threads, once from the
+# committed files of <rev> and once from the working tree, and compares the
+# two output trees with `diff -r`. It then compares the working tree's
+# one-thread outputs with its two-thread and its three-thread ones, which
+# must be identical whatever <rev> gives. The steep, small-crowd,
+# noise-free and long-horizon configs are written to temp files that both
+# trees read. In the steep one (a type with gamma -30), at probe type 0
+# thousands of sample rows pass the payoff's exponent bound `_MAX_SHIFT`
+# and are rebuilt, a path that the reference config never reaches. The
+# small-crowd one (simulate-crowd3) has 3 agents, fewer than the
+# consistency test's 5 probes, and a type of weight 1e-6, so empty and
+# one-agent types occur.
 # The noise-free one (simulate-sigma0) has one type with sigma 0 and sigma0
 # 0.2: every agent sits on the flow, all 15 consistency rows have a stderr
 # of exactly 0, and the rule for those rows (0 units when the crowd mean is
 # within 1e-12 of the flow, else inf) decides each of them.
+# The long-horizon one (verify-long) has one type over T = 2000 on 64
+# steps: the run fails its discretization checks (exit 1), and every check
+# value, the RK4 cross-check's gap included, must stay finite.
 # Each run's exit status is kept in its output directory beside its
 # artifacts and manifest.json, so a verdict or a crash that differs shows in
 # the diff; sweep-gamma ends in exit 3, so a manifest's `error` block is
@@ -66,6 +70,11 @@ cat > "$sigma0" <<'JSON'
 {"horizon": 1.0, "n_steps": 64, "mc": {"n_agents": 1000, "seed": 5},
  "population": [{"weight": 1.0, "gamma": 0.5, "theta": 0.5, "h": 0.1, "sigma": 0.0, "sigma0": 0.2}]}
 JSON
+long=$tmp/long.json
+cat > "$long" <<'JSON'
+{"horizon": 2000.0, "n_steps": 64,
+ "population": [{"weight": 1.0, "gamma": 0.5, "theta": 0.5, "h": 0.1, "sigma": 0.2, "sigma0": 0.1}]}
+JSON
 
 # run_all <source tree> <output tree>
 run_all() {
@@ -92,6 +101,7 @@ simulate-sigma0 $sigma0 simulate
 solve $ref solve
 solve-seed7 $ref solve --seed 7 --steps 256
 verify $ref verify
+verify-long $long verify
 sweep-sigma0 $ref sweep --parameter sigma0 --lo 0.01 --hi 2.0 --points 120
 sweep-gamma $ref sweep --parameter gamma --lo 0.95 --hi 0.99 --points 5
 EOF
